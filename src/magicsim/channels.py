@@ -123,7 +123,8 @@ class SimulableChannel:
 
     unitary_part holds (p_r, circuit) with p_r >= 0, kraus_part holds
     (q_s, StabKraus); completeness sum p_r I + sum q_s K_s^dag K_s = I is
-    verified densely up to six qubits.
+    verified densely up to six qubits.  A channel with neither part is
+    rejected at every width: every sample through it would abort.
     """
 
     __slots__ = ("n", "unitary_part", "kraus_part", "P_U", "P_K")
@@ -131,6 +132,8 @@ class SimulableChannel:
     def __init__(self, n: int, unitary_part, kraus_part, max_terms: int = DEFAULT_MAX_TERMS):
         unitary_part = tuple((float(p), tuple(tuple(g) for g in gates)) for p, gates in unitary_part)
         kraus_part = tuple((float(q), k) for q, k in kraus_part)
+        if not unitary_part and not kraus_part:
+            raise ChannelError("channel has neither unitary nor kraus part")
         if len(unitary_part) + len(kraus_part) > max_terms:
             raise ChannelError("channel decomposition exceeds the term budget")
         if any(p < 0 for p, _ in unitary_part) or any(q < 0 for q, _ in kraus_part):
@@ -245,8 +248,6 @@ def channel_from_json(obj: dict, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> 
         ops = [(sc.PauliOp.from_letters(word), int(sign)) for word, sign in generators]
         proj = sc.StabProjector(n, ops)
         kraus.append((float(q), StabKraus(int(h), proj, tuple(_gate_from_json(g) for g in gates))))
-    if not unitary and not kraus:
-        raise ChannelError("channel spec has neither unitary nor kraus part")
     return SimulableChannel(n, unitary, kraus, max_terms)
 
 
@@ -269,14 +270,7 @@ def dyadic_decompose_product(states) -> DyadicDecomposition:
         for weight, _, terms in parts:
             for cl, stl in terms:
                 for cr, str_ in terms:
-                    dyads.append((weight * cl * np.conj(cr), stl, str_))
+                    dyads.append((weight * cl * np.conj(cr), (stl, str_)))
         per_qubit.append(dyads)
-    acc = [(a, L, R) for a, L, R in per_qubit[0]]
-    for dyads in per_qubit[1:]:
-        acc = [
-            (a1 * a2, sc.tensor(L1, L2), sc.tensor(R1, R2))
-            for a1, L1, R1 in acc
-            for a2, L2, R2 in dyads
-        ]
-    terms = [(a, Dyad(L, R)) for a, L, R in acc]
+    terms = [(a, Dyad(L, R)) for a, (L, R) in sc.tensor_terms(per_qubit)]
     return DyadicDecomposition(terms, validate=len(states) <= DENSE_CHECK_MAX)

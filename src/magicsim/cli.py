@@ -428,11 +428,9 @@ def _run_distill(args) -> tuple[str, int]:
             states = tuple(_state_factors(args, doc, "distill"))
             grid = [_parse_num(t, "m", integer=True) for t in tokens]
             header, rows = distill.sweep_m(states, target, grid, epsilon, p)
-        if (args.format or "csv") == "csv":
-            return distill.sweep_to_csv(header, rows), 0
         payload = {"subcommand": "distill", "header": list(header),
                    "rows": [list(r) for r in rows]}
-        return _dump_json(payload), 0
+        return _emit(args, payload, header, rows, default_fmt="csv"), 0
     states = tuple(_state_factors(args, doc, "distill"))
     query = distill.DistillQuery(states=states, target=target, m=m, eps=epsilon, p=p)
     k1, k2, k = distill.copies_lower_bound(query)
@@ -609,6 +607,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("a subcommand is required")
     try:
         text, code = _DISPATCH[args.subcommand](args)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         if isinstance(exc, json.JSONDecodeError):
             kind = "parse"
@@ -618,11 +621,6 @@ def main(argv: list[str] | None = None) -> int:
             kind = getattr(exc, "kind", "validation")
         sys.stderr.write(json.dumps({"error": {"kind": kind, "message": str(exc)}}) + "\n")
         return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -33,20 +33,6 @@ class ConstrainedSimError(ValueError):
     pass
 
 
-_VERTEX_GATES = {
-    (0, 0, 1): (),
-    (0, 0, -1): (("X", 0),),
-    (1, 0, 0): (("H", 0),),
-    (-1, 0, 0): (("H", 0), ("Z", 0)),
-    (0, 1, 0): (("H", 0), ("S", 0)),
-    (0, -1, 0): (("H", 0), ("SDG", 0)),
-}
-
-
-def _vertex_state(axis: tuple[int, int, int]) -> sc.StabState:
-    return sc.apply_circuit(sc.zero_state(1), _VERTEX_GATES[axis])
-
-
 class RobustnessPair:
     """Scale lam >= 1 together with a stabilizer mixture dominating rho.
 
@@ -121,7 +107,7 @@ def optimal_pair(states, validate: bool = True) -> RobustnessPair:
     if not blochs:
         raise ConstrainedSimError("need at least one qubit factor")
     lam = 1.0
-    parts: list[tuple[float, sc.StabState | None]] = [(1.0, None)]
+    per_qubit = []
     for rho in blochs:
         lam_j = max(1.0, monotones.lambda_plus_1q(rho)[0])
         b = np.array(rho.as_tuple(), dtype=float)
@@ -129,15 +115,12 @@ def optimal_pair(states, validate: bool = True) -> RobustnessPair:
         if np.linalg.norm(lam_j * b_sig - b) > lam_j - 1.0 + 1e-9:
             raise ConstrainedSimError("factor admits no stabilizer side at its lam")
         lam *= lam_j
-        grown = []
-        for w1, s1 in parts:
-            for vertex, w2 in _octahedron_mixture(b_sig).items():
-                w = w1 * w2
-                if w <= 1e-14:
-                    continue
-                v = _vertex_state(vertex)
-                grown.append((w, v if s1 is None else sc.tensor(s1, v)))
-        parts = grown
+        per_qubit.append([
+            (w, (monotones.axis_state(monotones.BlochState(*vertex)),))
+            for vertex, w in _octahedron_mixture(b_sig).items()
+        ])
+    # vertex weights are at most 1, so no product recovers from the cutoff
+    parts = [(w, s) for w, (s,) in sc.tensor_terms(per_qubit) if w > 1e-14]
     total = sum(w for w, _ in parts)
     sigma = ch.DyadicDecomposition([(w / total, ch.Dyad(s, s)) for w, s in parts])
     pair = RobustnessPair(lam, sigma)

@@ -5,7 +5,7 @@ approximate copies of a Clifford-symmetric target must satisfy two copy
 bounds driven by the input's generalized robustness and the target's
 stabilizer fidelity.  Both bounds, their maximum, and the asymptotic rate
 ceiling are computed for product inputs of single-qubit states; grid sweeps
-are serialized as CSV for external plotting.
+return (header, rows) tables that the command line writes as CSV or JSON.
 """
 
 from __future__ import annotations
@@ -138,12 +138,3 @@ def sweep_alpha(target: str, alphas, m: int, eps: float, p: float):
         k1, k2, k = copies_lower_bound(DistillQuery([state], target, m, eps, p))
         rows.append((float(alpha), lam, k1, k2, k))
     return ("alpha", "lam", "k1", "k2", "k"), rows
-
-
-def sweep_to_csv(header, rows) -> str:
-    """CSV text with a header line, comma separators and repr-round floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                              for x in row))
-    return "\n".join(lines) + "\n"

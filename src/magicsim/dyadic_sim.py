@@ -17,25 +17,9 @@ import numpy as np
 
 from . import stab_core as sc
 from ._util import kahan_sum, run_chunked, sample_rng
-from .channels import ChannelError, Dyad, DyadicDecomposition, SimulableChannel, StabKraus
+from .channels import ChannelError, Dyad, DyadicDecomposition, SimulableChannel
 
-ABORT = 0
 _P0_TOL = 1e-12
-
-
-@dataclass
-class Trajectory:
-    """One sampled path: initial dyad index, branch choice per step (0 = abort),
-    accumulated unit phase, and the current dyad (None once aborted)."""
-
-    r0: int
-    r_t: list
-    phase: complex
-    current: Dyad | None
-
-    @property
-    def aborted(self) -> bool:
-        return self.current is None
 
 
 @dataclass(frozen=True)
@@ -72,77 +56,6 @@ def _unit(state: sc.StabState) -> sc.StabState:
     return out
 
 
-def stabilizer_update(d: Dyad, part, P_X: float, rng) -> tuple[Dyad | None, int]:
-    """Sample one branch of a channel part and advance the dyad.
-
-    Unitary parts never abort: a circuit is drawn with probability p_r/P_X
-    and applied to both sides.  Kraus parts are drawn with the trace-norm
-    probabilities q_r/P_X * 2^h * |Pi|L>| * |Pi|R>|; the remainder aborts.
-    Returns (dyad or None, 1-based branch index with 0 meaning abort).
-    """
-    if not part:
-        raise ValueError("empty channel part")
-    if not 0.0 < P_X <= 1.0 + _P0_TOL:
-        raise ValueError("branch weight must lie in (0, 1]")
-    if isinstance(part[0][1], StabKraus):
-        projected = []
-        probs = []
-        for q, k in part:
-            Lp, nl = sc.project_stab(d.L, k.proj)
-            Rp, nr = sc.project_stab(d.R, k.proj)
-            projected.append((Lp, Rp, k))
-            probs.append((q / P_X) * (2.0**k.h) * nl * nr)
-        total = sum(probs)
-        if total > 1.0 + 1e-9:
-            raise ChannelError(f"Kraus transition probabilities sum to {total}")
-        u = rng.random()
-        acc = 0.0
-        for idx, (p, (Lp, Rp, k)) in enumerate(zip(probs, projected)):
-            acc += p
-            if u < acc:
-                Lp = _unit(sc.apply_circuit(Lp, k.circuit))
-                Rp = _unit(sc.apply_circuit(Rp, k.circuit))
-                return Dyad(Lp, Rp), idx + 1
-        return None, ABORT
-    u = rng.random() * P_X
-    acc = 0.0
-    idx = len(part) - 1
-    for j, (p, _) in enumerate(part):
-        acc += p
-        if u < acc:
-            idx = j
-            break
-    gates = part[idx][1]
-    return Dyad(sc.apply_circuit(d.L, gates), sc.apply_circuit(d.R, gates)), idx + 1
-
-
-def _pick_branch(chan: SimulableChannel, rng):
-    if chan.unitary_part and chan.kraus_part:
-        if rng.random() < chan.P_U:
-            return chan.unitary_part, chan.P_U
-        return chan.kraus_part, chan.P_K
-    if chan.unitary_part:
-        return chan.unitary_part, max(chan.P_U, _P0_TOL)
-    return chan.kraus_part, max(chan.P_K, _P0_TOL)
-
-
-def run_trajectory(decomp: DyadicDecomposition, chans, rng) -> Trajectory:
-    """Draw an initial dyad and push it through every channel."""
-    cum, phases = decomp.sampling_arrays()
-    r0 = int(np.searchsorted(cum, rng.random(), side="right"))
-    r0 = min(r0, len(decomp.terms) - 1)
-    dyad = decomp.terms[r0][1]
-    phase = complex(phases[r0])
-    steps = []
-    for chan in chans:
-        part, P_X = _pick_branch(chan, rng)
-        dyad, idx = stabilizer_update(dyad, part, P_X, rng)
-        steps.append(idx)
-        if dyad is None:
-            return Trajectory(r0, steps, phase, None)
-    return Trajectory(r0, steps, phase, dyad)
-
-
 def _measure_value(dyad: Dyad, measurement) -> complex:
     if isinstance(measurement, sc.PauliOp):
         Lm = sc.apply_pauli(dyad.L, measurement)
@@ -151,16 +64,8 @@ def _measure_value(dyad: Dyad, measurement) -> complex:
     return sc.inner_product(dyad.R, Lm)
 
 
-def _sample_value(decomp, chans, measurement, rng) -> tuple[float, bool]:
-    traj = run_trajectory(decomp, chans, rng)
-    if traj.aborted:
-        return 0.0, True
-    val = _measure_value(traj.current, measurement)
-    return decomp.l1 * float(np.real(traj.phase * val)), False
-
-
 class _Node:
-    """Trajectory-tree node: a dyad plus its branch distribution per channel.
+    """Node of the trajectory tree: a dyad plus its branch distribution per channel.
 
     The branch path fully determines the dyad, so transition probabilities
     and leaf inner products are computed once and shared by every sample
@@ -222,8 +127,7 @@ def _walk_value(roots, cum0, phases, chans, measurement, l1, rng) -> tuple[float
 def _chunk_worker(payload, lo: int, hi: int):
     decomp, chans, measurement, seed, bound, roots = payload
     cum0, phases = decomp.sampling_arrays()
-    total = 0.0
-    comp = 0.0
+    values = []
     aborted = 0
     for index in range(lo, hi):
         rng = sample_rng(seed, index)
@@ -232,11 +136,8 @@ def _chunk_worker(payload, lo: int, hi: int):
             aborted += 1
         if abs(mu) > bound + 1e-9:
             raise RuntimeError(f"sample {index} exceeded the l1 bound: {mu}")
-        y = mu - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total, aborted
+        values.append(mu)
+    return kahan_sum(values), aborted
 
 
 def estimate_born(

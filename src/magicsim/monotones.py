@@ -279,7 +279,7 @@ def _canonical_term_state(kind: str) -> sc.StabState:
     return sc.apply_circuit(sc.zero_state(1), _CANON_TERM_GATES[kind])
 
 
-def _axis_state(bloch: BlochState) -> sc.StabState:
+def axis_state(bloch: BlochState) -> sc.StabState:
     """StabState for a Bloch vector sitting exactly on a coordinate axis."""
     key = tuple(int(round(c)) for c in bloch.as_tuple())
     gates = {
@@ -342,7 +342,7 @@ def extent_pure_1q(psi: BlochState) -> tuple[float, list[tuple[complex, sc.StabS
     inverse = invert_word(word)
     if psi.in_octahedron(1e-9):
         canon = psi.rotated(word)
-        term = sc.apply_circuit(_axis_state(canon), inverse)
+        term = sc.apply_circuit(axis_state(canon), inverse)
         return 1.0, [(1.0 + 0j, term)]
     canon = psi.rotated(word)
     vec = canon.pure_vector()
@@ -464,11 +464,11 @@ def decompose_1q_state(rho: BlochState) -> tuple[float, list[tuple[float, float,
         ):
             if abs(val) > 1e-14:
                 vertex = BlochState(*(np.sign(val) * np.array(axis)))
-                parts.append((abs(val), 1.0, [(1.0 + 0j, _axis_state(vertex))]))
+                parts.append((abs(val), 1.0, [(1.0 + 0j, axis_state(vertex))]))
         if rem > 1e-14 or not parts:
             for sgn in (1.0, -1.0):
                 vertex = BlochState(0.0, 0.0, sgn)
-                parts.append((max(rem, 0.0) / 2.0, 1.0, [(1.0 + 0j, _axis_state(vertex))]))
+                parts.append((max(rem, 0.0) / 2.0, 1.0, [(1.0 + 0j, axis_state(vertex))]))
         return 1.0, parts
     if rho.is_pure():
         xi, terms = extent_pure_1q(rho)

@@ -11,6 +11,7 @@ handled as ensembles of pure decompositions sampled per string.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 
@@ -378,26 +379,18 @@ def mixed_input_product(states) -> MixedInput:
     states = list(states)
     if not states:
         raise RankSimError("need at least one qubit")
-    acc = [(1.0, [(1.0 + 0j, None)])]
+    per_qubit = []
     for rho in states:
         if not isinstance(rho, monotones.BlochState):
             rho = monotones.BlochState(*rho)
-        _, parts = monotones.decompose_1q_state(rho)
-        grown = []
-        for weight, expansion in acc:
-            for w2, _, terms in parts:
-                joined = [
-                    (c1 * c2, t2 if t1 is None else sc.tensor(t1, t2))
-                    for c1, t1 in expansion
-                    for c2, t2 in terms
-                ]
-                grown.append((weight * w2, joined))
-        acc = grown
+        per_qubit.append(monotones.decompose_1q_state(rho)[1])
     ensemble = []
-    for weight, expansion in acc:
+    for combo in itertools.product(*per_qubit):
+        weight = math.prod(w for w, _, _ in combo)
         if weight <= 1e-14:
             continue
-        d = SparseDecomposition([c for c, _ in expansion], [t for _, t in expansion])
+        expansion = sc.tensor_terms([[(c, (t,)) for c, t in terms] for _, _, terms in combo])
+        d = SparseDecomposition([c for c, _ in expansion], [t for _, (t,) in expansion])
         ensemble.append((weight, d))
     total = sum(p for p, _ in ensemble)
     ensemble = [(p / total, d) for p, d in ensemble]

@@ -705,6 +705,24 @@ def tensor(a: StabState, b: StabState) -> StabState:
     return out
 
 
+def tensor_terms(factors) -> list[tuple]:
+    """Expand a product of per-qubit term lists into its joint terms.
+
+    Each factor lists (weight, states) pairs, states being a tuple of
+    StabStates such as the two sides of a dyad.  The first factor is
+    outermost; weights multiply left to right and states tensor position by
+    position, so the joint states carry the factors' qubits in order.
+    """
+    acc = list(factors[0])
+    for terms in factors[1:]:
+        acc = [
+            (w1 * w2, tuple(tensor(a, b) for a, b in zip(s1, s2)))
+            for w1, s1 in acc
+            for w2, s2 in terms
+        ]
+    return acc
+
+
 def permute(state: StabState, perm) -> StabState:
     """Relabel qubits: new qubit i is old qubit perm[i]."""
     axes = list(perm)

@@ -20,26 +20,10 @@ from magicsim import monotones as mt
 from magicsim import rank_sim as rs
 from magicsim import stab_core as sc
 from magicsim._util import sample_rng
+from magicsim.cli import _csv_text, _random_gate, _random_pauli_word
 
 SQRT2 = math.sqrt(2.0)
 LAM_H = 4.0 - 2.0 * SQRT2
-
-
-def random_gate(rng, n):
-    name = sc.GATE_NAMES[int(rng.integers(len(sc.GATE_NAMES)))]
-    if name in ("CX", "CZ", "SWAP"):
-        if n < 2:
-            name = "H"
-        else:
-            a, b = rng.choice(n, size=2, replace=False)
-            return (name, int(a), int(b))
-    return (name, int(rng.integers(n)))
-
-
-def random_pauli(rng, n):
-    letters = ["IXYZ"[int(rng.integers(4))] for _ in range(n)]
-    letters[int(rng.integers(n))] = "XYZ"[int(rng.integers(3))]
-    return sc.PauliOp.from_letters("".join(letters))
 
 
 def test_1_stabilizer_core_matches_dense_oracle():
@@ -57,11 +41,11 @@ def test_1_stabilizer_core_matches_dense_oracle():
         alive = True
         for kind in schedule:
             if kind == "g":
-                gate = random_gate(rng, n)
+                gate = _random_gate(rng, n)
                 state = sc.apply_gate(state, gate)
                 vec = do.apply_gate_dense(vec, n, gate)
             else:
-                op = random_pauli(rng, n)
+                op = sc.PauliOp.from_letters(_random_pauli_word(rng, n))
                 sign = 1 if rng.random() < 0.5 else -1
                 before = np.linalg.norm(vec)
                 state, rel = sc.project_pauli(state, op, sign)
@@ -75,7 +59,7 @@ def test_1_stabilizer_core_matches_dense_oracle():
         if not alive:
             continue
         worst = max(worst, float(np.abs(do.expand(state) - vec).max()))
-        other_gates = [random_gate(rng, n) for _ in range(10)]
+        other_gates = [_random_gate(rng, n) for _ in range(10)]
         other = sc.apply_circuit(sc.zero_state(n), other_gates)
         ovec = np.zeros(2**n, dtype=complex)
         ovec[0] = 1.0
@@ -115,7 +99,7 @@ def _fixture_channel(rng, n):
         qs = list(range(n))
         terms = []
         for p in (0.65, 0.35):
-            gates = [random_gate(rng, n) for _ in range(int(rng.integers(1, 4)))]
+            gates = [_random_gate(rng, n) for _ in range(int(rng.integers(1, 4)))]
             terms.append([p, gates])
         return ch.builtin_channel(name, qs, n, {"terms": terms})
     if name == "t_gadget":
@@ -133,7 +117,7 @@ def _fixture_measurement(rng, n, want_projector):
             letters = "".join("Z" if j == q else "I" for j in range(n))
             pairs.append((letters, 1 if rng.random() < 0.5 else -1))
         return sc.StabProjector.from_strings(pairs)
-    return random_pauli(rng, n)
+    return sc.PauliOp.from_letters(_random_pauli_word(rng, n))
 
 
 def test_2_dyadic_estimator_accuracy_over_fixtures():
@@ -310,6 +294,6 @@ def test_9_distillation_sweeps_monotone_and_locked():
     header, rows = distill.sweep_alpha(
         "H", [0.60, 0.70, 0.72, 0.75, 0.80, 0.85, 0.90, 0.95, 0.98],
         24, 1e-20, 0.9)
-    text = distill.sweep_to_csv(header, rows)
+    text = _csv_text(header, rows)
     locked = (Path(__file__).parent / "data" / "distill_sweep.csv").read_text("utf-8")
     assert text == locked

@@ -293,9 +293,14 @@ class TestBenchAndSelftest:
 
 
 class TestValidation:
-    def test_missing_input_file(self, capsys):
-        rc, _, err = run_cli(capsys, "estimate", "--input", "/no/such/file.json")
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--input", "/no/such/file.json"),
+        ("monotone", "--state", "H", "--output", "/no/such/dir/out.csv"),
+    ], ids=["input", "output"])
+    def test_missing_input_file(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
         assert rc == 2
+        assert out == ""
         diag = json.loads(err)
         assert_schema(diag, "error")
         assert diag["error"]["kind"] == "io"

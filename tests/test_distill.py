@@ -6,6 +6,7 @@ import pytest
 
 import magicsim.distill as dist
 import magicsim.monotones as mono
+from magicsim.cli import _csv_text
 from magicsim.distill import DistillError, DistillQuery
 
 XI_H = 4.0 - 2.0 * math.sqrt(2.0)
@@ -174,7 +175,7 @@ class TestSweeps:
 
     def test_csv_serialization(self):
         header, rows = dist.sweep_epsilon([h_state()], "H", 2, 1.0, [0.0, 0.5])
-        text = dist.sweep_to_csv(header, rows)
+        text = _csv_text(header, rows)
         lines = text.strip().split("\n")
         assert lines[0] == "eps,k1,k2,k"
         assert len(lines) == 3
@@ -185,6 +186,6 @@ class TestSweeps:
             "H", [0.60, 0.70, 0.72, 0.75, 0.80, 0.85, 0.90, 0.95, 0.98],
             m=24, eps=1e-20, p=0.9,
         )
-        text = dist.sweep_to_csv(header, rows)
+        text = _csv_text(header, rows)
         frozen = (DATA / "distill_sweep.csv").read_text()
         assert text == frozen

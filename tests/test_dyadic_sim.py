@@ -8,7 +8,6 @@ import magicsim.dense_oracle as do
 import magicsim.dyadic_sim as dy
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
-from magicsim._util import sample_rng
 
 
 def proj_zero(n, qubit):
@@ -21,6 +20,19 @@ def plus_zero_dyad():
     L = sc.apply_circuit(sc.zero_state(2), [("H", 0)])
     R = sc.apply_circuit(sc.zero_state(2), [("H", 0), ("Z", 0)])
     return ch.Dyad(L, R)
+
+
+def expanded(dyad, n, unitary=(), kraus=()):
+    node = dy._Node(dyad)
+    node.expand(ch.SimulableChannel(n, unitary, kraus))
+    return node
+
+
+def z_measurement():
+    return [
+        (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("Z", 1)]), ())),
+        (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("Z", -1)]), ())),
+    ]
 
 
 class TestRequiredSamples:
@@ -41,12 +53,15 @@ class TestRequiredSamples:
 
 
 class TestStabilizerUpdate:
+    """Branch distributions and children of one trajectory-tree expansion."""
+
     def test_unitary_certain(self):
         d = ch.Dyad(sc.zero_state(1), sc.zero_state(1))
-        out, idx = dy.stabilizer_update(d, [(1.0, (("H", 0),))], 1.0, sample_rng(1, 0))
-        assert idx == 1
-        assert do.expand(out.L) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
-        assert do.expand(out.R) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
+        node = expanded(d, 1, unitary=[(1.0, (("H", 0),))])
+        assert node.cum.tolist() == [1.0]
+        (out,) = node.children
+        assert do.expand(out.dyad.L) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
+        assert do.expand(out.dyad.R) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
 
     def test_selective_kraus_keeps_dyad(self):
         # dyad |+0><-0| against {I x |0><0|, X x |1><1|}: first branch certain
@@ -55,58 +70,48 @@ class TestStabilizerUpdate:
             (0.5, ch.StabKraus(1, proj_zero(2, 1), ())),
             (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("IZ", -1)]), (("X", 0),))),
         ]
-        before_L = do.expand(d.L)
-        before_R = do.expand(d.R)
-        for trial in range(20):
-            out, idx = dy.stabilizer_update(d, kraus, 1.0, sample_rng(7, trial))
-            assert idx == 1
-            assert do.expand(out.L) == pytest.approx(before_L)
-            assert do.expand(out.R) == pytest.approx(before_R)
+        node = expanded(d, 2, kraus=kraus)
+        assert node.cum == pytest.approx([1.0, 1.0], abs=1e-12)
+        first, second = node.children
+        assert second is None
+        assert do.expand(first.dyad.L) == pytest.approx(do.expand(d.L))
+        assert do.expand(first.dyad.R) == pytest.approx(do.expand(d.R))
 
     def test_measure_branch_probabilities(self):
         # Z measure-and-keep on |+><+| splits 50/50 into |0><0| and |1><1|
         d = ch.Dyad(sc.plus_state(1), sc.plus_state(1))
-        kraus = [
-            (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("Z", 1)]), ())),
-            (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("Z", -1)]), ())),
-        ]
-        counts = [0, 0]
-        for trial in range(4000):
-            out, idx = dy.stabilizer_update(d, kraus, 1.0, sample_rng(11, trial))
-            assert idx in (1, 2)
-            counts[idx - 1] += 1
-            expect = np.diag([1.0, 0.0]) if idx == 1 else np.diag([0.0, 1.0])
-            assert np.outer(do.expand(out.L), do.expand(out.R).conj()) == pytest.approx(expect)
-        assert abs(counts[0] / 4000 - 0.5) < 0.03
+        node = expanded(d, 1, kraus=z_measurement())
+        assert node.cum == pytest.approx([0.5, 1.0], abs=1e-12)
+        for child, expect in zip(node.children, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))):
+            dense = np.outer(do.expand(child.dyad.L), do.expand(child.dyad.R).conj())
+            assert dense == pytest.approx(expect)
 
     def test_output_amplitudes_are_unit(self):
         d = ch.Dyad(sc.plus_state(1), sc.plus_state(1))
-        kraus = [
-            (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("Z", 1)]), ())),
-            (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("Z", -1)]), ())),
-        ]
-        out, _ = dy.stabilizer_update(d, kraus, 1.0, sample_rng(13, 0))
-        assert abs(out.L.amplitude() - 1.0) < 1e-12
-        assert abs(out.R.amplitude() - 1.0) < 1e-12
+        for child in expanded(d, 1, kraus=z_measurement()).children:
+            assert abs(child.dyad.L.amplitude() - 1.0) < 1e-12
+            assert abs(child.dyad.R.amplitude() - 1.0) < 1e-12
 
     def test_empty_part_rejected(self):
-        d = ch.Dyad(sc.zero_state(1), sc.zero_state(1))
-        with pytest.raises(ValueError):
-            dy.stabilizer_update(d, [], 1.0, sample_rng(1, 0))
+        # width 7 lies above the dense completeness check
+        with pytest.raises(ch.ChannelError):
+            ch.SimulableChannel(7, [], [])
 
 
-class TestTrajectory:
-    def test_abort_sticks(self):
-        # T-gadget trajectories on a dyad never abort (probabilities sum to 1)
+class TestTreeWalk:
+    def test_t_gadget_never_aborts(self):
+        # T-gadget branches on every input dyad exhaust the probability mass,
+        # so no walk through the gadget aborts
         dec = ch.dyadic_decompose_product(
             [mono.BlochState.named("+"), mono.BlochState.named("H")]
         )
         chan = ch.builtin_channel("t_gadget", [0, 1], 2)
-        for trial in range(50):
-            traj = dy.run_trajectory(dec, [chan], sample_rng(17, trial))
-            assert not traj.aborted
-            assert abs(abs(traj.phase) - 1.0) < 1e-12
-            assert traj.r_t[0] in (1, 2)
+        for _, d in dec.terms:
+            node = dy._Node(d)
+            node.expand(chan)
+            assert node.cum[-1] == pytest.approx(1.0, abs=1e-12)
+            assert len(node.children) == 2
+            assert all(child is not None for child in node.children)
 
 
 class TestEstimateBorn:
