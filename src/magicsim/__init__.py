@@ -41,7 +41,6 @@ from .monotones import (  # noqa: F401
 from .rank_sim import (  # noqa: F401
     MixedInput,
     SparseDecomposition,
-    compute_C,
     fast_norm,
     mixed_input_product,
     sample_bitstrings,

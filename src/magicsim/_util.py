@@ -62,14 +62,13 @@ def run_chunked(
     payload,
     n_samples: int,
     workers: int | None = None,
-    chunk: int = CHUNK,
 ) -> list:
     """Evaluate worker(payload, lo, hi) over fixed chunks, results in chunk order.
 
     The chunk grid depends only on n_samples, so single-process and pooled runs
     produce identical result lists.  payload must be picklable when workers > 1.
     """
-    spans = [(lo, min(lo + chunk, n_samples)) for lo in range(0, n_samples, chunk)]
+    spans = [(lo, min(lo + CHUNK, n_samples)) for lo in range(0, n_samples, CHUNK)]
     nproc = resolve_workers(workers)
     if nproc <= 1 or len(spans) <= 1:
         return [worker(payload, lo, hi) for lo, hi in spans]

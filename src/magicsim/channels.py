@@ -4,7 +4,8 @@ A channel is decomposed into a probabilistic mixture of Clifford circuits
 plus weighted Kraus operators of the fixed form 2^{h/2} U Pi with U Clifford
 and Pi a stabilizer projector of h generators.  That shape keeps trace-norm
 transition probabilities exactly computable during sampling.  All types are
-immutable after construction and validated densely at small width.
+immutable after construction and validated when built; the dense checks
+stop at six qubits.
 """
 
 from __future__ import annotations
@@ -47,7 +48,14 @@ class Dyad:
 
 
 class DyadicDecomposition:
-    """Weighted dyad expansion rho = sum_j alpha_j |L_j><R_j|."""
+    """Weighted dyad expansion rho = sum_j alpha_j |L_j><R_j|.
+
+    With validate set, the trace sum_j alpha_j <R_j|L_j> = 1 is checked
+    symbolically at every width and Hermiticity densely up to six qubits;
+    above that Hermiticity stays unchecked.  Builders whose factors were
+    validated already, such as products of 1-qubit decompositions, pass
+    validate=False.
+    """
 
     __slots__ = ("terms", "n", "l1", "_sampling")
 
@@ -64,12 +72,15 @@ class DyadicDecomposition:
         self.l1 = float(sum(abs(a) for a, _ in terms))
         if self.l1 < 1.0 - 1e-9:
             raise ChannelError("dyadic l1 weight below 1")
-        if validate and n <= DENSE_CHECK_MAX:
+        if not validate:
+            return
+        if n <= DENSE_CHECK_MAX:
             mat = self.dense()
             if np.abs(mat - mat.conj().T).max() > _ATOL:
                 raise ChannelError("decomposition is not Hermitian")
-            if abs(np.trace(mat) - 1.0) > _ATOL:
-                raise ChannelError("decomposition trace differs from 1")
+        trace = sum(a * sc.inner_product(d.R, d.L) for a, d in terms)
+        if abs(trace - 1.0) > _ATOL:
+            raise ChannelError(f"decomposition trace is {trace:.6g}, expected 1")
 
     def dense(self) -> np.ndarray:
         if self.n > DENSE_CHECK_MAX:
@@ -99,9 +110,7 @@ class StabKraus:
         if h != len(proj.generators):
             raise ChannelError("h must match the generator count")
         circuit = tuple(tuple(g) for g in circuit)
-        for g in circuit:
-            if g[0] not in sc.GATE_NAMES:
-                raise ChannelError(f"unknown gate {g[0]!r}")
+        _check_circuit(circuit, proj.n)
         self.h = int(h)
         self.proj = proj
         self.circuit = circuit
@@ -109,10 +118,6 @@ class StabKraus:
     @property
     def n(self) -> int:
         return self.proj.n
-
-    @property
-    def scale(self) -> float:
-        return float(2.0 ** (0.5 * self.h))
 
     def dense(self) -> np.ndarray:
         return do.kraus_matrix(self)
@@ -129,21 +134,17 @@ class SimulableChannel:
 
     __slots__ = ("n", "unitary_part", "kraus_part", "P_U", "P_K")
 
-    def __init__(self, n: int, unitary_part, kraus_part, max_terms: int = DEFAULT_MAX_TERMS):
+    def __init__(self, n: int, unitary_part, kraus_part):
         unitary_part = tuple((float(p), tuple(tuple(g) for g in gates)) for p, gates in unitary_part)
         kraus_part = tuple((float(q), k) for q, k in kraus_part)
         if not unitary_part and not kraus_part:
             raise ChannelError("channel has neither unitary nor kraus part")
-        if len(unitary_part) + len(kraus_part) > max_terms:
+        if len(unitary_part) + len(kraus_part) > DEFAULT_MAX_TERMS:
             raise ChannelError("channel decomposition exceeds the term budget")
         if any(p < 0 for p, _ in unitary_part) or any(q < 0 for q, _ in kraus_part):
             raise ChannelError("negative channel weights")
         for _, gates in unitary_part:
-            for g in gates:
-                if g[0] not in sc.GATE_NAMES:
-                    raise ChannelError(f"unknown gate {g[0]!r}")
-                if any(not (0 <= int(q) < n) for q in g[1:]):
-                    raise ChannelError("gate target out of range")
+            _check_circuit(gates, n)
         for _, k in kraus_part:
             if k.n != n:
                 raise ChannelError("Kraus width differs from channel width")
@@ -158,6 +159,14 @@ class SimulableChannel:
             defect = do.channel_completeness_defect(self, n)
             if defect > _ATOL:
                 raise ChannelError(f"Kraus completeness violated by {defect:.3g}")
+
+
+def _check_circuit(gates, n: int) -> None:
+    for g in gates:
+        try:
+            sc.check_gate(g, n)
+        except ValueError as exc:
+            raise ChannelError(str(exc)) from None
 
 
 def _letters_at(n: int, positions: dict[int, str]) -> sc.PauliOp:
@@ -176,8 +185,7 @@ def _check_targets(qubits, n: int, expect: int | None = None) -> list[int]:
     return qs
 
 
-def builtin_channel(name: str, qubits, n: int, params: dict | None = None,
-                    max_terms: int = DEFAULT_MAX_TERMS) -> SimulableChannel:
+def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> SimulableChannel:
     """Built-in channel library, embedded at global width n.
 
     clifford_mix: params {"terms": [[p, gates], ...]} with local qubit
@@ -198,7 +206,7 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None,
             (0.25 * lam, (("Z", q),)),
         ]
         unitary = [(p, gates) for p, gates in raw if p > 0.0]
-        return SimulableChannel(n, unitary, [], max_terms)
+        return SimulableChannel(n, unitary, [])
     if name == "clifford_mix":
         qs = _check_targets(qubits, n)
         terms = params.get("terms")
@@ -206,9 +214,10 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None,
             raise ChannelError("clifford_mix needs a nonempty terms list")
         unitary = []
         for p, gates in terms:
-            mapped = tuple((g[0], *(qs[int(t)] for t in g[1:])) for g in gates)
-            unitary.append((float(p), mapped))
-        return SimulableChannel(n, unitary, [], max_terms)
+            local = tuple(_gate_from_json(g) for g in gates)
+            _check_circuit(local, len(qs))
+            unitary.append((float(p), tuple((g[0], *(qs[t] for t in g[1:])) for g in local)))
+        return SimulableChannel(n, unitary, [])
     if name == "t_gadget":
         d, a = _check_targets(qubits, n, expect=2)
         zz = _letters_at(n, {d: "Z", a: "Z"})
@@ -216,7 +225,7 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None,
         for sign, circuit in ((+1, (("CX", d, a),)), (-1, (("CX", d, a), ("S", d)))):
             proj = sc.StabProjector(n, [(zz, sign)])
             kraus.append((0.5, StabKraus(1, proj, circuit)))
-        return SimulableChannel(n, [], kraus, max_terms)
+        return SimulableChannel(n, [], kraus)
     if name == "pauli_measure_and_forward":
         qs = _check_targets(qubits, n)
         letters = str(params.get("pauli", "Z" * len(qs)))
@@ -227,7 +236,7 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None,
             (0.5, StabKraus(1, sc.StabProjector(n, [(op, +1)]), ())),
             (0.5, StabKraus(1, sc.StabProjector(n, [(op, -1)]), ())),
         ]
-        return SimulableChannel(n, [], kraus, max_terms)
+        return SimulableChannel(n, [], kraus)
     raise ChannelError(f"unknown channel {name!r}")
 
 
@@ -235,10 +244,10 @@ def _gate_from_json(g) -> tuple:
     return (str(g[0]).upper(), *(int(t) for t in g[1:]))
 
 
-def channel_from_json(obj: dict, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> SimulableChannel:
+def channel_from_json(obj: dict, n: int) -> SimulableChannel:
     """Channel spec: {"type", "qubits", "params"} or explicit unitary/kraus."""
     if "type" in obj:
-        return builtin_channel(obj["type"], obj.get("qubits", []), n, obj.get("params"), max_terms)
+        return builtin_channel(obj["type"], obj.get("qubits", []), n, obj.get("params"))
     unitary = [
         (float(p), tuple(_gate_from_json(g) for g in gates))
         for p, gates in obj.get("unitary", [])
@@ -248,7 +257,7 @@ def channel_from_json(obj: dict, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> 
         ops = [(sc.PauliOp.from_letters(word), int(sign)) for word, sign in generators]
         proj = sc.StabProjector(n, ops)
         kraus.append((float(q), StabKraus(int(h), proj, tuple(_gate_from_json(g) for g in gates))))
-    return SimulableChannel(n, unitary, kraus, max_terms)
+    return SimulableChannel(n, unitary, kraus)
 
 
 def dyadic_decompose_product(states) -> DyadicDecomposition:
@@ -256,7 +265,10 @@ def dyadic_decompose_product(states) -> DyadicDecomposition:
 
     Each factor is expanded through its equimagical decomposition and the
     extent-optimal stabilizer expansions of the pure parts, so the total
-    l1 weight is the product of the single-qubit monotone values.
+    l1 weight is the product of the single-qubit monotone values.  Each
+    factor is validated as a 1-qubit decomposition; a tensor product of
+    Hermitian unit-trace factors is Hermitian with unit trace, so the joint
+    expansion is not checked again.
     """
     states = list(states)
     if not states:
@@ -271,6 +283,7 @@ def dyadic_decompose_product(states) -> DyadicDecomposition:
             for cl, stl in terms:
                 for cr, str_ in terms:
                     dyads.append((weight * cl * np.conj(cr), (stl, str_)))
+        DyadicDecomposition([(a, Dyad(L, R)) for a, (L, R) in dyads])  # validates the factor
         per_qubit.append(dyads)
     terms = [(a, Dyad(L, R)) for a, (L, R) in sc.tensor_terms(per_qubit)]
-    return DyadicDecomposition(terms, validate=len(states) <= DENSE_CHECK_MAX)
+    return DyadicDecomposition(terms, validate=False)

@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import _schema
+from . import _simplex
 from . import channels as ch
 from . import constrained_sim as cs
 from . import dense_oracle as do
@@ -196,7 +197,8 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
         raise CLIError("ensemble needs at least one entry")
     if abs(total - 1.0) > 1e-9:
         raise CLIError("ensemble weights must sum to 1")
-    return ch.DyadicDecomposition(terms)
+    # a convex mixture of validated products needs no second check
+    return ch.DyadicDecomposition(terms, validate=False)
 
 
 def _circuit(doc: dict, n: int) -> list[ch.SimulableChannel]:
@@ -601,6 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    0 is success and 1 a failed selftest.  2 is a problem the caller can
+    fix (usage, parse, io, validation) and 3 an internal failure (a broken
+    sample bound, extent certificate or LP); both print the JSON error
+    diagnostic on stderr.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand is None:
@@ -612,15 +621,17 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, _simplex.LPError) as exc:
         if isinstance(exc, json.JSONDecodeError):
             kind = "parse"
         elif isinstance(exc, OSError):
             kind = "io"
+        elif isinstance(exc, (RuntimeError, _simplex.LPError)):
+            kind = "internal"
         else:
             kind = getattr(exc, "kind", "validation")
         sys.stderr.write(json.dumps({"error": {"kind": kind, "message": str(exc)}}) + "\n")
-        return 2
+        return 3 if kind == "internal" else 2
     return code
 
 

@@ -151,7 +151,3 @@ def channel_completeness_defect(ch, n: int) -> float:
 def born_probability_dense(rho: np.ndarray, proj: StabProjector) -> float:
     P = projector_matrix(proj)
     return float(np.real(np.trace(P @ rho)))
-
-
-def density_of(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())

@@ -89,10 +89,6 @@ class BlochState:
     def r_B(self) -> float:
         return (self.bx - self.bz) / SQRT2
 
-    @property
-    def r_F(self) -> float:
-        return self.f
-
     def is_pure(self, tol: float = _PURE_TOL) -> bool:
         return abs(self.norm_sq() - 1.0) <= 2.0 * tol
 
@@ -186,15 +182,6 @@ class Witness1Q:
     q: float
     value: float
     clifford: tuple
-
-    def bloch_direction(self) -> tuple[float, float, float]:
-        return (self.q / SQRT2, float(np.sqrt(max(0.0, 1.0 - self.q**2))), self.q / SQRT2)
-
-    def overlap_sq(self, phi: BlochState) -> float:
-        """|<omega|phi>|^2 for pure phi given in the canonical frame."""
-        nx, ny, nz = self.bloch_direction()
-        dot = nx * phi.bx + ny * phi.by + nz * phi.bz
-        return (1.0 + dot) / (1.0 + self.q / SQRT2)
 
 
 def _witness_eval(q: float, rho: BlochState) -> float:

@@ -4,7 +4,7 @@ A pure state with a known stabilizer expansion is approximated by a random
 k-term vector whose terms are drawn from the expansion's l1 distribution.
 Bit strings are then sampled through a chain of conditional probabilities,
 each estimated either by a randomized norm sketch over equatorial stabilizer
-states or, behind a test hook, by exact Gram-matrix norms.  Mixed inputs are
+states or, with norm_backend="exact", by exact Gram-matrix norms.  Mixed inputs are
 handled as ensembles of pure decompositions sampled per string.
 """
 
@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,11 +119,15 @@ class _TermSet:
 
 
 class SparseDecomposition:
-    """Stabilizer expansion psi = sum_j c_j |phi_j> of a normalized state."""
+    """Stabilizer expansion psi = sum_j c_j |phi_j> of a normalized state.
 
-    __slots__ = ("coeffs", "terms", "n", "l1", "_termset", "_absorbed", "_probs", "_C")
+    Norms, C, the dense vector and sparsification all read one term set,
+    the phase-absorbed terms (c_j/|c_j|)|phi_j>, weighted by |c_j|.
+    """
 
-    def __init__(self, coeffs, terms, validate: bool = True):
+    __slots__ = ("coeffs", "terms", "n", "l1", "_mags", "_probs", "_termset", "_C")
+
+    def __init__(self, coeffs, terms):
         coeffs = np.asarray([complex(c) for c in coeffs], dtype=complex)
         terms = tuple(terms)
         if coeffs.shape[0] != len(terms):
@@ -135,64 +140,43 @@ class SparseDecomposition:
         n = terms[0].n
         if any(t.n != n or t.null for t in terms):
             raise RankSimError("terms must be non-null states of equal width")
+        mags = np.abs(coeffs)
         self.coeffs = coeffs
         self.terms = terms
         self.n = n
-        self.l1 = float(np.sum(np.abs(coeffs)))
-        self._termset = None
-        self._absorbed = None
-        self._probs = None
+        self.l1 = float(np.sum(mags))
+        self._mags = mags
+        self._probs = mags / np.sum(mags)
+        # terms with the unit coefficient phases folded into their scalars
+        self._termset = _TermSet(sc.multiply_phase(t, c / m) for c, m, t in zip(coeffs, mags, terms))
         self._C = None
-        if validate:
-            nrm = self.norm_sq()
-            if abs(nrm - 1.0) > _ATOL:
-                raise RankSimError(f"decomposition norm^2 is {nrm}, expected 1")
+        nrm = self.norm_sq()
+        if abs(nrm - 1.0) > _ATOL:
+            raise RankSimError(f"decomposition norm^2 is {nrm}, expected 1")
 
     def termset(self) -> _TermSet:
-        if self._termset is None:
-            self._termset = _TermSet(self.terms)
         return self._termset
 
-    def absorbed_termset(self) -> _TermSet:
-        # terms with the unit coefficient phases folded into their scalars
-        if self._absorbed is None:
-            mags = np.abs(self.coeffs)
-            self._absorbed = _TermSet(
-                sc.multiply_phase(t, c / m)
-                for c, m, t in zip(self.coeffs, mags, self.terms)
-            )
-        return self._absorbed
-
     def sampling_probs(self) -> np.ndarray:
-        if self._probs is None:
-            mags = np.abs(self.coeffs)
-            self._probs = mags / np.sum(mags)
         return self._probs
 
     def norm_sq(self) -> float:
-        g = self.termset().gram()
-        return float(np.real(np.conj(self.coeffs) @ g @ self.coeffs))
+        return float(np.real(self._mags @ self._termset.gram() @ self._mags))
 
     def dense(self) -> np.ndarray:
-        return self.coeffs @ self.termset().dense_matrix()
+        return self._mags @ self._termset.dense_matrix()
 
     @property
     def C(self) -> float:
         # C = ||c||_1 sum_j |c_j| |<psi|phi_j>|^2, via the Gram matrix
         if self._C is None:
-            g = self.termset().gram()
-            overlaps = np.conj(self.coeffs) @ g
-            self._C = float(self.l1 * np.sum(np.abs(self.coeffs) * np.abs(overlaps) ** 2))
+            overlaps = self._mags @ self._termset.gram()
+            self._C = float(self.l1 * np.sum(self._mags * np.abs(overlaps) ** 2))
         return self._C
 
     @property
     def delta_c(self) -> float:
         return 8.0 * (self.C - 1.0) / self.l1**2
-
-
-def compute_C(d: SparseDecomposition) -> tuple[float, float]:
-    """Concentration constant of a decomposition and its critical precision."""
-    return d.C, d.delta_c
 
 
 class SparseVector:
@@ -216,14 +200,6 @@ class SparseVector:
     @property
     def n(self) -> int:
         return self._termset.n
-
-    @property
-    def terms(self) -> tuple:
-        out = []
-        for t, m in zip(self._termset.terms, self.counts):
-            if t is not None:
-                out.extend([t] * int(round(m)))
-        return tuple(out)
 
     def norm_sq(self) -> float:
         g = self._termset.gram()
@@ -255,7 +231,7 @@ def sparsify(d: SparseDecomposition, k: int, seed) -> SparseVector:
         raise RankSimError("k must be at least 1")
     rng = _as_generator(seed)
     counts = rng.multinomial(k, d.sampling_probs())
-    return SparseVector(d.absorbed_termset(), counts, k, d.l1 / k)
+    return SparseVector(d.termset(), counts, k, d.l1 / k)
 
 
 _NEG_I_POW = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -328,7 +304,7 @@ class MixedInput:
 
     __slots__ = ("ensemble", "n", "Xi_tilde", "equimagical")
 
-    def __init__(self, ensemble, equimagical: bool | None = None):
+    def __init__(self, ensemble):
         ensemble = tuple((float(p), d) for p, d in ensemble)
         if not ensemble:
             raise RankSimError("ensemble needs at least one part")
@@ -344,12 +320,7 @@ class MixedInput:
         self.n = n
         self.Xi_tilde = float(sum(p * d.l1**2 for p, d in ensemble))
         l1sq = [d.l1**2 for _, d in ensemble]
-        uniform = max(l1sq) - min(l1sq) <= _ATOL
-        if equimagical is None:
-            equimagical = uniform
-        elif equimagical and not uniform:
-            raise RankSimError("ensemble parts have unequal extent")
-        self.equimagical = bool(equimagical)
+        self.equimagical = max(l1sq) - min(l1sq) <= _ATOL
 
     def dense(self) -> np.ndarray:
         rho = np.zeros((2**self.n, 2**self.n), dtype=complex)
@@ -357,15 +328,6 @@ class MixedInput:
             vec = d.dense()
             rho += p * np.outer(vec, np.conj(vec))
         return rho
-
-
-def pure_decomposition_1q(state: monotones.BlochState) -> SparseDecomposition:
-    """Extent-optimal stabilizer expansion of a pure single-qubit state."""
-    _, parts = monotones.decompose_1q_state(state)
-    if len(parts) != 1 or abs(parts[0][0] - 1.0) > 1e-9:
-        raise RankSimError("state is not pure")
-    _, _, terms = parts[0]
-    return SparseDecomposition([c for c, _ in terms], [t for _, t in terms])
 
 
 def mixed_input_product(states) -> MixedInput:
@@ -397,33 +359,20 @@ def mixed_input_product(states) -> MixedInput:
     return MixedInput(ensemble)
 
 
+@dataclass(frozen=True)
 class RuntimeReport:
     """Per-run cost accounting for the bit-string sampler."""
 
-    __slots__ = (
-        "count",
-        "w",
-        "delta",
-        "p_fail",
-        "seed",
-        "norm_backend",
-        "regime",
-        "ks",
-        "fastnorm_calls",
-        "wall_time_s",
-    )
-
-    def __init__(self, count, w, delta, p_fail, seed, norm_backend, regime, ks, fastnorm_calls, wall_time_s):
-        self.count = count
-        self.w = w
-        self.delta = delta
-        self.p_fail = p_fail
-        self.seed = seed
-        self.norm_backend = norm_backend
-        self.regime = regime
-        self.ks = np.asarray(ks, dtype=np.int64)
-        self.fastnorm_calls = int(fastnorm_calls)
-        self.wall_time_s = float(wall_time_s)
+    count: int
+    w: int
+    delta: float
+    p_fail: float
+    seed: int
+    norm_backend: str
+    regime: str
+    ks: np.ndarray  # int64 term count per string
+    fastnorm_calls: int
+    wall_time_s: float
 
     def to_dict(self) -> dict:
         return {
@@ -440,26 +389,6 @@ class RuntimeReport:
             "fastnorm_calls": self.fastnorm_calls,
             "wall_time_s": self.wall_time_s,
         }
-
-
-class _Part:
-    __slots__ = ("termset", "probs", "l1")
-
-    def __init__(self, termset: _TermSet, probs: np.ndarray, l1: float):
-        self.termset = termset
-        self.probs = probs
-        self.l1 = l1
-
-
-def _load_parts(inp: MixedInput, prefix) -> list[_Part]:
-    prefix = tuple(tuple(g) for g in prefix)
-    parts = []
-    for _, d in inp.ensemble:
-        ts = d.absorbed_termset()
-        if prefix:
-            ts = _TermSet((sc.apply_circuit(t, prefix) for t in ts.terms), ts.n)
-        parts.append(_Part(ts, d.sampling_probs(), d.l1))
-    return parts
 
 
 def sample_bitstrings(
@@ -498,7 +427,10 @@ def sample_bitstrings(
         raise RankSimError(f"unknown norm backend {norm_backend!r}")
 
     start = time.perf_counter()
-    parts = _load_parts(inp, prefix)
+    termsets = [d.termset() for _, d in inp.ensemble]
+    prefix = tuple(tuple(g) for g in prefix)
+    if prefix:
+        termsets = [_TermSet((sc.apply_circuit(t, prefix) for t in ts.terms), ts.n) for ts in termsets]
     cumw = np.cumsum([p for p, _ in inp.ensemble])
     cumw[-1] = 1.0
 
@@ -513,45 +445,36 @@ def sample_bitstrings(
         ks_by_part = np.ceil(12.0 * l1sq / delta).astype(np.int64)
     eps_fn = min(2.0 * delta / (9.0 * w), 0.2)
     p_fn = p_fail / (2.0 * w)
-    exact = norm_backend == "exact"
+    calls = 0
+
+    def norm(v: SparseVector, rng: np.random.Generator) -> float:
+        nonlocal calls
+        if norm_backend == "exact":
+            return v.norm_sq()
+        calls += 1
+        return fast_norm(v, eps_fn, p_fn, rng)
 
     strings = []
     ks = np.empty(count, dtype=np.int64)
-    calls = 0
     for i in range(count):
         rng = sample_rng(seed, i)
         j = int(np.searchsorted(cumw, rng.random(), side="right"))
-        part = parts[j]
+        d = inp.ensemble[j][1]
         k = int(ks_by_part[j])
         ks[i] = k
-        counts = rng.multinomial(k, part.probs)
-        vec = SparseVector(part.termset, counts, k, part.l1 / k)
+        counts = rng.multinomial(k, d.sampling_probs())
+        vec = SparseVector(termsets[j], counts, k, d.l1 / k)
 
-        if exact:
-            level = vec.norm_sq()
-        else:
-            level = fast_norm(vec, eps_fn, p_fn, rng)
-            calls += 1
+        level = norm(vec, rng)
         bits = []
         for b in range(w):
             v0 = vec.project_basis_bit(b, 0)
             if level <= 0.0:
                 p0 = 0.5
             else:
-                if exact:
-                    eta0 = v0.norm_sq()
-                else:
-                    eta0 = fast_norm(v0, eps_fn, p_fn, rng)
-                    calls += 1
-                p0 = eta0 / level
+                p0 = norm(v0, rng) / level
                 if p0 >= 0.5:
-                    v1 = vec.project_basis_bit(b, 1)
-                    if exact:
-                        eta1 = v1.norm_sq()
-                    else:
-                        eta1 = fast_norm(v1, eps_fn, p_fn, rng)
-                        calls += 1
-                    p0 = 1.0 - eta1 / level
+                    p0 = 1.0 - norm(vec.project_basis_bit(b, 1), rng) / level
             p0 = min(max(p0, 0.0), 1.0)
             bit = 0 if rng.random() < p0 else 1
             bits.append(bit)

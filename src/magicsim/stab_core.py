@@ -26,7 +26,8 @@ import numpy as np
 _W8 = np.array([np.exp(1j * np.pi / 4 * k) for k in range(8)])
 _I_POW = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
 
-GATE_NAMES = ("S", "SDG", "H", "X", "Y", "Z", "CX", "CZ", "SWAP")
+_GATE_ARITY = {"S": 1, "SDG": 1, "H": 1, "X": 1, "Y": 1, "Z": 1, "CX": 2, "CZ": 2, "SWAP": 2}
+GATE_NAMES = tuple(_GATE_ARITY)
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -102,16 +103,6 @@ class PauliOp:
 
     def letters(self) -> str:
         return "".join(_XZ_TO_LETTER[(int(a), int(b))] for a, b in zip(self.x, self.z))
-
-    def embed(self, n: int, targets: tuple[int, ...] | list[int]) -> "PauliOp":
-        """Place this operator on the given qubits of an n-qubit register."""
-        if len(targets) != self.n:
-            raise ValueError("target count must match operator width")
-        x = np.zeros(n, bool)
-        z = np.zeros(n, bool)
-        x[list(targets)] = self.x
-        z[list(targets)] = self.z
-        return PauliOp(x, z, self.k)
 
     def __eq__(self, other) -> bool:
         return (
@@ -528,20 +519,22 @@ def plus_state(n: int) -> StabState:
 # -- public operations -------------------------------------------------------
 
 
-def _check_qubits(state: StabState, qubits: tuple[int, ...]) -> None:
-    for q in qubits:
-        if not 0 <= q < state.n:
-            raise IndexError(f"qubit {q} out of range for n={state.n}")
-    if len(set(qubits)) != len(qubits):
-        raise IndexError("repeated qubit index")
+def check_gate(gate: tuple, n: int) -> None:
+    """Raise ValueError unless gate is (name, targets...) with a known name,
+    that name's target count, and distinct targets in range(n)."""
+    arity = _GATE_ARITY.get(gate[0])
+    if arity is None:
+        raise ValueError(f"unknown gate {gate[0]!r}")
+    if len(gate) != arity + 1:
+        raise ValueError(f"gate {gate[0]} needs {arity} target(s), got {len(gate) - 1}")
+    a = gate[1]
+    if not 0 <= a < n or (arity == 2 and (gate[2] == a or not 0 <= gate[2] < n)):
+        raise ValueError(f"gate {tuple(gate)!r} needs distinct targets in 0..{n - 1}")
 
 
 def apply_gate(state: StabState, gate: tuple) -> StabState:
     """Apply one named gate; gate = (name, qubit) or (name, control, target)."""
-    name = gate[0]
-    if name not in GATE_NAMES:
-        raise ValueError(f"unknown gate {name!r}")
-    _check_qubits(state, tuple(gate[1:]))
+    check_gate(gate, state.n)
     out = state.copy()
     out._apply_named(gate)
     return out
@@ -550,9 +543,7 @@ def apply_gate(state: StabState, gate: tuple) -> StabState:
 def apply_circuit(state: StabState, gates) -> StabState:
     out = state.copy()
     for gate in gates:
-        if gate[0] not in GATE_NAMES:
-            raise ValueError(f"unknown gate {gate[0]!r}")
-        _check_qubits(out, tuple(gate[1:]))
+        check_gate(gate, out.n)
         out._apply_named(gate)
     return out
 
@@ -721,22 +712,6 @@ def tensor_terms(factors) -> list[tuple]:
             for w2, s2 in terms
         ]
     return acc
-
-
-def permute(state: StabState, perm) -> StabState:
-    """Relabel qubits: new qubit i is old qubit perm[i]."""
-    axes = list(perm)
-    if sorted(axes) != list(range(state.n)):
-        raise ValueError("perm must be a permutation of range(n)")
-    out = state.copy()
-    ix = np.ix_(axes, axes)
-    out.G = state.G[ix].copy()
-    out.F = state.F[ix].copy()
-    out.M = state.M[ix].copy()
-    out.g = state.g[axes].copy()
-    out.v = state.v[axes].copy()
-    out.s = state.s[axes].copy()
-    return out
 
 
 def equatorial_state(A: np.ndarray) -> StabState:

@@ -179,9 +179,8 @@ def test_4_sparsification_mean_and_variance():
     expect = 1.0 + (d.l1**2 - 1.0) / k
     sigma = vals.std(ddof=1) / math.sqrt(draws)
     assert abs(vals.mean() - expect) <= 4.0 * sigma
-    C, _ = rs.compute_C(d)
     bound = (
-        4.0 * (k**3 - 3.0 * k**2 + 2.0 * k) / k**4 * C
+        4.0 * (k**3 - 3.0 * k**2 + 2.0 * k) / k**4 * d.C
         + 2.0 * (d.l1**4 / k**2) * (1.0 - 1.0 / k)
         - (4.0 * k**3 - 10.0 * k**2 + 6.0 * k) / k**4
     )

@@ -46,6 +46,11 @@ class TestDyadicDecomposition:
         with pytest.raises(ChannelError):
             ch.DyadicDecomposition(bad)
 
+    def test_trace_enforced_above_dense_cap(self):
+        z = sc.zero_state(7)
+        with pytest.raises(ChannelError):
+            ch.DyadicDecomposition([(2.0, ch.Dyad(z, z))])
+
 
 class TestStabKraus:
     def test_generator_count_must_match_h(self):
@@ -247,3 +252,16 @@ class TestDyadicProduct:
     def test_norm_above_one_rejected(self):
         with pytest.raises(ValueError):
             ch.dyadic_decompose_product([(0.9, 0.9, 0.9)])
+
+    def test_factor_validated_at_any_width(self, monkeypatch):
+        # a factor whose part weights sum to 2 has trace 2; the per-factor
+        # check catches it above the six-qubit dense cap too
+        real = mono.decompose_1q_state
+
+        def doubled(rho):
+            xi, parts = real(rho)
+            return xi, [(2.0 * w, ext, terms) for w, ext, terms in parts]
+
+        monkeypatch.setattr(mono, "decompose_1q_state", doubled)
+        with pytest.raises(ChannelError):
+            ch.dyadic_decompose_product([mono.BlochState.named("H")] * 7)

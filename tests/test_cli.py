@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from magicsim import _schema
+from magicsim import _simplex
 from magicsim import cli
+from magicsim import monotones
 
 
 def run_cli(capsys, *argv):
@@ -368,6 +370,58 @@ class TestValidation:
         rc, _, err = run_cli(capsys, "estimate", "--input", path)
         assert rc == 2
         assert "ball" in json.loads(err)["error"]["message"]
+
+
+def _kraus_doc(n):
+    # measure-and-forward on qubit 0 whose first branch applies X to qubit 9
+    return {"state": {"product": ["H"] + ["0"] * (n - 1)},
+            "circuit": [{"kraus": [[0.5, 1, [["Z" + "I" * (n - 1), 1]], [["X", 9]]],
+                                   [0.5, 1, [["Z" + "I" * (n - 1), -1]], []]]}],
+            "measurement": {"pauli": "Z" * n}}
+
+
+MALFORMED_GATE_DOCS = {
+    "unitary-arity": ("estimate", {"state": {"product": ["H", "0"]},
+                                   "circuit": [{"unitary": [[1.0, [["CX", 0]]]]}],
+                                   "measurement": {"pauli": "ZZ"}}),
+    "kraus-target-n2": ("estimate", _kraus_doc(2)),
+    "kraus-target-n7": ("estimate", _kraus_doc(7)),
+    "dyads-target": ("estimate", {"state": {"n": 2, "dyads": [{"left": [["H", 5]]}]},
+                                  "measurement": {"pauli": "ZZ"}}),
+    "sample-prefix-arity": ("sample", {"state": {"product": ["H", "H"]},
+                                       "circuit": [{"unitary": [[1.0, [["CX", 0]]]]}]}),
+    "clifford-mix-local-index": ("estimate", {
+        "state": {"product": ["H", "0"]},
+        "circuit": [{"type": "clifford_mix", "qubits": [1],
+                     "params": {"terms": [[1.0, [["X", -1]]]]}}],
+        "measurement": {"pauli": "ZZ"}}),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_GATE_DOCS))
+    def test_malformed_gate_is_validation_error(self, capsys, tmp_path, case):
+        subcommand, doc = MALFORMED_GATE_DOCS[case]
+        path = write_doc(tmp_path, doc)
+        rc, out, err = run_cli(capsys, subcommand, "--input", path, "--epsilon", "0.3")
+        assert rc == 2
+        assert out == ""
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+
+    @pytest.mark.parametrize("exc", [RuntimeError, _simplex.LPError], ids=["runtime", "lp"])
+    def test_internal_error_exits_3(self, capsys, monkeypatch, exc):
+        def broken(rho):
+            raise exc("solver failed")
+
+        monkeypatch.setattr(monotones, "robustness_lp", broken)
+        rc, out, err = run_cli(capsys, "monotone", "--state", "H")
+        assert rc == 3
+        assert out == ""
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"] == {"kind": "internal", "message": "solver failed"}
 
 
 class TestSchemaValidator:

@@ -171,13 +171,15 @@ def test_tensor_and_permute_match_dense():
         want = np.kron(do.expand(a), do.expand(b))
         assert np.allclose(got, want, atol=ATOL)
 
-        n = na + nb
-        perm = list(rng.permutation(n))
-        pstate = sc.permute(sc.tensor(a, b), perm)
-        full = np.kron(do.expand(a), do.expand(b)).reshape([2] * n)
-        # new axis i carries old axis perm[i]
-        want_p = np.transpose(full, axes=perm).reshape(2**n)
-        assert np.allclose(do.expand(pstate), want_p, atol=ATOL)
+
+@pytest.mark.parametrize("gate", [
+    ("Q", 0), ("CX", 0), ("H", 0, 1), ("X", 2), ("X", -1), ("CZ", 1, 1), ("SWAP", 0, 5),
+], ids=["name", "too-few", "too-many", "range", "negative", "repeated", "second-range"])
+def test_malformed_gate_rejected(gate):
+    with pytest.raises(ValueError):
+        sc.apply_gate(sc.zero_state(2), gate)
+    with pytest.raises(ValueError):
+        sc.apply_circuit(sc.zero_state(2), [("H", 0), gate])
 
 
 def test_equatorial_overlap_examples_and_oracle():
