@@ -214,7 +214,7 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> Si
             raise ChannelError("clifford_mix needs a nonempty terms list")
         unitary = []
         for p, gates in terms:
-            local = tuple(_gate_from_json(g) for g in gates)
+            local = gates_from_json(gates)
             _check_circuit(local, len(qs))
             unitary.append((float(p), tuple((g[0], *(qs[t] for t in g[1:])) for g in local)))
         return SimulableChannel(n, unitary, [])
@@ -240,8 +240,18 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> Si
     raise ChannelError(f"unknown channel {name!r}")
 
 
-def _gate_from_json(g) -> tuple:
-    return (str(g[0]).upper(), *(int(t) for t in g[1:]))
+def gates_from_json(spec) -> tuple:
+    """Gate list [[name, targets...], ...] as (NAME, targets...) tuples.
+
+    Checks the shape only; sc.check_gate checks names, arities and targets.
+    """
+    if not isinstance(spec, (list, tuple)):
+        raise ChannelError(f"gate list must be an array, got {spec!r}")
+    for g in spec:
+        if (not isinstance(g, (list, tuple)) or not g or not isinstance(g[0], str)
+                or any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in g[1:])):
+            raise ChannelError(f"bad gate spec {g!r}; expected [name, integer targets...]")
+    return tuple((g[0].upper(), *(int(t) for t in g[1:])) for g in spec)
 
 
 def channel_from_json(obj: dict, n: int) -> SimulableChannel:
@@ -249,14 +259,14 @@ def channel_from_json(obj: dict, n: int) -> SimulableChannel:
     if "type" in obj:
         return builtin_channel(obj["type"], obj.get("qubits", []), n, obj.get("params"))
     unitary = [
-        (float(p), tuple(_gate_from_json(g) for g in gates))
+        (float(p), gates_from_json(gates))
         for p, gates in obj.get("unitary", [])
     ]
     kraus = []
     for q, h, generators, gates in obj.get("kraus", []):
         ops = [(sc.PauliOp.from_letters(word), int(sign)) for word, sign in generators]
         proj = sc.StabProjector(n, ops)
-        kraus.append((float(q), StabKraus(int(h), proj, tuple(_gate_from_json(g) for g in gates))))
+        kraus.append((float(q), StabKraus(int(h), proj, gates_from_json(gates))))
     return SimulableChannel(n, unitary, kraus)
 
 

@@ -133,17 +133,6 @@ def _product_factors(state, subcommand: str) -> list[mt.BlochState]:
     return factors
 
 
-def _gates_json(spec) -> tuple:
-    if not isinstance(spec, list):
-        raise CLIError(f"gate list must be an array, got {spec!r}")
-    gates = []
-    for g in spec:
-        if not isinstance(g, list) or not g or not isinstance(g[0], str):
-            raise CLIError(f"bad gate spec {g!r}; expected [name, targets...]")
-        gates.append((g[0].upper(), *(_as_int(q, "gate target") for q in g[1:])))
-    return tuple(gates)
-
-
 def _complex_weight(x) -> complex:
     if isinstance(x, list) and len(x) == 2:
         return complex(_as_float(x[0], "weight"), _as_float(x[1], "weight"))
@@ -175,8 +164,8 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
                 raise CLIError(f"unknown dyad keys: {sorted(unknown)}")
             if "left" not in d:
                 raise CLIError("each dyad needs a 'left' preparation circuit")
-            left = sc.apply_circuit(sc.zero_state(n), _gates_json(d["left"]))
-            right = sc.apply_circuit(sc.zero_state(n), _gates_json(d.get("right", d["left"])))
+            left = sc.apply_circuit(sc.zero_state(n), ch.gates_from_json(d["left"]))
+            right = sc.apply_circuit(sc.zero_state(n), ch.gates_from_json(d.get("right", d["left"])))
             terms.append((_complex_weight(d.get("alpha", 1.0)), ch.Dyad(left, right)))
         return ch.DyadicDecomposition(terms)
     terms = []

@@ -517,38 +517,33 @@ def pauli_coords(op: np.ndarray) -> np.ndarray:
 def enumerate_stabilizer_states(n: int) -> tuple[np.ndarray, ...]:
     """All pure n-qubit stabilizer states as dense vectors, n <= 3.
 
-    Breadth-first closure of |0..0> under H, S and CX, deduplicated by the
-    projector; the counts 6 / 60 / 1080 are asserted.
+    Breadth-first closure of |0..0> under H, S and CX, one frontier at a
+    time: one product with the stacked 2^n x 2^n gate matrices applies every
+    gate to every frontier state.  Each candidate's phase is fixed by its
+    first nonzero amplitude, and the rounded result keys the deduplication
+    in (frontier, gate) order; the counts 6 / 60 / 1080 are asserted.
     """
     if n > 3:
         raise ValueError("enumeration capped at n=3")
-    from .dense_oracle import apply_gate_dense
+    from .dense_oracle import circuit_unitary
 
-    start = np.zeros(2**n, dtype=complex)
-    start[0] = 1.0
+    dim = 2**n
     gates = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
     gates += [("CX", a, b) for a in range(n) for b in range(n) if a != b]
-
-    def keyof(vec: np.ndarray) -> bytes:
-        proj = np.outer(vec, vec.conj())
-        return (np.round(proj, 9) + 0.0).tobytes()
-
-    def canonical(vec: np.ndarray) -> np.ndarray:
-        j = int(np.flatnonzero(np.abs(vec) > 1e-9)[0])
-        return vec * (np.conj(vec[j]) / abs(vec[j]))
-
-    seen = {keyof(start): canonical(start)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for gate in gates:
-                new = apply_gate_dense(vec, n, gate)
-                key = keyof(new)
-                if key not in seen:
-                    seen[key] = canonical(new)
-                    nxt.append(new)
-        frontier = nxt
+    # row i of frontier @ step is [U_g v_i for g in gates] laid end to end
+    step = np.hstack([circuit_unitary(n, [gate]).T for gate in gates])
+    seen = {}
+    cands = np.eye(1, dim, dtype=complex)  # |0..0>
+    while len(cands):
+        lead = cands[np.arange(len(cands)), np.argmax(np.abs(cands) > 1e-9, axis=1)]
+        canon = cands * (np.conj(lead) / np.abs(lead))[:, None]
+        fresh = []
+        for i, key in enumerate(np.round(canon, 9) + 0.0):
+            key = key.tobytes()
+            if key not in seen:
+                seen[key] = canon[i]
+                fresh.append(i)
+        cands = (cands[fresh] @ step).reshape(-1, dim)
     count = len(seen)
     expected = 2**n
     for k in range(1, n + 1):

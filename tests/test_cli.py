@@ -384,6 +384,13 @@ MALFORMED_GATE_DOCS = {
     "unitary-arity": ("estimate", {"state": {"product": ["H", "0"]},
                                    "circuit": [{"unitary": [[1.0, [["CX", 0]]]]}],
                                    "measurement": {"pauli": "ZZ"}}),
+    "unitary-empty-gate": ("estimate", {"state": {"product": ["H", "0"]},
+                                        "circuit": [{"unitary": [[1.0, [[]]]]}],
+                                        "measurement": {"pauli": "ZZ"}}),
+    "kraus-empty-gate": ("estimate", {"state": {"product": ["H"]},
+                                      "circuit": [{"kraus": [[0.5, 1, [["Z", 1]], [[]]],
+                                                             [0.5, 1, [["Z", -1]], []]]}],
+                                      "measurement": {"pauli": "Z"}}),
     "kraus-target-n2": ("estimate", _kraus_doc(2)),
     "kraus-target-n7": ("estimate", _kraus_doc(7)),
     "dyads-target": ("estimate", {"state": {"n": 2, "dyads": [{"left": [["H", 5]]}]},

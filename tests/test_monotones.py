@@ -307,10 +307,67 @@ class TestLadder:
             assert rep["slack_2d"] >= -1e-9
 
 
+# r_lp of the `monotone` table at copies 1-3, computed with the enumeration
+# that applied one gate to one vector at a time; the batched enumeration may
+# move them by rounding only.
+R_LP_PINS = {
+    ("H", 0.9): (1.2727922061357857, 1.479458872802453, 1.757525230107817),
+    ("T", 0.85): (1.2020815280171309, 1.3504148613504645, 1.5454995680125092),
+    ("F", 0.95): (1.6454482671904338, 2.072323267190434, 2.780158558813201),
+}
+
+
+def enumerate_one_at_a_time(n):
+    """Breadth-first closure applying one gate to one vector at a time."""
+    gates = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
+    gates += [("CX", a, b) for a in range(n) for b in range(n) if a != b]
+    start = np.eye(2**n, dtype=complex)[0]
+    seen = {}
+    frontier = [start]
+    for vec in frontier:  # grows while it is walked: level after level
+        key = (np.round(np.outer(vec, vec.conj()), 9) + 0.0).tobytes()
+        if key in seen:
+            continue
+        seen[key] = vec
+        frontier.extend(do.apply_gate_dense(vec, n, g) for g in gates)
+    return list(seen.values())
+
+
 class TestRobustnessLP:
     def test_enumeration_counts(self):
         assert len(mono.enumerate_stabilizer_states(1)) == 6
         assert len(mono.enumerate_stabilizer_states(2)) == 60
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_enumeration_order_matches_one_at_a_time(self, n):
+        got = mono.enumerate_stabilizer_states(n)
+        want = enumerate_one_at_a_time(n)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # same state in the same place, up to the phase fixed by the enumeration
+            assert abs(np.vdot(w, g)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_enumeration_n3_distinct_stabilizer_states(self):
+        n = 3
+        states = np.array(mono.enumerate_stabilizer_states(n))
+        assert len(states) == 1080
+        # distinct projectors: distinct stabilizer states overlap by at most 1/2
+        overlaps = np.abs(states.conj() @ states.T) ** 2
+        np.fill_diagonal(overlaps, 0.0)
+        assert overlaps.max() <= 0.5 + 1e-9
+        for v in states:
+            coords = mono.pauli_coords(np.outer(v, v.conj()))
+            signs = np.abs(np.abs(coords) - 1.0) <= 1e-9
+            assert signs.sum() == 2**n
+            assert np.abs(coords[~signs]).max() <= 1e-9
+
+    @pytest.mark.parametrize("name,alpha", sorted(R_LP_PINS))
+    def test_r_lp_pinned(self, name, alpha):
+        base = BlochState.named(name).scaled(alpha).density()
+        rho = base
+        for want in R_LP_PINS[(name, alpha)]:
+            assert mono.robustness_lp(rho)[0] == pytest.approx(want, rel=1e-10)
+            rho = np.kron(rho, base)
 
     def test_single_qubit_matches_l1(self):
         rng = np.random.default_rng(61)

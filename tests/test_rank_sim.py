@@ -167,7 +167,53 @@ class TestVarianceBound:
             assert vals.var(ddof=1) <= 1.2 * bound + 1e-12
 
 
+def fast_norm_int64(v, eps_fn, p_fn, rng):
+    """fast_norm for n <= 6 with the exponent x^T A x as an int64 product."""
+    n = v.n
+    batch = math.ceil(4.0 / eps_fn**2)
+    nbatches = math.ceil(8.0 * math.log(2.0 / p_fn))
+    total = batch * nbatches
+    pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
+    bits = np.array([[(x >> (n - 1 - q)) & 1 for q in range(n)] for x in range(2**n)], dtype=np.int64)
+    pair_bits = np.array([[b[j] * b[l] for j, l in pairs] for b in bits], dtype=np.int64)
+    pair_bits = pair_bits.reshape(2**n, len(pairs))
+    vdense = v.dense()
+    etas = np.empty(total)
+    done = 0
+    while done < total:
+        m = min(32768, total - done)
+        diags = rng.integers(0, 4, size=(m, n))
+        offs = rng.integers(0, 2, size=(m, len(pairs)))
+        expo = (diags @ bits.T + 2 * (offs @ pair_bits.T)) & 3
+        amps = np.array([1.0, -1.0j, -1.0, 1.0j])[expo] @ vdense
+        etas[done : done + m] = np.abs(amps) ** 2
+        done += m
+    return float(np.median(etas.reshape(nbatches, batch).mean(axis=1)))
+
+
 class TestFastNorm:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_int64_exponent(self, n):
+        # two magic factors keep the Gram matrix small; the rest spread amplitude
+        rng = np.random.default_rng(100 + n)
+        blochs = [random_pure_bloch(rng) for _ in range(min(n, 2))]
+        blochs += [mono.BlochState.named(s) for s in ("+", "+i", "-", "-i")[: n - len(blochs)]]
+        om = rs.sparsify(rs.mixed_input_product(blochs).ensemble[0][1], 8, seed=n)
+        # eps_fn=0.05 needs 48,000 draws, so the last case spans two blocks
+        for seed, eps in ((1, 0.2), (2, 0.2), (3, 0.05 if n == 6 else 0.1)):
+            want = fast_norm_int64(om, eps, 0.05, sample_rng(seed, 0))
+            assert rs.fast_norm(om, eps, 0.05, sample_rng(seed, 0)) == pytest.approx(want, rel=1e-12)
+
+    def test_matches_int64_exponent_partly_null(self):
+        # qubit 0 of the second term is |1>, so the projection drops it
+        terms = [sc.zero_state(2), sc.apply_circuit(sc.zero_state(2), [("X", 0), ("H", 1)])]
+        om = rs.sparsify(rs.SparseDecomposition([0.6, 0.8], terms), 6, seed=3)
+        om = om.project_basis_bit(0, 0)
+        for seed in (4, 5):
+            want = fast_norm_int64(om, 0.2, 0.05, sample_rng(seed, 0))
+            assert want > 0.0
+            assert rs.fast_norm(om, 0.2, 0.05, sample_rng(seed, 0)) == pytest.approx(want, rel=1e-12)
+
     def test_equatorial_mean_identity(self):
         # the single-state estimate is unbiased: exhaustive average over A
         om = rs.sparsify(h_decomp(), 3, seed=9)
