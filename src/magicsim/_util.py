@@ -3,8 +3,8 @@
 Monte Carlo results must be byte-identical for a given seed no matter how many
 worker processes run the sampling loop.  Three conventions enforce that:
 
-* every sample owns an RNG stream keyed by (master seed, sample index),
 * samples are grouped into fixed-size chunks regardless of worker count,
+* every chunk owns an RNG stream keyed by (master seed, first sample index),
 * partial results are reduced in chunk order with compensated summation.
 """
 
@@ -25,11 +25,10 @@ _MASK64 = (1 << 64) - 1
 
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one Monte Carlo sample.
+    """Independent generator keyed by (seed, index).
 
     Philox is counter-based, so keying it directly with (seed, index) gives
     non-overlapping streams at a fraction of the cost of seed-sequence hashing.
-    That matters: the dyadic estimator creates millions of these.
     """
     key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -68,11 +67,10 @@ def run_chunked(
     The chunk grid depends only on n_samples, so single-process and pooled runs
     produce identical result lists.  payload must be picklable when workers > 1.
     """
-    spans = [(lo, min(lo + CHUNK, n_samples)) for lo in range(0, n_samples, CHUNK)]
+    los = range(0, n_samples, CHUNK)
+    his = (min(lo + CHUNK, n_samples) for lo in los)
     nproc = resolve_workers(workers)
-    if nproc <= 1 or len(spans) <= 1:
-        return [worker(payload, lo, hi) for lo, hi in spans]
-    los = [s[0] for s in spans]
-    his = [s[1] for s in spans]
+    if nproc <= 1 or len(los) <= 1:
+        return [worker(payload, lo, hi) for lo, hi in zip(los, his)]
     with ProcessPoolExecutor(max_workers=nproc) as pool:
         return list(pool.map(worker, repeat(payload), los, his, chunksize=4))

@@ -254,19 +254,41 @@ def gates_from_json(spec) -> tuple:
     return tuple((g[0].upper(), *(int(t) for t in g[1:])) for g in spec)
 
 
+_JSON_KINDS = {"number": (int, float), "integer": (int,), "string": (str,), "array": (list, tuple)}
+
+
+def _json_entry(entry, *kinds: str):
+    """entry as a JSON array of len(kinds) values of those kinds, else ChannelError."""
+    if (not isinstance(entry, (list, tuple)) or len(entry) != len(kinds)
+            or any(isinstance(v, bool) or not isinstance(v, _JSON_KINDS[k])
+                   for v, k in zip(entry, kinds))):
+        raise ChannelError(f"bad channel entry {entry!r}; expected [{', '.join(kinds)}]")
+    return entry
+
+
 def channel_from_json(obj: dict, n: int) -> SimulableChannel:
-    """Channel spec: {"type", "qubits", "params"} or explicit unitary/kraus."""
+    """Channel spec: {"type", "qubits", "params"} or explicit unitary/kraus.
+
+    An explicit unitary entry is [p, gates] and a Kraus entry is
+    [q, h, generators, gates] with generators [[word, sign], ...].
+    """
     if "type" in obj:
         return builtin_channel(obj["type"], obj.get("qubits", []), n, obj.get("params"))
-    unitary = [
-        (float(p), gates_from_json(gates))
-        for p, gates in obj.get("unitary", [])
-    ]
+    unitary_spec, kraus_spec = obj.get("unitary", []), obj.get("kraus", [])
+    if not isinstance(unitary_spec, (list, tuple)) or not isinstance(kraus_spec, (list, tuple)):
+        raise ChannelError("explicit 'unitary' and 'kraus' parts must be arrays")
+    unitary = []
+    for entry in unitary_spec:
+        p, gates = _json_entry(entry, "number", "array")
+        unitary.append((float(p), gates_from_json(gates)))
     kraus = []
-    for q, h, generators, gates in obj.get("kraus", []):
-        ops = [(sc.PauliOp.from_letters(word), int(sign)) for word, sign in generators]
-        proj = sc.StabProjector(n, ops)
-        kraus.append((float(q), StabKraus(int(h), proj, gates_from_json(gates))))
+    for entry in kraus_spec:
+        q, h, generators, gates = _json_entry(entry, "number", "integer", "array", "array")
+        ops = []
+        for generator in generators:
+            word, sign = _json_entry(generator, "string", "integer")
+            ops.append((sc.PauliOp.from_letters(word), sign))
+        kraus.append((float(q), StabKraus(h, sc.StabProjector(n, ops), gates_from_json(gates))))
     return SimulableChannel(n, unitary, kraus)
 
 

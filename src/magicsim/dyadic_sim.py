@@ -11,6 +11,7 @@ the shortfall of the branch probabilities is an abort that contributes zero.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from ._util import kahan_sum, run_chunked, sample_rng
 from .channels import ChannelError, Dyad, DyadicDecomposition, SimulableChannel
 
 _P0_TOL = 1e-12
+# refused before any sampling: at ~50 us per sample this is already half a day
+MAX_SAMPLES = 10**9
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,9 @@ class _Node:
     The branch path fully determines the dyad, so transition probabilities
     and leaf inner products are computed once and shared by every sample
     that walks the same path.  Unitary and Kraus branches share one joint
-    distribution; the tail mass is the abort.
+    distribution; the tail mass is the abort.  A Kraus child is built with
+    its probability, which needs the projection anyway; a unitary child
+    stays a gate list until a sample first walks into it.
     """
 
     __slots__ = ("dyad", "cum", "children", "value")
@@ -82,12 +87,9 @@ class _Node:
         self.value = None
 
     def expand(self, chan: SimulableChannel) -> None:
-        probs = []
-        kids = []
+        probs = [p for p, _ in chan.unitary_part]
+        kids = [gates for _, gates in chan.unitary_part]
         L, R = self.dyad.L, self.dyad.R
-        for p, gates in chan.unitary_part:
-            kids.append(_Node(Dyad(sc.apply_circuit(L, gates), sc.apply_circuit(R, gates))))
-            probs.append(p)
         for q, k in chan.kraus_part:
             Lp, nl = sc.project_stab(L, k.proj)
             Rp, nr = sc.project_stab(R, k.proj)
@@ -102,36 +104,45 @@ class _Node:
         total = sum(probs)
         if total > 1.0 + _P0_TOL * max(1, len(probs)):
             raise ChannelError(f"branch probabilities sum to {total}")
-        self.cum = np.cumsum(probs)
+        self.cum = np.cumsum(probs).tolist()
         self.children = kids
 
+    def child(self, j: int) -> _Node:
+        kid = self.children[j]
+        if isinstance(kid, tuple):
+            L, R = self.dyad.L, self.dyad.R
+            Lc = sc.apply_circuit(L, kid)
+            # a diagonal dyad, such as every sigma term, stays diagonal
+            kid = self.children[j] = _Node(Dyad(Lc, Lc if R is L else sc.apply_circuit(R, kid)))
+        return kid
 
-def _walk_value(roots, cum0, phases, chans, measurement, l1, rng) -> tuple[float, bool]:
-    u = rng.random()
-    r0 = int(np.searchsorted(cum0, u, side="right"))
-    if r0 >= len(roots):
-        r0 = len(roots) - 1
+
+def _walk_value(roots, cum0, phases, chans, measurement, l1, row) -> tuple[float, bool]:
+    """One sample: row[0] picks the root and row[1 + l] the branch at channel l."""
+    r0 = min(bisect_right(cum0, row[0]), len(roots) - 1)
     node = roots[r0]
-    for chan in chans:
+    for chan, u in zip(chans, row[1:]):
         if node.children is None:
             node.expand(chan)
-        j = int(np.searchsorted(node.cum, rng.random(), side="right"))
-        if j >= len(node.children):
+        j = bisect_right(node.cum, u)
+        if j >= len(node.cum):
             return 0.0, True
-        node = node.children[j]
+        node = node.child(j)
     if node.value is None:
-        node.value = _measure_value(node.dyad, measurement)
-    return l1 * float(np.real(phases[r0] * node.value)), False
+        # a leaf lies under one root only, so its phase is fixed with it
+        node.value = l1 * float(np.real(phases[r0] * _measure_value(node.dyad, measurement)))
+    return node.value, False
 
 
 def _chunk_worker(payload, lo: int, hi: int):
     decomp, chans, measurement, seed, bound, roots = payload
     cum0, phases = decomp.sampling_arrays()
+    cum0 = cum0.tolist()
+    rows = sample_rng(seed, lo).random((hi - lo, len(chans) + 1)).tolist()
     values = []
     aborted = 0
-    for index in range(lo, hi):
-        rng = sample_rng(seed, index)
-        mu, did_abort = _walk_value(roots, cum0, phases, chans, measurement, bound, rng)
+    for index, row in enumerate(rows, lo):
+        mu, did_abort = _walk_value(roots, cum0, phases, chans, measurement, bound, row)
         if did_abort:
             aborted += 1
         if abs(mu) > bound + 1e-9:
@@ -168,6 +179,8 @@ def estimate_born(
     elif measurement.n != decomp.n:
         raise ValueError("measurement width differs from the state width")
     M = required_samples(decomp.l1, epsilon, p_fail)
+    if M > MAX_SAMPLES:
+        raise ValueError(f"the run needs {M} samples, above the ceiling of {MAX_SAMPLES}")
     roots = [_Node(d) for _, d in decomp.terms]
     payload = (decomp, chans, measurement, seed, decomp.l1, roots)
     results = run_chunked(_chunk_worker, payload, M, workers)

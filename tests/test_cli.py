@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -405,7 +406,49 @@ MALFORMED_GATE_DOCS = {
 }
 
 
+def _channel_doc(channel):
+    return ("estimate", {"state": {"product": ["H"]}, "circuit": [channel],
+                         "measurement": {"pauli": "Z"}})
+
+
+# explicit channels whose entries around the gate lists are malformed
+MALFORMED_CHANNEL_DOCS = {
+    "unitary-bare-weight": _channel_doc({"unitary": [1.0]}),
+    "unitary-weight-array": _channel_doc({"unitary": [[[1.0], []]]}),
+    "unitary-entry-arity": _channel_doc({"unitary": [[1.0, [], []]]}),
+    "unitary-not-array": _channel_doc({"unitary": {"p": 1.0}}),
+    "kraus-generator-arity": _channel_doc({"kraus": [[0.5, 1, [["Z"]], []],
+                                                     [0.5, 1, [["Z", -1]], []]]}),
+    "kraus-entry-arity": _channel_doc({"kraus": [[0.5, 1, [["Z", 1]]]]}),
+    "kraus-h-array": _channel_doc({"kraus": [[0.5, [1], [["Z", 1]], []]]}),
+    "kraus-word-number": _channel_doc({"kraus": [[0.5, 1, [[3, 1]], []]]}),
+}
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHANNEL_DOCS))
+    def test_malformed_channel_entry_is_validation_error(self, capsys, tmp_path, case):
+        subcommand, doc = MALFORMED_CHANNEL_DOCS[case]
+        path = write_doc(tmp_path, doc)
+        rc, out, err = run_cli(capsys, subcommand, "--input", path, "--epsilon", "0.3")
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "entry" in diag["error"]["message"] or "arrays" in diag["error"]["message"]
+
+    @pytest.mark.parametrize("subcommand", ["estimate", "constrained"])
+    def test_over_budget_sample_count_refused(self, capsys, tmp_path, subcommand):
+        # about 1e19 samples: refused before a single chunk is laid out
+        path = write_doc(tmp_path, H_FIXTURE)
+        t0 = time.monotonic()
+        rc, out, err = run_cli(capsys, subcommand, "--input", path, "--epsilon", "1e-9")
+        assert time.monotonic() - t0 < 10.0
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert diag["error"]["kind"] == "validation"
+        assert "ceiling" in diag["error"]["message"]
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_GATE_DOCS))
     def test_malformed_gate_is_validation_error(self, capsys, tmp_path, case):
         subcommand, doc = MALFORMED_GATE_DOCS[case]

@@ -8,6 +8,7 @@ import magicsim.constrained_sim as cs
 import magicsim.dense_oracle as do
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
+from magicsim._util import CHUNK
 from magicsim.constrained_sim import ConstrainedSimError
 
 XI_H = 4.0 - 2.0 * math.sqrt(2.0)
@@ -243,6 +244,20 @@ class TestConstrainedEstimate:
             if not (r.E_min - 1e-9 <= truth <= r.E_max + 1e-9):
                 misses += 1
         assert misses <= 2
+
+    def test_reproducible_across_workers(self):
+        # channels, three full chunks and a ragged fourth
+        pair = cs.optimal_pair([mono.BlochState.named("H").scaled(0.8), mono.BlochState.named("F")])
+        circuit = [
+            ch.builtin_channel("clifford_mix", [0, 1], 2, {"terms": [[0.7, [["CX", 0, 1]]], [0.3, []]]}),
+            ch.builtin_channel("depolarizing", [1], 2, {"lambda": 0.3}),
+            ch.builtin_channel("pauli_measure_and_forward", [0], 2, {"pauli": "X"}),
+        ]
+        E = sc.PauliOp.from_letters("XZ")
+        reps = [cs.constrained_estimate(pair, circuit, E, c=0.09, p_fail=0.05, seed=31, workers=w)
+                for w in (1, 2)]
+        assert reps[0].samples > 3 * CHUNK and reps[0].samples % CHUNK
+        assert reps[0] == reps[1]
 
     def test_parameter_validation(self):
         pair = cs.optimal_pair([mono.BlochState.named("0")])

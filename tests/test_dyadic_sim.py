@@ -8,6 +8,7 @@ import magicsim.dense_oracle as do
 import magicsim.dyadic_sim as dy
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
+from magicsim._util import CHUNK, kahan_sum, sample_rng
 
 
 def proj_zero(n, qubit):
@@ -58,8 +59,8 @@ class TestStabilizerUpdate:
     def test_unitary_certain(self):
         d = ch.Dyad(sc.zero_state(1), sc.zero_state(1))
         node = expanded(d, 1, unitary=[(1.0, (("H", 0),))])
-        assert node.cum.tolist() == [1.0]
-        (out,) = node.children
+        assert node.cum == [1.0]
+        out = node.child(0)
         assert do.expand(out.dyad.L) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
         assert do.expand(out.dyad.R) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
 
@@ -72,8 +73,8 @@ class TestStabilizerUpdate:
         ]
         node = expanded(d, 2, kraus=kraus)
         assert node.cum == pytest.approx([1.0, 1.0], abs=1e-12)
-        first, second = node.children
-        assert second is None
+        first = node.child(0)
+        assert node.child(1) is None
         assert do.expand(first.dyad.L) == pytest.approx(do.expand(d.L))
         assert do.expand(first.dyad.R) == pytest.approx(do.expand(d.R))
 
@@ -82,15 +83,48 @@ class TestStabilizerUpdate:
         d = ch.Dyad(sc.plus_state(1), sc.plus_state(1))
         node = expanded(d, 1, kraus=z_measurement())
         assert node.cum == pytest.approx([0.5, 1.0], abs=1e-12)
-        for child, expect in zip(node.children, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))):
+        for j, expect in enumerate((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))):
+            child = node.child(j)
             dense = np.outer(do.expand(child.dyad.L), do.expand(child.dyad.R).conj())
             assert dense == pytest.approx(expect)
 
     def test_output_amplitudes_are_unit(self):
         d = ch.Dyad(sc.plus_state(1), sc.plus_state(1))
-        for child in expanded(d, 1, kraus=z_measurement()).children:
+        node = expanded(d, 1, kraus=z_measurement())
+        for child in (node.child(0), node.child(1)):
             assert abs(child.dyad.L.amplitude() - 1.0) < 1e-12
             assert abs(child.dyad.R.amplitude() - 1.0) < 1e-12
+
+    def test_unitary_children_built_on_first_walk(self, monkeypatch):
+        # a depolarizing node costs no gate application until a branch is walked
+        calls = []
+        apply_circuit = sc.apply_circuit
+
+        def counted(state, gates):
+            calls.append(gates)
+            return apply_circuit(state, gates)
+
+        d = plus_zero_dyad()
+        chan = ch.builtin_channel("depolarizing", [1], 2, {"lambda": 0.4})
+        node = dy._Node(d)
+        monkeypatch.setattr(sc, "apply_circuit", counted)
+        node.expand(chan)
+        assert calls == []
+        assert node.cum == pytest.approx([0.7, 0.8, 0.9, 1.0], abs=1e-12)
+        child = node.child(2)
+        assert calls == [(("Y", 1),)] * 2
+        assert node.child(2) is child
+        assert len(calls) == 2
+        assert [isinstance(kid, dy._Node) for kid in node.children] == [False, False, True, False]
+        for side in ("L", "R"):
+            want = apply_circuit(getattr(d, side), [("Y", 1)])
+            assert do.expand(getattr(child.dyad, side)) == pytest.approx(do.expand(want))
+        # both sides of a diagonal dyad are one state, so one application serves both
+        diag = dy._Node(ch.Dyad(d.L, d.L))
+        diag.expand(chan)
+        kid = diag.child(1)
+        assert len(calls) == 3
+        assert kid.dyad.L is kid.dyad.R
 
     def test_empty_part_rejected(self):
         # width 7 lies above the dense completeness check
@@ -110,8 +144,86 @@ class TestTreeWalk:
             node = dy._Node(d)
             node.expand(chan)
             assert node.cum[-1] == pytest.approx(1.0, abs=1e-12)
-            assert len(node.children) == 2
-            assert all(child is not None for child in node.children)
+            assert len(node.cum) == 2
+            assert all(node.child(j) is not None for j in range(2))
+
+
+class _EagerNode:
+    """Trajectory-tree node that builds every child when first expanded."""
+
+    def __init__(self, dyad):
+        self.dyad = dyad
+        self.cum = None
+        self.children = None
+        self.value = None
+
+    def expand(self, chan):
+        probs, kids = [], []
+        L, R = self.dyad.L, self.dyad.R
+        for p, gates in chan.unitary_part:
+            kids.append(_EagerNode(ch.Dyad(sc.apply_circuit(L, gates), sc.apply_circuit(R, gates))))
+            probs.append(p)
+        for q, k in chan.kraus_part:
+            Lp, nl = sc.project_stab(L, k.proj)
+            Rp, nr = sc.project_stab(R, k.proj)
+            pr = q * (2.0**k.h) * nl * nr
+            if pr > 0.0:
+                Lp = sc.with_unit_amplitude(sc.apply_circuit(Lp, k.circuit))[0]
+                Rp = sc.with_unit_amplitude(sc.apply_circuit(Rp, k.circuit))[0]
+                kids.append(_EagerNode(ch.Dyad(Lp, Rp)))
+            else:
+                kids.append(None)
+            probs.append(pr)
+        self.cum = np.cumsum(probs)
+        self.children = kids
+
+
+def reference_chunk(dec, chans, measurement, seed, lo, hi):
+    """Chunk [lo, hi) walked on an eager tree with np.searchsorted on the same rows."""
+    cum0, phases = dec.sampling_arrays()
+    roots = [_EagerNode(d) for _, d in dec.terms]
+    values, aborted = [], 0
+    for row in sample_rng(seed, lo).random((hi - lo, len(chans) + 1)):
+        r0 = min(int(np.searchsorted(cum0, row[0], side="right")), len(roots) - 1)
+        node = roots[r0]
+        for chan, u in zip(chans, row[1:]):
+            if node.children is None:
+                node.expand(chan)
+            j = int(np.searchsorted(node.cum, u, side="right"))
+            if j >= len(node.children):
+                values.append(0.0)
+                aborted += 1
+                break
+            node = node.children[j]
+        else:
+            if node.value is None:
+                node.value = dy._measure_value(node.dyad, measurement)
+            values.append(dec.l1 * float(np.real(phases[r0] * node.value)))
+    return kahan_sum(values), aborted
+
+
+def gadget_noise_measure():
+    """T gadget, depolarizing noise and a measure-and-forward step on |+,H,H>."""
+    dec = ch.dyadic_decompose_product([mono.BlochState.named(s) for s in "+HH"])
+    chans = [
+        ch.builtin_channel("t_gadget", [0, 1], 3),
+        ch.builtin_channel("depolarizing", [0], 3, {"lambda": 0.3}),
+        ch.builtin_channel("pauli_measure_and_forward", [0, 2], 3, {"pauli": "XZ"}),
+    ]
+    return dec, chans, proj_zero(3, 0)
+
+
+class TestChunkStream:
+    def test_chunk_matches_eager_reference(self):
+        dec, chans, proj = gadget_noise_measure()
+        roots = [dy._Node(d) for _, d in dec.terms]
+        payload = (dec, chans, proj, 11, dec.l1, roots)
+        aborted = 0
+        for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 37)):
+            got = dy._chunk_worker(payload, lo, hi)
+            assert got == reference_chunk(dec, chans, proj, 11, lo, hi)
+            aborted += got[1]
+        assert 0 < aborted < 2 * CHUNK + 37
 
 
 class TestEstimateBorn:
@@ -158,6 +270,23 @@ class TestEstimateBorn:
         rep2 = dy.estimate_born(dec, [], proj_zero(1, 0), 0.05, 0.05, seed=42, workers=3)
         assert rep1.mu_hat == rep2.mu_hat
         assert rep1.M == rep2.M
+
+    def test_reproducible_across_workers_with_channels(self):
+        dec, chans, proj = gadget_noise_measure()
+        reps = [dy.estimate_born(dec, chans, proj, 0.12, 0.05, seed=9, workers=w) for w in (1, 2)]
+        assert reps[0].M > 3 * CHUNK and reps[0].M % CHUNK
+        assert reps[0].aborted > 0
+        assert reps[0].mu_hat == reps[1].mu_hat
+        assert reps[0].aborted == reps[1].aborted
+
+    def test_over_budget_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(dy, "run_chunked", no_sampling)
+        dec = ch.dyadic_decompose_product([mono.BlochState.named("H")])
+        with pytest.raises(ValueError, match=str(dy.MAX_SAMPLES)):
+            dy.estimate_born(dec, [], proj_zero(1, 0), 1e-9, 0.05, seed=1)
 
     def test_seed_changes_result(self):
         dec = ch.dyadic_decompose_product([mono.BlochState.named("H")])
