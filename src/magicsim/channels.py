@@ -16,7 +16,6 @@ from . import dense_oracle as do
 from . import monotones
 from . import stab_core as sc
 
-DENSE_CHECK_MAX = 6
 DEFAULT_MAX_TERMS = 64
 
 _ATOL = 1e-8
@@ -74,7 +73,7 @@ class DyadicDecomposition:
             raise ChannelError("dyadic l1 weight below 1")
         if not validate:
             return
-        if n <= DENSE_CHECK_MAX:
+        if n <= do.MAX_DENSE_QUBITS:
             mat = self.dense()
             if np.abs(mat - mat.conj().T).max() > _ATOL:
                 raise ChannelError("decomposition is not Hermitian")
@@ -83,7 +82,7 @@ class DyadicDecomposition:
             raise ChannelError(f"decomposition trace is {trace:.6g}, expected 1")
 
     def dense(self) -> np.ndarray:
-        if self.n > DENSE_CHECK_MAX:
+        if self.n > do.MAX_DENSE_QUBITS:
             raise ChannelError("dense expansion capped")
         out = np.zeros((2**self.n, 2**self.n), dtype=complex)
         for a, d in self.terms:
@@ -155,7 +154,7 @@ class SimulableChannel:
         self.P_K = 1.0 - self.P_U
         if not -1e-12 <= self.P_U <= 1.0 + 1e-12:
             raise ChannelError("unitary weight outside [0, 1]")
-        if n <= DENSE_CHECK_MAX:
+        if n <= do.MAX_DENSE_QUBITS:
             defect = do.channel_completeness_defect(self, n)
             if defect > _ATOL:
                 raise ChannelError(f"Kraus completeness violated by {defect:.3g}")
@@ -175,6 +174,9 @@ def _letters_at(n: int, positions: dict[int, str]) -> sc.PauliOp:
 
 
 def _check_targets(qubits, n: int, expect: int | None = None) -> list[int]:
+    if (not isinstance(qubits, (list, tuple))
+            or any(isinstance(q, bool) or not isinstance(q, (int, np.integer)) for q in qubits)):
+        raise ChannelError(f"bad channel entry qubits={qubits!r}; expected array of integers")
     qs = [int(q) for q in qubits]
     if expect is not None and len(qs) != expect:
         raise ChannelError(f"channel needs exactly {expect} target qubit(s)")
@@ -193,10 +195,11 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> Si
     t_gadget: qubits = [data, ancilla].  pauli_measure_and_forward: params
     {"pauli": letters} over `qubits`.
     """
-    params = dict(params or {})
+    params = _json_value({} if params is None else params, "object", "params")
     if name == "depolarizing":
         (q,) = _check_targets(qubits, n, expect=1)
-        lam = float(params.get("lambda", params.get("p", 0.0)))
+        key = "lambda" if "lambda" in params else "p"
+        lam = float(_json_value(params.get(key, 0.0), "number", key))
         if not 0.0 <= lam <= 1.0:
             raise ChannelError("depolarizing strength must lie in [0, 1]")
         raw = [
@@ -209,11 +212,12 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> Si
         return SimulableChannel(n, unitary, [])
     if name == "clifford_mix":
         qs = _check_targets(qubits, n)
-        terms = params.get("terms")
+        terms = _json_value(params.get("terms", []), "array", "terms")
         if not terms:
             raise ChannelError("clifford_mix needs a nonempty terms list")
         unitary = []
-        for p, gates in terms:
+        for entry in terms:
+            p, gates = _json_entry(entry, "number", "array")
             local = gates_from_json(gates)
             _check_circuit(local, len(qs))
             unitary.append((float(p), tuple((g[0], *(qs[t] for t in g[1:])) for g in local)))
@@ -228,7 +232,7 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> Si
         return SimulableChannel(n, [], kraus)
     if name == "pauli_measure_and_forward":
         qs = _check_targets(qubits, n)
-        letters = str(params.get("pauli", "Z" * len(qs)))
+        letters = _json_value(params.get("pauli", "Z" * len(qs)), "string", "pauli")
         if len(letters) != len(qs) or any(c not in "XYZ" for c in letters):
             raise ChannelError("pauli string must give X, Y or Z per target")
         op = _letters_at(n, dict(zip(qs, letters)))
@@ -254,7 +258,15 @@ def gates_from_json(spec) -> tuple:
     return tuple((g[0].upper(), *(int(t) for t in g[1:])) for g in spec)
 
 
-_JSON_KINDS = {"number": (int, float), "integer": (int,), "string": (str,), "array": (list, tuple)}
+_JSON_KINDS = {"number": (int, float), "integer": (int,), "string": (str,), "array": (list, tuple),
+               "object": (dict,)}
+
+
+def _json_value(value, kind: str, what: str):
+    """value as a JSON value of that kind, else ChannelError naming it."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ChannelError(f"bad channel entry {what}={value!r}; expected {kind}")
+    return value
 
 
 def _json_entry(entry, *kinds: str):

@@ -154,16 +154,11 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
     if kind == "dyads":
         if "n" not in state:
             raise CLIError("'dyads' needs the qubit count 'n'")
-        n = _as_int(state["n"], "n")
+        n = state["n"]
         if n < 1:
             raise CLIError("n must be positive")
         terms = []
         for d in state["dyads"]:
-            unknown = set(d) - {"alpha", "left", "right"}
-            if unknown:
-                raise CLIError(f"unknown dyad keys: {sorted(unknown)}")
-            if "left" not in d:
-                raise CLIError("each dyad needs a 'left' preparation circuit")
             left = sc.apply_circuit(sc.zero_state(n), ch.gates_from_json(d["left"]))
             right = sc.apply_circuit(sc.zero_state(n), ch.gates_from_json(d.get("right", d["left"])))
             terms.append((_complex_weight(d.get("alpha", 1.0)), ch.Dyad(left, right)))
@@ -171,12 +166,7 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
     terms = []
     total = 0.0
     for e in state["ensemble"]:
-        unknown = set(e) - {"weight", "product"}
-        if unknown:
-            raise CLIError(f"unknown ensemble keys: {sorted(unknown)}")
-        if "weight" not in e or "product" not in e:
-            raise CLIError("each ensemble entry needs 'weight' and 'product'")
-        weight = _as_float(e["weight"], "ensemble weight")
+        weight = float(e["weight"])
         if weight <= 0:
             raise CLIError("ensemble weights must be positive")
         sub = ch.dyadic_decompose_product([_bloch_entry(x) for x in e["product"]])

@@ -3,9 +3,13 @@
 Single-qubit states get exact analytic treatment: canonicalization into the
 P_Y region, the one-parameter witness family certifying the common value of
 dyadic negativity, generalized robustness and extent, equimagical
-decompositions, and optimal stabilizer expansions of pure states.  Products
-multiply.  The robustness of magic is computed as an l1-minimizing linear
-program over enumerated stabilizer states for up to three qubits.
+decompositions, and optimal stabilizer expansions of pure states.  Both
+single-qubit optima are closed forms: the witness maximum is the best of the
+two endpoints and the at most two stationary points, where a line meets the
+unit circle, and the three-term expansion of a face state sits at the Fermat
+point of three anchors in the complex plane.  Products multiply.  The
+robustness of magic is computed as an l1-minimizing linear program over
+enumerated stabilizer states for up to three qubits.
 """
 
 from __future__ import annotations
@@ -190,37 +194,27 @@ def _witness_eval(q: float, rho: BlochState) -> float:
 
 
 def _maximize_witness(rho: BlochState) -> tuple[float, float]:
-    """Maximize the witness value over q in [sqrt(2/3), 1].
+    """Maximize the witness value over q in [sqrt(2/3), 1], in closed form.
 
-    Grid pre-scan plus golden-section refinement; endpoints are evaluated
-    exactly so that endpoint maxima carry no search error.
+    With q = cos t, a = (bx+bz)/sqrt(2) and b = by the value is
+    (1 + a cos t + b sin t) / (1 + cos t/sqrt(2)), whose interior stationary
+    points solve (1/sqrt(2) - a) sin t + b cos t = -b/sqrt(2): the at most
+    two points where that line meets the unit circle in (sin t, cos t).  The
+    maximum is the best of the two endpoints and the roots with sin t >= 0
+    and q in range, each evaluated by _witness_eval, so an endpoint maximum
+    carries the exact endpoint value.
     """
-    qs = np.linspace(Q_MIN, 1.0, 1000)
-    vals = np.array([_witness_eval(q, rho) for q in qs])
-    best = int(np.argmax(vals))
-    if best == 0:
-        lo, hi = qs[0], qs[1]
-    elif best == len(qs) - 1:
-        lo, hi = qs[-2], qs[-1]
-    else:
-        lo, hi = qs[best - 1], qs[best + 1]
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = _witness_eval(c, rho), _witness_eval(d, rho)
-    while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _witness_eval(c, rho)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _witness_eval(d, rho)
-    q_in = 0.5 * (a + b)
-    candidates = [(Q_MIN, _witness_eval(Q_MIN, rho)), (1.0, _witness_eval(1.0, rho)), (q_in, _witness_eval(q_in, rho))]
-    q_star, val = max(candidates, key=lambda t: t[1])
+    a, b = (rho.bx + rho.bz) / SQRT2, rho.by
+    A, C = 1.0 / SQRT2 - a, -b / SQRT2
+    r2 = A * A + b * b
+    qs = [Q_MIN, 1.0]
+    if r2 > 0.0 and C * C <= r2:
+        half = float(np.sqrt(r2 - C * C))
+        for sgn in (1.0, -1.0):
+            sin_t, q = (A * C - sgn * b * half) / r2, (b * C + sgn * A * half) / r2
+            if sin_t >= 0.0 and Q_MIN < q < 1.0:
+                qs.append(q)
+    q_star, val = max(((q, _witness_eval(q, rho)) for q in qs), key=lambda t: t[1])
     return float(q_star), float(val)
 
 
@@ -280,58 +274,48 @@ def axis_state(bloch: BlochState) -> sc.StabState:
     return sc.apply_circuit(sc.zero_state(1), gates)
 
 
-def _weiszfeld_l1(particular: np.ndarray, null_dir: np.ndarray) -> np.ndarray:
-    """Minimize sum_j |particular_j + t*null_dir_j| over complex t.
+def _fermat_l1(particular: np.ndarray, null_dir: np.ndarray) -> np.ndarray:
+    """Minimize sum_j |particular_j + t*null_dir_j| over complex t, |null_dir_j| = 1.
 
-    IRLS on the smoothed objective sum_j sqrt(|.|^2 + mu^2) with mu driven
-    to zero; plain Weiszfeld stalls when an iterate lands on a point where a
-    coordinate vanishes.  The kink points themselves are also evaluated, so
-    an optimum with a zero coefficient is recovered exactly.
+    The sum is sum_j |t - z_j| with anchors z_j = -particular_j/null_dir_j, so
+    the optimum is the Fermat point of the anchor triangle: the vertex whose
+    angle is at least 120 degrees, or a repeated anchor; otherwise the point
+    with barycentric coordinates a csc(A+60) : b csc(B+60) : c csc(C+60).
     """
-
-    def value(t: complex) -> float:
-        return float(np.sum(np.abs(particular + t * null_dir)))
-
-    anchors = [
-        -p / d for p, d in zip(particular, null_dir) if abs(d) > 1e-15
-    ]
-    t = complex(np.mean(anchors)) if anchors else 0.0 + 0.0j
-    mu = 1e-2
-    while mu > 1e-13:
-        for _ in range(300):
-            r = np.sqrt(np.abs(particular + t * null_dir) ** 2 + mu * mu)
-            w = 1.0 / r
-            denom = float(np.sum(w * np.abs(null_dir) ** 2))
-            if denom == 0.0:
-                break
-            t_new = -np.sum(w * np.conj(null_dir) * particular) / denom
-            step = abs(t_new - t)
-            t = t_new
-            if step < mu * 1e-8:
-                break
-        mu *= 0.1
-    best_t = min(anchors + [t], key=value)
-    return particular + best_t * null_dir
+    z = -particular / null_dir
+    ahead, behind = np.roll(z, -1) - z, np.roll(z, 1) - z
+    if not np.all(ahead):
+        t = z[int(np.argmin(np.abs(ahead)))]
+    else:
+        angles = np.abs(np.angle(ahead / behind))  # interior angle at each anchor
+        k = int(np.argmax(angles))
+        if angles[k] >= 2.0 * np.pi / 3.0:
+            t = z[k]
+        else:
+            opposite = np.abs(np.roll(ahead, -1))  # side length facing each anchor
+            w = opposite / np.sin(angles + np.pi / 3.0)
+            t = np.sum(w * z) / np.sum(w)
+    return particular + t * null_dir
 
 
 def extent_pure_1q(psi: BlochState) -> tuple[float, list[tuple[complex, sc.StabState]]]:
     """Optimal stabilizer expansion of a pure single-qubit state.
 
-    Generic states decompose over the two nearest stabilizer states; states
-    whose optimal witness parameter is pinned at sqrt(2/3) (the boundary
-    faces of P_Y) need a third term.  The returned l1 weight squared is
-    certified against the witness value to 1e-8.
+    The witness maximum picks the terms.  Above q = sqrt(2/3) + 1e-9 the
+    state expands over |0> and |+> with fixed coefficients.  A maximum pinned
+    at sqrt(2/3) (the boundary faces of P_Y) adds |+i>; the one free complex
+    coefficient is then the Fermat point of _fermat_l1.  The returned l1
+    weight squared is certified against the witness value to 1e-8.
     """
     if not psi.is_pure():
         raise ValueError("extent_pure_1q needs a pure state")
     xi, witness = lambda_plus_1q(psi)
     word = list(witness.clifford)
     inverse = invert_word(word)
+    canon = psi.rotated(word)
     if psi.in_octahedron(1e-9):
-        canon = psi.rotated(word)
         term = sc.apply_circuit(axis_state(canon), inverse)
         return 1.0, [(1.0 + 0j, term)]
-    canon = psi.rotated(word)
     vec = canon.pure_vector()
     a = vec[0] - vec[1]
     b = SQRT2 * vec[1]
@@ -341,7 +325,7 @@ def extent_pure_1q(psi: BlochState) -> tuple[float, list[tuple[complex, sc.StabS
     else:
         particular = np.array([a, b, 0.0 + 0j])
         null_dir = np.array([-(1.0 - 1j) / SQRT2, -1j, 1.0 + 0j])
-        coeffs = _weiszfeld_l1(particular, null_dir)
+        coeffs = _fermat_l1(particular, null_dir)
         kinds = ("zero", "plus", "plus_i")
     l1 = float(np.sum(np.abs(coeffs)))
     if abs(l1 * l1 - xi) > 1e-8:

@@ -168,6 +168,21 @@ class TestSample:
         assert "Clifford" in diag["error"]["message"]
 
 
+class TestFaceFactor:
+    @pytest.mark.parametrize("subcommand", ["estimate", "sample"])
+    def test_face_factor_runs(self, capsys, tmp_path, subcommand):
+        # an iterative l1 minimizer fails the extent certificate on this pure
+        # face factor, which would exit 3
+        doc = {"state": {"product": [[0.8447514230648699, 0.09941294937138408,
+                                      0.5258441772304414]]},
+               "measurement": {"pauli": "Z"}}
+        path = write_doc(tmp_path, doc)
+        rc, out, err = run_cli(capsys, subcommand, "--input", path, "--epsilon", "0.3",
+                               "--samples", "2", "--seed", "1")
+        assert rc == 0, err
+        assert_schema(json.loads(out), subcommand)
+
+
 class TestConstrained:
     def test_h_expectation_interval(self, capsys, tmp_path):
         doc = {"state": {"product": ["H"]}, "measurement": {"pauli": "X"}}
@@ -398,6 +413,8 @@ MALFORMED_GATE_DOCS = {
                                   "measurement": {"pauli": "ZZ"}}),
     "sample-prefix-arity": ("sample", {"state": {"product": ["H", "H"]},
                                        "circuit": [{"unitary": [[1.0, [["CX", 0]]]]}]}),
+    "ensemble-product-number": ("estimate", {"state": {"ensemble": [{"weight": 1.0, "product": 5}]},
+                                             "measurement": {"pauli": "Z"}}),
     "clifford-mix-local-index": ("estimate", {
         "state": {"product": ["H", "0"]},
         "circuit": [{"type": "clifford_mix", "qubits": [1],
@@ -411,7 +428,7 @@ def _channel_doc(channel):
                          "measurement": {"pauli": "Z"}})
 
 
-# explicit channels whose entries around the gate lists are malformed
+# channels whose entries around the gate lists are malformed
 MALFORMED_CHANNEL_DOCS = {
     "unitary-bare-weight": _channel_doc({"unitary": [1.0]}),
     "unitary-weight-array": _channel_doc({"unitary": [[[1.0], []]]}),
@@ -422,6 +439,12 @@ MALFORMED_CHANNEL_DOCS = {
     "kraus-entry-arity": _channel_doc({"kraus": [[0.5, 1, [["Z", 1]]]]}),
     "kraus-h-array": _channel_doc({"kraus": [[0.5, [1], [["Z", 1]], []]]}),
     "kraus-word-number": _channel_doc({"kraus": [[0.5, 1, [[3, 1]], []]]}),
+    "builtin-qubits-number": _channel_doc({"type": "depolarizing", "qubits": 0}),
+    "builtin-lambda-array": _channel_doc({"type": "depolarizing", "qubits": [0],
+                                          "params": {"lambda": [0.1]}}),
+    "builtin-params-string": _channel_doc({"type": "depolarizing", "qubits": [0], "params": "x"}),
+    "builtin-term-arity": _channel_doc({"type": "clifford_mix", "qubits": [0],
+                                        "params": {"terms": [[0.5]]}}),
 }
 
 

@@ -132,6 +132,21 @@ class TestLambdaPlus:
         single, _ = mono.lambda_plus_1q(H)
         assert mono.product_monotone([H, H, H]) == pytest.approx(single**3, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["random", "H", "T", "F"])
+    def test_closed_form_matches_dense_grid(self, case):
+        # the closed form is the maximum of _witness_eval over a fine grid
+        # uniform in t = arccos q, up to the grid's own discretization error
+        if case == "random":
+            rng = np.random.default_rng(31)
+            states = [mono.canonicalize_PY(random_bloch(rng, pure=i % 2 == 0))[1] for i in range(12)]
+        else:
+            states = [mono.canonicalize_PY(BlochState.named(case))[1]]
+        grid = np.cos(np.linspace(0.0, np.arccos(mono.Q_MIN), 100_000))
+        for rho in states:
+            _, val = mono._maximize_witness(rho)
+            best = max(mono._witness_eval(q, rho) for q in grid)
+            assert best - 1e-15 <= val <= best + 1e-9
+
 
 class TestExtent:
     def test_zero_state_single_term(self):
@@ -169,6 +184,57 @@ class TestExtent:
             psi = BlochState(*v)
             xi, terms = mono.extent_pure_1q(psi)
             self._check_reconstruction(psi, xi, terms)
+
+    # a pure face state on which an iterative l1 minimizer misses the 1e-8
+    # extent certificate (by 1.9e-8)
+    FACE_FACTOR = (0.8447514230648699, 0.09941294937138408, 0.5258441772304414)
+
+    def test_face_factor_certificate(self):
+        psi = BlochState(*self.FACE_FACTOR)
+        xi, terms = mono.extent_pure_1q(psi)
+        assert len(terms) == 3
+        self._check_reconstruction(psi, xi, terms)
+
+    def test_random_face_states_certificate(self):
+        # pure states whose witness maximum sits on the boundary face q = sqrt(2/3)
+        rng = np.random.default_rng(2024)
+        errors = []
+        while len(errors) < 2000:
+            psi = random_bloch(rng, pure=True)
+            _, wit = mono.lambda_plus_1q(psi)
+            if wit.q > mono.Q_MIN + 1e-9:
+                continue
+            xi, terms = mono.extent_pure_1q(psi)
+            errors.append(abs(sum(abs(c) for c, _ in terms) ** 2 - xi))
+        assert max(errors) <= 1e-12
+
+    @pytest.mark.parametrize("anchors", [
+        (0, 1, np.exp(1j * np.pi / 3)),  # equilateral: interior point
+        (0, 1, 0.5 + 0.2j),  # 136-degree vertex
+        (0.3 + 0.1j, 0.3 + 0.1j, -1j),  # repeated anchor
+        (-1, 0.25, 2),  # collinear
+        (0.2 - 0.7j, 1.1 + 0.4j, -0.8 + 0.3j),
+    ])
+    def test_fermat_point_beats_grid(self, anchors):
+        null_dir = np.array([-(1.0 - 1j) / SQRT2, -1j, 1.0 + 0j])
+        z = np.array(anchors, dtype=complex)
+        l1 = np.sum(np.abs(mono._fermat_l1(-z * null_dir, null_dir)))
+        axis = np.linspace(-2.5, 2.5, 501)
+        grid = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+        best = np.sum(np.abs(grid[:, None] - z[None, :]), axis=1).min()
+        assert l1 <= best + 1e-12
+
+    @pytest.mark.parametrize("name,count", [
+        ("0", 1), ("1", 1), ("+", 1), ("-", 1), ("+i", 1), ("-i", 1),
+        ("H", 2), ("T", 2), ("F", 3),
+    ])
+    def test_named_state_term_count(self, name, count):
+        psi = BlochState.named(name)
+        _, wit = mono.lambda_plus_1q(psi)
+        _, terms = mono.extent_pure_1q(psi)
+        assert len(terms) == count
+        if count > 1:
+            assert (wit.q > mono.Q_MIN + 1e-9) == (count == 2)
 
     @staticmethod
     def _check_reconstruction(psi, xi, terms):
