@@ -126,9 +126,11 @@ class SimulableChannel:
     """Mixture of Clifford unitaries plus stabilizer Kraus operators.
 
     unitary_part holds (p_r, circuit) with p_r >= 0, kraus_part holds
-    (q_s, StabKraus); completeness sum p_r I + sum q_s K_s^dag K_s = I is
-    verified densely up to six qubits.  A channel with neither part is
-    rejected at every width: every sample through it would abort.
+    (q_s, StabKraus).  Completeness sum p_r I + sum q_s 2^h Pi_s = I is
+    verified densely up to six qubits and through its trace, P_U + sum q_s
+    = 1, at every width; its other Pauli coefficients go unchecked above six
+    qubits.  A channel with neither part is rejected at every width: every
+    sample through it would abort.
     """
 
     __slots__ = ("n", "unitary_part", "kraus_part", "P_U", "P_K")
@@ -154,6 +156,9 @@ class SimulableChannel:
         self.P_K = 1.0 - self.P_U
         if not -1e-12 <= self.P_U <= 1.0 + 1e-12:
             raise ChannelError("unitary weight outside [0, 1]")
+        weight = self.P_U + sum(q for q, _ in kraus_part)
+        if abs(weight - 1.0) > _ATOL:
+            raise ChannelError(f"channel weights sum to {weight:.6g}, expected 1")
         if n <= do.MAX_DENSE_QUBITS:
             defect = do.channel_completeness_defect(self, n)
             if defect > _ATOL:

@@ -47,7 +47,7 @@ class _TermSet:
     a given measurement prefix reuse one Gram matrix.
     """
 
-    __slots__ = ("terms", "n", "_gram", "_children", "_dense", "_zeroing")
+    __slots__ = ("terms", "n", "_gram", "_children", "_dense")
 
     def __init__(self, terms, n: int | None = None):
         self.terms = tuple(terms)
@@ -57,22 +57,20 @@ class _TermSet:
         self._gram = None
         self._children = {}
         self._dense = None
-        self._zeroing = None
 
     def gram(self) -> np.ndarray:
         if self._gram is None:
             kk = len(self.terms)
             g = np.zeros((kk, kk), dtype=complex)
-            for j, tj in enumerate(self.terms):
-                if tj is None:
+            forms = [None if t is None else sc.amplitude_form(t) for t in self.terms]
+            for j, fj in enumerate(forms):
+                if fj is None:
                     continue
-                g[j, j] = abs(tj.scalar()) ** 2
+                g[j, j] = abs(self.terms[j].scalar()) ** 2
                 for l in range(j + 1, kk):
-                    tl = self.terms[l]
-                    if tl is None:
-                        continue
-                    g[j, l] = sc.inner_product(tj, tl)
-                    g[l, j] = np.conj(g[j, l])
+                    if forms[l] is not None:
+                        g[j, l] = sc.overlap(fj, forms[l])
+                        g[l, j] = np.conj(g[j, l])
             self._gram = g
         return self._gram
 
@@ -103,19 +101,6 @@ class _TermSet:
                     rows[j] = do.expand(t)
             self._dense = rows
         return self._dense
-
-    def zeroing(self):
-        # per-term reduction data for repeated equatorial overlaps
-        if self._zeroing is None:
-            data = []
-            for t in self.terms:
-                if t is None:
-                    data.append(None)
-                else:
-                    ops, w = sc.zeroing_ops(t)
-                    data.append((ops, np.conj(w)))
-            self._zeroing = data
-        return self._zeroing
 
 
 class SparseDecomposition:
@@ -184,7 +169,9 @@ class SparseVector:
 
     Internally the k draws are collapsed to multiplicity counts over the
     decomposition's term set (coefficient phases absorbed), so norms reduce
-    to a quadratic form in the shared Gram matrix.
+    to a quadratic form in the shared Gram matrix, and an equatorial
+    overlap is a count-weighted sum of one stab_core.overlap per distinct
+    drawn term.
     """
 
     __slots__ = ("k", "prefactor", "counts", "_termset")
@@ -213,16 +200,9 @@ class SparseVector:
 
     def equatorial_overlap(self, A: np.ndarray) -> complex:
         """<phi_A|Omega> for the equatorial state indexed by A."""
-        phi = sc.equatorial_state(A)
-        zeros = np.zeros(self.n, dtype=bool)
-        total = 0j
-        for data, m in zip(self._termset.zeroing(), self.counts):
-            if data is None or m == 0.0:
-                continue
-            ops, wbar = data
-            amp = sc.replay_ops(phi, ops).amplitude_of(zeros)
-            total += m * np.conj(wbar * amp)
-        return self.prefactor * total
+        phi = sc.equatorial_form(A)
+        drawn = [(t, m) for t, m in zip(self._termset.terms, self.counts) if t is not None and m]
+        return self.prefactor * sum((m * sc.overlap(phi, sc.amplitude_form(t)) for t, m in drawn), 0j)
 
 
 def sparsify(d: SparseDecomposition, k: int, seed) -> SparseVector:
@@ -269,7 +249,8 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     Draws come in blocks of up to 32768.  For n <= 6 a block's exponents
     x^T A x are two uint8 row lookups per draw in the _equatorial_grid
     tables, and its overlaps are one product with the dense vector; wider
-    vectors take one equatorial overlap per draw.
+    vectors take one SparseVector.equatorial_overlap per draw, an
+    exponential sum per distinct drawn term.
     """
     if not 0.0 < eps_fn <= 0.2:
         raise RankSimError("eps_fn must lie in (0, 1/5]")

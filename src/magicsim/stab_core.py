@@ -16,9 +16,21 @@ stored as an integer power of sqrt(2), an eighth root of unity, and a residual
 complex factor that only changes when a caller explicitly multiplies a phase
 in.  This is what makes amplitudes and inner products trustworthy at 1e-10
 against a dense reference instead of drifting over long circuits.
+
+Overlaps use each state's amplitude form (Bravyi et al., arXiv:1808.00128):
+with K = M F^T, <y|psi> = c i^(L.y + 2 y^T T y) on {y : R y = t} and zero
+elsewhere, where L = g + 2 diag(K) + 2 F (v & s) mod 4, T is the strict
+upper triangle of K^T mod 2, R = F[:, ~v]^T, t = s[~v] and
+c = scalar 2^(-|v|/2).  Since G F^T = I that set is also {Y (w, 1)} over
+all bit vectors w, with Y = [G[:, v] | G (s & ~v)].  <a|b> is then one
+exponential sum over the intersection of the two sets, evaluated exactly
+(see overlap).
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +43,9 @@ GATE_NAMES = tuple(_GATE_ARITY)
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+# a joint term of a product fold costs about 4 KiB, so this caps a fold near 1 GiB
+MAX_JOINT_TERMS = 2**18
 
 
 def _parity(bits: np.ndarray) -> int:
@@ -124,26 +139,6 @@ def _phase_to_pow(phase: complex) -> int:
     raise ValueError("phase must be one of +1, -1, +i, -i")
 
 
-def _gf2_rank(rows: np.ndarray) -> int:
-    m = rows.astype(np.uint8).copy()
-    rank = 0
-    ncols = m.shape[1] if m.size else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, m.shape[0]):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(m.shape[0]):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
-
-
 class StabProjector:
     """Product of commuting Pauli projectors (1 + sign*P)/2.
 
@@ -171,7 +166,7 @@ class StabProjector:
                     raise ValueError("projector generators must commute")
         if gens:
             rows = np.array([np.concatenate([op.x, op.z]) for op, _ in gens])
-            if _gf2_rank(rows) != len(gens):
+            if len(_echelon(_bit_rows(rows))) != len(gens):
                 raise ValueError("projector generators must be independent")
         self.generators = tuple(gens)
 
@@ -300,6 +295,11 @@ class StabState:
         self.F[c] ^= self.F[t]
         self.M[c] ^= self.M[t]
 
+    def _swap_gate(self, a: int, b: int) -> None:
+        self._cx_gate(a, b)
+        self._cx_gate(b, a)
+        self._cx_gate(a, b)
+
     def _h_gate(self, a: int) -> None:
         t = self.s ^ (self.G[a] & self.v)
         u = self.s ^ (self.F[a] & ~self.v) ^ (self.M[a] & self.v)
@@ -417,78 +417,9 @@ class StabState:
         val *= complex(_I_POW[mu % 4])
         return -val if sign else val
 
-    # -- reduction to |0..0> --------------------------------------------------
-
-    def _zeroing_ops(self) -> tuple[list[tuple], "StabState"]:
-        """Gate list V with V|psi> = scalar' |0..0>, plus the reduced state.
-
-        Used by inner products and overlap caching: <psi| = conj(scalar') <0|V.
-        """
-        st = self.copy()
-        ops: list[tuple] = []
-
-        def cx(c: int, t: int) -> None:
-            ops.append(("CX", c, t))
-            st._cx_gate(c, t)
-
-        # row-reduce G to the identity with CX row operations; F follows along
-        # because G F^T = I is preserved by every gate
-        n = st.n
-        for j in range(n):
-            if not st.G[j, j]:
-                k = next(i for i in range(j + 1, n) if st.G[i, j])
-                cx(j, k)
-                cx(k, j)
-                cx(j, k)
-            for i in range(n):
-                if i != j and st.G[i, j]:
-                    cx(j, i)
-        # U_C is now diagonal, so left and right CZ/S coincide and M can be
-        # cleared pairwise then on the diagonal
-        for r in range(n):
-            for c in range(r + 1, n):
-                if st.M[r, c]:
-                    ops.append(("CZ", r, c))
-                    st._cz_gate(r, c)
-        for q in range(n):
-            if st.M[q, q]:
-                ops.append(("SDG", q))
-                st._sdg_gate(q)
-        for q in range(n):
-            if st.v[q]:
-                ops.append(("H", q))
-                st._h_gate(q)
-        for q in range(n):
-            if st.s[q]:
-                ops.append(("X", q))
-                st._x_gate(q)
-        return ops, st
-
     def _apply_named(self, gate: tuple) -> None:
-        name = gate[0]
-        if name == "H":
-            self._h_gate(gate[1])
-        elif name == "S":
-            self._s_gate(gate[1])
-        elif name == "SDG":
-            self._sdg_gate(gate[1])
-        elif name == "X":
-            self._x_gate(gate[1])
-        elif name == "Y":
-            self._y_gate(gate[1])
-        elif name == "Z":
-            self._z_gate(gate[1])
-        elif name == "CX":
-            self._cx_gate(gate[1], gate[2])
-        elif name == "CZ":
-            self._cz_gate(gate[1], gate[2])
-        elif name == "SWAP":
-            a, b = gate[1], gate[2]
-            self._cx_gate(a, b)
-            self._cx_gate(b, a)
-            self._cx_gate(a, b)
-        else:
-            raise ValueError(f"unknown gate {name!r}")
+        # gate names come from _GATE_ARITY, each with its _<name>_gate method
+        getattr(self, f"_{gate[0].lower()}_gate")(*gate[1:])
 
     def __repr__(self) -> str:
         if self.null:
@@ -642,53 +573,16 @@ def project_stab(state: StabState, proj: StabProjector) -> tuple[StabState, floa
     return out, norm
 
 
-def inner_product(left: StabState, right: StabState) -> complex:
-    """Exact <left|right> with both scalars included."""
-    if left.n != right.n:
-        raise ValueError("dimension mismatch")
-    if left.null or right.null:
-        return 0j
-    ops, reduced = left._zeroing_ops()
-    rb = right.copy()
-    for gate in ops:
-        rb._apply_named(gate)
-    return np.conj(reduced.scalar()) * rb.amplitude_of(np.zeros(left.n, dtype=bool))
-
-
-def zeroing_ops(state: StabState) -> tuple[list[tuple], complex]:
-    """Reduction data for repeated inner products against one fixed bra.
-
-    Returns (gates V, scalar w) with V|state> = w |0..0>; then for any |r>,
-    <state|r> = conj(w) * amplitude_of_zero(V|r>).
-    """
-    ops, reduced = state._zeroing_ops()
-    return ops, reduced.scalar()
-
-
-def replay_ops(state: StabState, ops: list[tuple]) -> StabState:
-    out = state.copy()
-    for gate in ops:
-        out._apply_named(gate)
-    return out
-
-
 def tensor(a: StabState, b: StabState) -> StabState:
     """Tensor product; qubits of a come first."""
-    n = a.n + b.n
     out = StabState.__new__(StabState)
-    out.n = n
-    out.G = np.zeros((n, n), dtype=bool)
-    out.F = np.zeros((n, n), dtype=bool)
-    out.M = np.zeros((n, n), dtype=bool)
-    out.G[: a.n, : a.n] = a.G
-    out.G[a.n :, a.n :] = b.G
-    out.F[: a.n, : a.n] = a.F
-    out.F[a.n :, a.n :] = b.F
-    out.M[: a.n, : a.n] = a.M
-    out.M[a.n :, a.n :] = b.M
-    out.g = np.concatenate([a.g, b.g])
-    out.v = np.concatenate([a.v, b.v])
-    out.s = np.concatenate([a.s, b.s])
+    out.n = n = a.n + b.n
+    for name in ("G", "F", "M"):
+        block = np.zeros((n, n), dtype=bool)
+        block[: a.n, : a.n], block[a.n :, a.n :] = getattr(a, name), getattr(b, name)
+        setattr(out, name, block)
+    for name in ("g", "v", "s"):
+        setattr(out, name, np.concatenate([getattr(a, name), getattr(b, name)]))
     out.p2 = a.p2 + b.p2
     out.w8 = (a.w8 + b.w8) & 7
     out.unit = a.unit * b.unit
@@ -702,8 +596,12 @@ def tensor_terms(factors) -> list[tuple]:
     Each factor lists (weight, states) pairs, states being a tuple of
     StabStates such as the two sides of a dyad.  The first factor is
     outermost; weights multiply left to right and states tensor position by
-    position, so the joint states carry the factors' qubits in order.
+    position, so the joint states carry the factors' qubits in order.  A
+    product of more than MAX_JOINT_TERMS terms is refused before any fold.
     """
+    size = math.prod(len(terms) for terms in factors)
+    if size > MAX_JOINT_TERMS:
+        raise ValueError(f"product expands to {size} joint terms, more than {MAX_JOINT_TERMS}")
     acc = list(factors[0])
     for terms in factors[1:]:
         acc = [
@@ -714,29 +612,151 @@ def tensor_terms(factors) -> list[tuple]:
     return acc
 
 
-def equatorial_state(A: np.ndarray) -> StabState:
-    """Equatorial stabilizer state |phi_A> for symmetric integer A.
+# -- overlaps as exponential sums ---------------------------------------------
 
-    Diagonal entries act mod 4 through S powers, off-diagonal entries mod 2
-    through CZ, all on |+..+>.
+
+class AmplitudeForm(NamedTuple):
+    """psi(y) = c i^(L.y + 2 y^T T y) on the support {y : R y = t}, which is
+    also the set of Y (w, 1) over all bit vectors w; L counts mod 4, T mod 2,
+    and Y, R, t are 0/1."""
+
+    c: complex
+    L: np.ndarray
+    T: np.ndarray
+    Y: np.ndarray
+    R: np.ndarray
+    t: np.ndarray
+
+
+def amplitude_form(state: StabState) -> AmplitudeForm:
+    """The amplitude form of a non-null state, read off its tableau."""
+    G, F, M = state.G.view(np.uint8), state.F.view(np.uint8), state.M.view(np.uint8)
+    v, fixed, s = state.v, ~state.v, state.s.view(np.uint8)
+    # amplitude_of sums g.y + 2 sum_{q<=p} y_p y_q K[p, q] over the rows p of
+    # y, and its sign is (-1)^((F^T y).(v & s))
+    K = M @ F.T
+    L = (state.g + 2 * (K.diagonal() + F @ (s & v))) & 3
+    rows = np.arange(state.n)
+    c = state.scalar() * 2.0 ** (-0.5 * np.count_nonzero(v))
+    # F^T y = x with x = s off v and free on v; G F^T = I gives y = G x
+    Y = np.column_stack([G[:, v], (G @ (s & fixed)) & 1])
+    return AmplitudeForm(c, L, K.T * (rows[:, None] < rows), Y, F[:, fixed].T, s[fixed])
+
+
+def equatorial_form(A: np.ndarray) -> AmplitudeForm:
+    """Form of |phi_A> = 2^(-n/2) sum_x i^(x^T A x) |x> for symmetric integer A."""
+    A = np.asarray(A).astype(np.int64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.array_equal(A, A.T):
+        raise ValueError("A must be square and symmetric")
+    n = len(A)
+    return AmplitudeForm(2.0 ** (-0.5 * n), np.diagonal(A) & 3, np.triu(A, 1) & 1,
+                         np.eye(n, n + 1, dtype=np.uint8), np.zeros((0, n), np.uint8), np.zeros(0, np.uint8))
+
+
+def overlap(bra: AmplitudeForm, ket: AmplitudeForm) -> complex:
+    """Exact <bra|ket> of two amplitude forms of one width.
+
+    y = Y (w, 1) runs over the support of the form with fewer free
+    variables w, which one GF(2) elimination cuts down to the other's
+    support as w = W (z, 1).  Substituting into i^(q_ket(y) - q_bra(y))
+    leaves i^(const + a.z + 2 z^T B z), summed exactly by _exp_sum.
     """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    if not np.array_equal(A, A.T):
-        raise ValueError("A must be symmetric")
-    n = A.shape[0]
-    st = plus_state(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if A[a, b] % 2:
-                st._cz_gate(a, b)
-    for j in range(n):
-        for _ in range(int(A[j, j]) % 4):
-            st._s_gate(j)
-    return st
+    base, other = (bra, ket) if bra.Y.shape[1] <= ket.Y.shape[1] else (ket, bra)
+    Y = base.Y
+    if other.t.size:
+        r = Y.shape[1] - 1
+        aug = (other.R @ Y) & 1
+        aug[:, r] ^= other.t
+        piv = dict(_echelon(_bit_rows(aug)))
+        if r in piv:
+            return 0j
+        free = [f for f in range(r) if f not in piv] + [r]
+        W = [[piv[j] >> f & 1 if j in piv else int(j == f) for f in free] for j in range(r + 1)]
+        Y = (Y @ np.array(W, np.uint8)) & 1
+    L, Q = (ket.L - bra.L) & 3, ket.T ^ bra.T
+    # y_j = XOR_k Y_jk z_k with z_r = 1, and XOR_k x_k = sum_k x_k - 2 sum_{k<l} x_k x_l mod 4
+    P = Y.T @ Q @ Y
+    a = Y.T @ L + 2 * P.diagonal()
+    B = (P + P.T + Y.T @ (Y * (L & 1)[:, None])) & 1
+    np.fill_diagonal(B, 0)
+    r = len(a) - 1
+    lin = ((a[:r] + 2 * B[:r, r]) & 3).tolist()
+    return np.conj(bra.c) * ket.c * _I_POW[a[r] & 3] * _exp_sum(lin, _bit_rows(B[:r, :r]))
+
+
+def inner_product(left: StabState, right: StabState) -> complex:
+    """Exact <left|right> with both scalars included."""
+    if left.n != right.n:
+        raise ValueError("dimension mismatch")
+    if left.null or right.null:
+        return 0j
+    return overlap(amplitude_form(left), amplitude_form(right))
 
 
 def equatorial_overlap(state: StabState, A: np.ndarray) -> complex:
     """<phi_A|state> for the equatorial state indexed by A."""
-    return inner_product(equatorial_state(A), state)
+    bra = equatorial_form(A)
+    if bra.L.size != state.n:
+        raise ValueError("dimension mismatch")
+    return 0j if state.null else overlap(bra, amplitude_form(state))
+
+
+def _exp_sum(a: list[int], adj: list[int]) -> complex:
+    """Exact sum over z in {0,1}^r of i^(a.z + 2 sum_{k<l} B_kl z_k z_l).
+
+    adj[k] is row k of the symmetric, zero-diagonal B as a bit mask.  Each
+    step sums out a variable with odd a_k, sum_{z_k} i^(z_k (a_k + 2 x)) =
+    sqrt2 w^e i^(-e x) with w = exp(i pi/4), e = +-1 and x the XOR of its
+    neighbours; or, when every a_k is even, a coupled pair,
+    sum_{z_k, z_l} (-1)^(z_k z_l + z_k x + z_l y) = 2 (-1)^(x y).  Either
+    folds back into the form on the rest.  An even uncoupled z_k adds 2 or 0.
+    """
+    p = k8 = 0
+    live = set(range(len(a)))
+    while live:
+        k = next((j for j in live if a[j] & 1), None)
+        if k is not None:
+            e, u = (1 if a[k] == 1 else -1), adj[k]
+            p, k8 = p + 1, k8 + e
+            for m in [m for m in live if u >> m & 1]:
+                a[m] = (a[m] - e) & 3
+                adj[m] ^= u ^ (1 << m) ^ (1 << k)
+            live.remove(k)
+        elif not adj[k := min(live)]:
+            if a[k]:
+                return 0j
+            p += 2
+            live.remove(k)
+        else:
+            l = (adj[k] & -adj[k]).bit_length() - 1
+            uk, ul = adj[k] ^ (1 << l), adj[l] ^ (1 << k)
+            # (-1)^((a_k/2 + x)(a_l/2 + y)) with x = uk.z and y = ul.z
+            p, k8 = p + 2, k8 + a[k] * a[l]
+            for m in [m for m in live if (uk | ul) >> m & 1]:
+                ik, il = uk >> m & 1, ul >> m & 1
+                a[m] = (a[m] + ik * a[l] + il * a[k] + 2 * ik * il) & 3
+                adj[m] = (adj[m] ^ ik * ul ^ il * uk) & ~((1 << k) | (1 << l))
+            live -= {k, l}
+    return 2.0 ** (0.5 * p) * _W8[k8 & 7]
+
+
+def _bit_rows(mat: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as ints, column j at bit j."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+
+
+def _echelon(rows: list[int]) -> list[tuple[int, int]]:
+    """Reduced row echelon form over GF(2) as (pivot bit, row) pairs, each
+    pivot bit the row's lowest and set in no other row."""
+    out: list[tuple[int, int]] = []
+    for row in rows:
+        for piv, r in out:
+            if row >> piv & 1:
+                row ^= r
+        if row:
+            piv = (row & -row).bit_length() - 1
+            out = [(q, r ^ row if r >> piv & 1 else r) for q, r in out]
+            out.append((piv, row))
+    return out

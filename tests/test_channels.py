@@ -163,6 +163,16 @@ class TestBuiltins:
         with pytest.raises(ChannelError):
             ch.SimulableChannel(1, [(0.5, ())], [])
 
+    def test_incomplete_channel_rejected_above_dense_cap(self):
+        # the trace of the completeness relation is checked at every width
+        with pytest.raises(ChannelError):
+            ch.SimulableChannel(7, [(0.5, ())], [])
+        zz = sc.PauliOp.from_letters("ZZ" + "I" * 5)
+        kraus = [(0.4, ch.StabKraus(1, sc.StabProjector(7, [(zz, s)]), ())) for s in (1, -1)]
+        with pytest.raises(ChannelError):
+            ch.SimulableChannel(7, [], kraus)
+        ch.SimulableChannel(7, [(0.2, ())], kraus)
+
     def test_trace_preserved_randomly(self):
         rng = np.random.default_rng(17)
         chans = [

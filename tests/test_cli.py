@@ -472,6 +472,27 @@ class TestMalformedInput:
         assert diag["error"]["kind"] == "validation"
         assert "ceiling" in diag["error"]["message"]
 
+    def test_incomplete_channel_above_dense_cap_is_validation_error(self, capsys, tmp_path):
+        doc = {"state": {"product": ["0"] * 7}, "circuit": [{"unitary": [[0.5, []]]}],
+               "measurement": {"pauli": "Z" * 7}}
+        rc, out, err = run_cli(capsys, "estimate", "--input", write_doc(tmp_path, doc), "--epsilon", "0.3")
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+
+    def test_oversized_product_refused(self, capsys, tmp_path):
+        # 4^12 joint dyads would need about 64 GiB: refused before any fold
+        doc = {"state": {"product": ["H"] * 12}, "measurement": {"pauli": "Z" * 12}}
+        t0 = time.monotonic()
+        rc, out, err = run_cli(capsys, "estimate", "--input", write_doc(tmp_path, doc), "--epsilon", "0.3")
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "joint terms" in diag["error"]["message"]
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_GATE_DOCS))
     def test_malformed_gate_is_validation_error(self, capsys, tmp_path, case):
         subcommand, doc = MALFORMED_GATE_DOCS[case]

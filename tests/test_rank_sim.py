@@ -242,10 +242,12 @@ class TestFastNorm:
         assert 0.8 <= eta <= 1.2
 
     def test_projected_plus(self):
-        d = rs.SparseDecomposition([1.0], [sc.plus_state(1)])
-        om = rs.sparsify(d, 1, seed=2).project_basis_bit(0, 0)
-        eta = rs.fast_norm(om, 0.2, 0.05, seed=6)
-        assert eta == pytest.approx(0.5, abs=0.1)
+        # n=7 takes the wide path, one exponential sum per draw
+        for n in (1, 7):
+            d = rs.SparseDecomposition([1.0], [sc.plus_state(n)])
+            om = rs.sparsify(d, 1, seed=2).project_basis_bit(0, 0)
+            eta = rs.fast_norm(om, 0.2, 0.05, seed=6)
+            assert eta == pytest.approx(0.5, abs=0.1)
 
     def test_null_vector(self):
         d = rs.SparseDecomposition([1.0], [sc.zero_state(1)])

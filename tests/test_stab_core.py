@@ -110,27 +110,56 @@ def test_inner_product_basics():
     assert abs(sc.inner_product(plus, minus)) < ATOL
 
 
+def random_projected_state(rng, n: int) -> sc.StabState:
+    """Random state, half the time cut by up to three random Pauli projectors
+    (so unnormalized, with p2 < 0) and scaled by a random complex factor."""
+    state = random_stab_state(rng, n, depth=int(rng.integers(0, 4 * n + 1)))
+    if rng.random() < 0.5:
+        for _ in range(int(rng.integers(1, 4))):
+            state, _ = sc.project_pauli(state, random_pauli(rng, n), 1 if rng.random() < 0.5 else -1)
+        state = sc.multiply_phase(state, 0.3 + rng.random() * np.exp(2j * np.pi * rng.random()))
+    return state
+
+
 def test_inner_product_matches_dense():
     rng = np.random.default_rng(13)
-    for _ in range(60):
-        n = int(rng.integers(1, 5))
-        a = random_stab_state(rng, n)
-        b = random_stab_state(rng, n)
+    zero = projected = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        a = random_projected_state(rng, n)
+        b = random_projected_state(rng, n)
         want = np.vdot(do.expand(a), do.expand(b))
         assert abs(sc.inner_product(a, b) - want) < ATOL
+        zero += abs(want) < ATOL
+        projected += a.p2 < 0 or b.p2 < 0
+    assert zero > 100 and projected > 100
 
 
 def test_unitarity_preserves_inner_products():
     rng = np.random.default_rng(17)
-    for _ in range(30):
-        n = int(rng.integers(1, 5))
-        a = random_stab_state(rng, n)
-        b = random_stab_state(rng, n)
+    for _ in range(60):
+        n = int(rng.integers(1, 33))
+        a = random_projected_state(rng, n)
+        b = random_projected_state(rng, n)
         g = random_gate(rng, n)
         before = sc.inner_product(a, b)
         after = sc.inner_product(sc.apply_gate(a, g), sc.apply_gate(b, g))
         assert abs(before - after) < ATOL
         assert abs(sc.apply_gate(a, g).amplitude() - a.amplitude()) < ATOL
+
+
+def test_inner_product_factorizes_over_tensor_products():
+    # <a (x) c|b (x) d> = <a|b><c|d> checks joint widths past the dense cap
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        na, nc = int(rng.integers(1, 7)), int(rng.integers(7, 35))
+        a, b = random_projected_state(rng, na), random_projected_state(rng, na)
+        c, d = random_projected_state(rng, nc), random_projected_state(rng, nc)
+        ab = sc.inner_product(a, b)
+        assert abs(ab - np.vdot(do.expand(a), do.expand(b))) < ATOL
+        want = ab * sc.inner_product(c, d)
+        assert abs(sc.inner_product(sc.tensor(a, c), sc.tensor(b, d)) - want) < ATOL
+        assert abs(sc.inner_product(sc.tensor(c, a), sc.tensor(d, b)) - want) < ATOL
 
 
 def test_pauli_product_matches_dense():
@@ -186,13 +215,15 @@ def test_equatorial_overlap_examples_and_oracle():
     assert abs(sc.equatorial_overlap(sc.zero_state(2), np.zeros((2, 2), int)) - 0.5) < ATOL
     assert abs(sc.equatorial_overlap(sc.plus_state(3), np.zeros((3, 3), int)) - 1.0) < ATOL
     rng = np.random.default_rng(31)
-    for _ in range(30):
-        n = int(rng.integers(1, 4))
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
         A = rng.integers(0, 2, size=(n, n))
         A = np.triu(A, 1)
         A = A + A.T + np.diag(rng.integers(0, 4, size=n))
-        psi = random_stab_state(rng, n)
-        phi = do.expand(sc.equatorial_state(A))
+        psi = random_projected_state(rng, n)
+        # |phi_A> = 2^(-n/2) sum_x i^(x^T A x) |x>, built without the engine
+        x = np.array([do.index_bits(i, n) for i in range(2**n)], dtype=np.int64)
+        phi = 2.0 ** (-n / 2) * 1j ** (np.einsum("xj,jk,xk->x", x, A, x) % 4)
         want = np.vdot(phi, do.expand(psi))
         assert abs(sc.equatorial_overlap(psi, A) - want) < ATOL
 
