@@ -1,10 +1,12 @@
 """Dense two-phase revised simplex for small equality-form LPs.
 
 Solves min c.x subject to A x = b, x >= 0.  Problem sizes here stay below
-~64 rows and a few thousand columns, so the basis is refactored outright
-each iteration.  Pivoting uses Dantzig pricing with a largest-pivot tie
-break; after a long degenerate stall it falls back to Bland's rule, which
-guarantees termination.
+~64 rows and a few thousand columns, so the basis inverse is kept dense and
+updated by one rank-one step per pivot.  It is refactored (one inversion)
+at the start, every m pivots for m rows, and before an optimal basis is
+returned, whose optimality is rechecked on the fresh factor.  Pivoting uses
+Dantzig pricing with a largest-pivot tie break; after a long degenerate
+stall it falls back to Bland's rule, which guarantees termination.
 """
 
 from __future__ import annotations
@@ -20,26 +22,35 @@ class LPError(Exception):
     pass
 
 
+def _invert(A: np.ndarray, basis: list[int]) -> np.ndarray:
+    try:
+        return np.linalg.inv(A[:, basis])
+    except np.linalg.LinAlgError:
+        raise LPError("singular basis") from None
+
+
 def _simplex_core(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]) -> tuple[np.ndarray, list[int], np.ndarray]:
     m, ncols = A.shape
     max_iter = 50 * (ncols + m)
     stall = 0
+    updates = m  # rank-one updates since the last inversion; m forces one
     for _ in range(max_iter):
-        B = A[:, basis]
-        try:
-            x_B = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError:
-            raise LPError("singular basis") from None
+        if updates == m:
+            B_inv, updates = _invert(A, basis), 0
+        x_B = B_inv @ b
+        y = c[basis] @ B_inv
         reduced = c - y @ A
         candidates = np.flatnonzero(reduced < -_RTOL)
         if candidates.size == 0:
-            x = np.zeros(ncols)
-            x[basis] = np.maximum(x_B, 0.0)
-            return x, basis, y
+            if updates == 0:
+                x = np.zeros(ncols)
+                x[basis] = np.maximum(x_B, 0.0)
+                return x, basis, y
+            updates = m  # recheck optimality on a fresh inverse
+            continue
         bland = stall >= _STALL_LIMIT
         j = int(candidates[0]) if bland else int(candidates[np.argmin(reduced[candidates])])
-        d = np.linalg.solve(B, A[:, j])
+        d = B_inv @ A[:, j]
         pos = np.flatnonzero(d > _PIVOT_TOL)
         if pos.size == 0:
             raise LPError("unbounded")
@@ -54,6 +65,11 @@ def _simplex_core(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int])
             leave = int(ties[np.argmax(d[ties])])
         stall = stall + 1 if theta <= 1e-12 else 0
         basis[leave] = j
+        # eliminate column j of B^-1 A against the pivot row
+        row = B_inv[leave] / d[leave]
+        B_inv -= d[:, None] * row
+        B_inv[leave] = row
+        updates += 1
     raise LPError("iteration limit exceeded")
 
 

@@ -28,6 +28,9 @@ from . import monotones as mt
 from . import rank_sim as rs
 from . import stab_core as sc
 
+# rows of the `monotone` table; 10^5 rows already take about 2 s and 2 MB
+MAX_COPIES = 10**5
+
 SUBCOMMANDS = ("estimate", "sample", "constrained", "monotone", "distill", "bench", "selftest")
 
 _PARAM_KEYS = {
@@ -345,12 +348,16 @@ def _run_monotone(args) -> tuple[str, int]:
     params = _params(doc, "monotone")
     factors = _state_factors(args, doc, "monotone")
     copies = _as_int(_opt(args.copies, params, "copies", 1), "copies")
-    if copies < 1:
-        raise CLIError("copies must be at least 1")
+    if not 1 <= copies <= MAX_COPIES:
+        raise CLIError(f"copies must lie in [1, {MAX_COPIES}], the row ceiling")
     q = len(factors)
     lam1 = mt.product_monotone(factors)
     d1 = math.prod(mt.stab_norm_1q(b) for b in factors)
     r1 = math.prod(mt.robustness_1q(b) for b in factors)
+    top = max(lam1, d1, r1)
+    if copies * math.log(top) > math.log(sys.float_info.max):
+        limit = math.floor(math.log(sys.float_info.max) / math.log(top))
+        raise CLIError(f"copies above {limit} overflow a float for this state")
     base = functools.reduce(np.kron, [b.density() for b in factors]) if q <= 3 else None
     rows = []
     for n_cop in range(1, copies + 1):

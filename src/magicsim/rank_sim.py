@@ -246,11 +246,12 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     means, each batch averaging ceil(4/eps_fn^2) draws of the unbiased
     single-state estimate eta_A = 2^n |<phi_A|v>|^2.
 
-    Draws come in blocks of up to 32768.  For n <= 6 a block's exponents
-    x^T A x are two uint8 row lookups per draw in the _equatorial_grid
-    tables, and its overlaps are one product with the dense vector; wider
-    vectors take one SparseVector.equatorial_overlap per draw, an
-    exponential sum per distinct drawn term.
+    Draws come in blocks of up to 32768.  For n <= 6 a draw is two integers,
+    one uniform row of each _equatorial_grid table, so a block's exponents
+    x^T A x are row lookups and its overlaps one product with the dense
+    vector; wider vectors draw A's digits and bits and take one
+    SparseVector.equatorial_overlap per draw, an exponential sum per
+    distinct drawn term.
     """
     if not 0.0 < eps_fn <= 0.2:
         raise RankSimError("eps_fn must lie in (0, 1/5]")
@@ -265,23 +266,22 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     narrow = n <= do.MAX_DENSE_QUBITS
     if narrow:
         diag_table, off_table = _equatorial_grid(n)
-        diag_place, off_place = 4 ** np.arange(n), 2 ** np.arange(len(pairs))
         vdense = v.dense()
     etas = np.empty(total)
     done = 0
     while done < total:
         m = min(32768, total - done)
-        diags = rng.integers(0, 4, size=(m, n))
-        offs = rng.integers(0, 2, size=(m, len(pairs)))
         if narrow:
             # eta_A = |sum_x (-i)^{x^T A x} v(x)|^2; the 2^n prefactor
             # cancels against the equatorial amplitude normalization.
             # take copies whole rows, several times faster than fancy indexing
-            expo = diag_table.take(diags @ diag_place, axis=0)
-            expo += off_table.take(offs @ off_place, axis=0)
+            expo = diag_table.take(rng.integers(0, len(diag_table), m), axis=0)
+            expo += off_table.take(rng.integers(0, len(off_table), m), axis=0)
             amps = _NEG_I_POW.take(expo & 3) @ vdense
             etas[done : done + m] = np.abs(amps) ** 2
         else:
+            diags = rng.integers(0, 4, size=(m, n))
+            offs = rng.integers(0, 2, size=(m, len(pairs)))
             scale = float(2**n)
             for r in range(m):
                 A = np.diag(diags[r])

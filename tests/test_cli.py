@@ -493,6 +493,34 @@ class TestMalformedInput:
         assert diag["error"]["kind"] == "validation"
         assert "joint terms" in diag["error"]["message"]
 
+    @pytest.mark.parametrize("argv, phrase", [
+        (("--state", "T", "--alpha", "0.85", "--copies", "5000"), "overflow"),
+        (("--state", "F", "--alpha", "1", "--copies", "2000"), "overflow"),
+        (("--state", "+", "--copies", "100000000"), "row ceiling"),
+    ], ids=["T-overflow", "F-overflow", "row-ceiling"])
+    def test_monotone_copies_refused(self, capsys, argv, phrase):
+        t0 = time.monotonic()
+        rc, out, err = run_cli(capsys, "monotone", *argv)
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert phrase in diag["error"]["message"]
+
+    def test_monotone_copies_at_overflow_limit_stay_finite(self, capsys, tmp_path):
+        # four factors skip the LP, so the whole table is closed forms
+        path = write_doc(tmp_path, {"state": {"product": [{"named": "F", "alpha": 1.0}] * 4}})
+        _, _, err = run_cli(capsys, "monotone", "--input", path, "--copies", "100000")
+        limit = int(json.loads(err)["error"]["message"].split()[2])
+        rc, out, _ = run_cli(capsys, "monotone", "--input", path, "--copies", str(limit), "--format", "json")
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == limit
+        assert all(math.isfinite(v) for v in rows[-1][1:] if v is not None)
+        rc, _, _ = run_cli(capsys, "monotone", "--input", path, "--copies", str(limit + 1))
+        assert rc == 2
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_GATE_DOCS))
     def test_malformed_gate_is_validation_error(self, capsys, tmp_path, case):
         subcommand, doc = MALFORMED_GATE_DOCS[case]

@@ -182,8 +182,12 @@ def fast_norm_int64(v, eps_fn, p_fn, rng):
     done = 0
     while done < total:
         m = min(32768, total - done)
-        diags = rng.integers(0, 4, size=(m, n))
-        offs = rng.integers(0, 2, size=(m, len(pairs)))
+        # two integers per draw, the table row indices; their base-4 and
+        # base-2 digits are the diagonal and off-diagonal entries of A
+        di = rng.integers(0, 4**n, m)
+        oi = rng.integers(0, 2 ** len(pairs), m)
+        diags = (di[:, None] >> 2 * np.arange(n)) & 3
+        offs = (oi[:, None] >> np.arange(len(pairs))) & 1
         expo = (diags @ bits.T + 2 * (offs @ pair_bits.T)) & 3
         amps = np.array([1.0, -1.0j, -1.0, 1.0j])[expo] @ vdense
         etas[done : done + m] = np.abs(amps) ** 2
