@@ -6,6 +6,11 @@ through each channel by sampling one unitary or Kraus branch.  Kraus branches
 are chosen with trace-norm probabilities, which keeps every propagated dyad at
 unit amplitude and caps each sample at the decomposition's l1 weight exactly;
 the shortfall of the branch probabilities is an abort that contributes zero.
+
+Dyads are propagated only up to the last channel with a Kraus part.  Every
+later branch is a Clifford unitary U, and Tr[E U|L><R|U^dag] = <R|U^dag E U|L>,
+so the measurement E is pulled back through the sampled tail instead
+(Heisenberg picture) and evaluated on the dyad where the Kraus part ends.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,7 +27,8 @@ from ._util import kahan_sum, run_chunked, sample_rng
 from .channels import ChannelError, Dyad, DyadicDecomposition, SimulableChannel
 
 _P0_TOL = 1e-12
-# refused before any sampling: at ~50 us per sample this is already half a day
+_I_POW = (1, 1j, -1, -1j)
+# refused before any sampling: at ~16 us per sample this is still over four hours
 MAX_SAMPLES = 10**9
 
 
@@ -59,32 +66,66 @@ def _unit(state: sc.StabState) -> sc.StabState:
     return out
 
 
-def _measure_value(dyad: Dyad, measurement) -> complex:
+def _cumulative(probs: list[float]) -> list[float]:
+    total = sum(probs)
+    if total > 1.0 + _P0_TOL * max(1, len(probs)):
+        raise ChannelError(f"branch probabilities sum to {total}")
+    return list(accumulate(probs))
+
+
+def _tail_start(chans) -> int:
+    """Index after the last channel with a Kraus part; the rest is Clifford."""
+    return max((l + 1 for l, chan in enumerate(chans) if chan.kraus_part), default=0)
+
+
+def _pull_back(measurement, gates):
+    """U^dag E U for the tail circuit U, as (cache key, operator, power of i).
+
+    A Pauli i^k X^x Z^z is keyed by x and z and returned without its i^k,
+    which multiplies the leaf value afterwards; a projector keeps its
+    generators' phases and is keyed on them.
+    """
     if isinstance(measurement, sc.PauliOp):
-        Lm = sc.apply_pauli(dyad.L, measurement)
+        p = sc.conjugate_pauli(measurement, gates)
+        return (p.x.tobytes(), p.z.tobytes()), sc.PauliOp(p.x, p.z), p.k
+    gens = [(sc.conjugate_pauli(op, gates), sign) for op, sign in measurement.generators]
+    key = tuple((op.x.tobytes(), op.z.tobytes(), (op.k + 1 - sign) % 4) for op, sign in gens)
+    return key, sc.StabProjector(measurement.n, gens), 0
+
+
+def _leaf_value(dyad: Dyad, op) -> complex:
+    """Tr[op |L><R|] = <R|op|L>; a diagonal dyad under a Pauli needs no overlap."""
+    if isinstance(op, sc.StabProjector):
+        Lm, _ = sc.project_stab(dyad.L, op)
+    elif dyad.R is dyad.L:
+        return sc.pauli_expectation(dyad.L, op)
     else:
-        Lm, _ = sc.project_stab(dyad.L, measurement)
+        Lm = sc.apply_pauli(dyad.L, op)
     return sc.inner_product(dyad.R, Lm)
 
 
 class _Node:
     """Node of the trajectory tree: a dyad plus its branch distribution per channel.
 
-    The branch path fully determines the dyad, so transition probabilities
-    and leaf inner products are computed once and shared by every sample
-    that walks the same path.  Unitary and Kraus branches share one joint
-    distribution; the tail mass is the abort.  A Kraus child is built with
-    its probability, which needs the projection anyway; a unitary child
-    stays a gate list until a sample first walks into it.
+    The tree covers the channels up to the last one with a Kraus part.  The
+    branch path fully determines the dyad, so transition probabilities and
+    leaf values are computed once and shared by every sample that walks the
+    same path.  Unitary and Kraus branches share one joint distribution; the
+    tail mass is the abort.  A Kraus child is built with its probability,
+    which needs the projection anyway; a unitary child stays a gate list
+    until a sample first walks into it.  A diagonal dyad, such as every
+    sigma term, stays diagonal and is propagated once per branch.  A leaf
+    keeps its values keyed by the content of the measurement pulled back
+    through the Clifford tail.
     """
 
-    __slots__ = ("dyad", "cum", "children", "value")
+    __slots__ = ("dyad", "cum", "children", "values")
 
     def __init__(self, dyad: Dyad | None):
         self.dyad = dyad
         self.cum = None
         self.children = None
-        self.value = None
+        self.values = {}
 
     def expand(self, chan: SimulableChannel) -> None:
         probs = [p for p, _ in chan.unitary_part]
@@ -92,19 +133,16 @@ class _Node:
         L, R = self.dyad.L, self.dyad.R
         for q, k in chan.kraus_part:
             Lp, nl = sc.project_stab(L, k.proj)
-            Rp, nr = sc.project_stab(R, k.proj)
+            Rp, nr = (Lp, nl) if R is L else sc.project_stab(R, k.proj)
             pr = q * (2.0**k.h) * nl * nr
             if pr > 0.0:
                 Lp = _unit(sc.apply_circuit(Lp, k.circuit))
-                Rp = _unit(sc.apply_circuit(Rp, k.circuit))
+                Rp = Lp if R is L else _unit(sc.apply_circuit(Rp, k.circuit))
                 kids.append(_Node(Dyad(Lp, Rp)))
             else:
                 kids.append(None)
             probs.append(pr)
-        total = sum(probs)
-        if total > 1.0 + _P0_TOL * max(1, len(probs)):
-            raise ChannelError(f"branch probabilities sum to {total}")
-        self.cum = np.cumsum(probs).tolist()
+        self.cum = _cumulative(probs)
         self.children = kids
 
     def child(self, j: int) -> _Node:
@@ -112,39 +150,63 @@ class _Node:
         if isinstance(kid, tuple):
             L, R = self.dyad.L, self.dyad.R
             Lc = sc.apply_circuit(L, kid)
-            # a diagonal dyad, such as every sigma term, stays diagonal
             kid = self.children[j] = _Node(Dyad(Lc, Lc if R is L else sc.apply_circuit(R, kid)))
         return kid
 
 
-def _walk_value(roots, cum0, phases, chans, measurement, l1, row) -> tuple[float, bool]:
-    """One sample: row[0] picks the root and row[1 + l] the branch at channel l."""
-    r0 = min(bisect_right(cum0, row[0]), len(roots) - 1)
-    node = roots[r0]
-    for chan, u in zip(chans, row[1:]):
-        if node.children is None:
-            node.expand(chan)
-        j = bisect_right(node.cum, u)
-        if j >= len(node.cum):
-            return 0.0, True
-        node = node.child(j)
-    if node.value is None:
-        # a leaf lies under one root only, so its phase is fixed with it
-        node.value = l1 * float(np.real(phases[r0] * _measure_value(node.dyad, measurement)))
-    return node.value, False
-
-
 def _chunk_worker(payload, lo: int, hi: int):
+    """Samples lo..hi-1: column 0 of the chunk's draws picks the root and
+    column 1 + l the branch at channel l.
+
+    The trajectory tree is walked through the head channels only.  A tail
+    channel's branches do not depend on the dyad, so each tail column is
+    drawn for the whole chunk at once, and the measurement is pulled back
+    once per distinct tail path: Tr[E U|L><R|U^dag] = <R|U^dag E U|L>.
+    """
     decomp, chans, measurement, seed, bound, roots = payload
+    cut = _tail_start(chans)
+    head, tail = chans[:cut], chans[cut:]
     cum0, phases = decomp.sampling_arrays()
     cum0 = cum0.tolist()
-    rows = sample_rng(seed, lo).random((hi - lo, len(chans) + 1)).tolist()
+    draws = sample_rng(seed, lo).random((hi - lo, len(chans) + 1))
+    picks = np.empty((hi - lo, len(tail)), dtype=np.int64)
+    tail_aborts = np.zeros(hi - lo, dtype=bool)
+    for l, chan in enumerate(tail):
+        cum = _cumulative([p for p, _ in chan.unitary_part])
+        picks[:, l] = np.searchsorted(cum, draws[:, 1 + cut + l], side="right")
+        tail_aborts |= picks[:, l] >= len(cum)
+    pulled = {}
     values = []
     aborted = 0
-    for index, row in enumerate(rows, lo):
-        mu, did_abort = _walk_value(roots, cum0, phases, chans, measurement, bound, row)
-        if did_abort:
+    for index, row, path, tail_abort in zip(
+        range(lo, hi), draws[:, : cut + 1].tolist(), picks.tolist(), tail_aborts.tolist()
+    ):
+        r0 = min(bisect_right(cum0, row[0]), len(roots) - 1)
+        node = roots[r0]
+        for chan, u in zip(head, row[1:]):
+            if node.children is None:
+                node.expand(chan)
+            j = bisect_right(node.cum, u)
+            if j >= len(node.cum):
+                node = None
+                break
+            node = node.child(j)
+        if node is None or tail_abort:
             aborted += 1
+            values.append(0.0)
+            continue
+        path = tuple(path)
+        if path not in pulled:
+            gates = [g for chan, j in zip(tail, path) for g in chan.unitary_part[j][1]]
+            pulled[path] = _pull_back(measurement, gates)
+        key, op, k = pulled[path]
+        value = node.values.get(key)
+        if value is None:
+            value = node.values[key] = _leaf_value(node.dyad, op)
+        if k:
+            value = value * _I_POW[k]
+        # a leaf lies under one root only, so its phase is fixed with it
+        mu = bound * float(np.real(phases[r0] * value))
         if abs(mu) > bound + 1e-9:
             raise RuntimeError(f"sample {index} exceeded the l1 bound: {mu}")
         values.append(mu)

@@ -514,6 +514,84 @@ def with_unit_amplitude(state: StabState) -> tuple[StabState, float]:
     return out, amp
 
 
+def _pauli_image(state: StabState, p: PauliOp) -> tuple[np.ndarray, np.ndarray, int]:
+    """(rx, rz, rk) with U_H^dag U_C^dag p U_C U_H = i^rk X^rx Z^rz."""
+    # U_C^dag p U_C, composed from the tracked generator images
+    rx = np.zeros(state.n, dtype=bool)
+    rz = np.zeros(state.n, dtype=bool)
+    rk = p.k
+    for q in np.flatnonzero(p.x):
+        rk = (rk + 2 * _parity(rz & state.F[q]) + int(state.g[q])) % 4
+        rx ^= state.F[q]
+        rz ^= state.M[q]
+    for q in np.flatnonzero(p.z):
+        rz ^= state.G[q]
+    # commute through the Hadamard layer: swap x/z on v qubits
+    rk = (rk + 2 * _parity(rx & rz & state.v)) % 4
+    swap = state.v
+    return (rx & ~swap) | (rz & swap), (rz & ~swap) | (rx & swap), rk
+
+
+def pauli_expectation(state: StabState, p: PauliOp) -> complex:
+    """Exact <state|p|state> for a Pauli of any phase, read off the tableau.
+
+    With p pulled back to i^rk X^rx Z^rz on the basis state |s>, the value is
+    |scalar|^2 i^rk (-1)^{rz.s} when rx is zero and 0 otherwise.
+    """
+    if p.n != state.n:
+        raise ValueError("dimension mismatch")
+    if state.null:
+        return 0j
+    rx, rz, rk = _pauli_image(state, p)
+    if rx.any():
+        return 0j
+    return state.amplitude() ** 2 * complex(_I_POW[(rk + 2 * _parity(rz & state.s)) % 4])
+
+
+def conjugate_pauli(p: PauliOp, gates) -> PauliOp:
+    """U^dag p U for the circuit U that applies gates in order.
+
+    The gates are undone last first, each by a symplectic rule on the
+    i^k X^x Z^z form (Aaronson and Gottesman, arXiv:quant-ph/0406196).  The
+    rules keep every phase, so a projector is conjugated generator by
+    generator.
+    """
+    x, z, k = p.x.tolist(), p.z.tolist(), p.k
+    for gate in reversed(gates):
+        check_gate(gate, p.n)
+        name, a = gate[0], gate[1]
+        if name == "H":
+            # H X^x Z^z H = Z^x X^z = (-1)^{xz} X^z Z^x
+            k += 2 * (x[a] & z[a])
+            x[a], z[a] = z[a], x[a]
+        elif name == "S":
+            # S^dag X S = -i X Z
+            k += 3 * x[a]
+            z[a] ^= x[a]
+        elif name == "SDG":
+            k += x[a]
+            z[a] ^= x[a]
+        elif name == "X":
+            k += 2 * z[a]
+        elif name == "Y":
+            k += 2 * (x[a] ^ z[a])
+        elif name == "Z":
+            k += 2 * x[a]
+        else:
+            b = gate[2]
+            if name == "CX":
+                x[b] ^= x[a]
+                z[a] ^= z[b]
+            elif name == "CZ":
+                # CZ X_a CZ = X_a Z_b, and X_a Z_b X_b Z_a = -X_a X_b Z_a Z_b
+                k += 2 * (x[a] & x[b])
+                z[a] ^= x[b]
+                z[b] ^= x[a]
+            else:
+                x[a], x[b], z[a], z[b] = x[b], x[a], z[b], z[a]
+    return PauliOp(np.array(x, dtype=bool), np.array(z, dtype=bool), k)
+
+
 def project_pauli(state: StabState, p: PauliOp, sign: int) -> tuple[StabState, float]:
     """Apply (1 + sign*p)/2; returns the projected state and its norm
     relative to the input amplitude (one of 0, 1/sqrt(2), 1)."""
@@ -526,20 +604,7 @@ def project_pauli(state: StabState, p: PauliOp, sign: int) -> tuple[StabState, f
     out = state.copy()
     if out.null:
         return out, 0.0
-    # P' = U_C^dag P U_C, composed from the tracked generator images
-    rx = np.zeros(out.n, dtype=bool)
-    rz = np.zeros(out.n, dtype=bool)
-    rk = p.k
-    for q in np.flatnonzero(p.x):
-        rk = (rk + 2 * _parity(rz & out.F[q]) + int(out.g[q])) % 4
-        rx ^= out.F[q]
-        rz ^= out.M[q]
-    for q in np.flatnonzero(p.z):
-        rz ^= out.G[q]
-    # commute through the Hadamard layer: swap x/z on v qubits
-    rk = (rk + 2 * _parity(rx & rz & out.v)) % 4
-    swap = out.v
-    rx, rz = (rx & ~swap) | (rz & swap), (rz & ~swap) | (rx & swap)
+    rx, rz, rk = _pauli_image(out, p)
     # act on |s>: i^rk X^rx Z^rz |s> = i^rk (-1)^{rz.s} |s + rx>
     dk = (rk + 2 * _parity(rz & out.s) + (0 if sign > 0 else 2)) % 4
     if not rx.any():

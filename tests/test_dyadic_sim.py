@@ -1,9 +1,12 @@
 """Dyadic simulator: transition probabilities, unbiasedness, reproducibility."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import magicsim.channels as ch
+import magicsim.constrained_sim as cs
 import magicsim.dense_oracle as do
 import magicsim.dyadic_sim as dy
 import magicsim.monotones as mono
@@ -126,6 +129,28 @@ class TestStabilizerUpdate:
         assert len(calls) == 3
         assert kid.dyad.L is kid.dyad.R
 
+    def test_diagonal_dyad_stays_diagonal_through_kraus(self, monkeypatch):
+        # one projection and one circuit per Kraus branch serve both sides
+        calls = []
+        project_stab = sc.project_stab
+
+        def counted(state, proj):
+            calls.append(proj)
+            return project_stab(state, proj)
+
+        state = sc.apply_circuit(sc.plus_state(2), [("S", 0), ("CX", 0, 1)])
+        chan = ch.builtin_channel("t_gadget", [0, 1], 2)
+        twin = expanded(ch.Dyad(state, state.copy()), 2, kraus=chan.kraus_part)
+        monkeypatch.setattr(sc, "project_stab", counted)
+        diag = expanded(ch.Dyad(state, state), 2, kraus=chan.kraus_part)
+        assert len(calls) == len(chan.kraus_part)
+        assert diag.cum == twin.cum
+        for j in range(len(diag.cum)):
+            kid, ref = diag.child(j), twin.child(j)
+            assert kid.dyad.L is kid.dyad.R
+            assert do.expand(kid.dyad.L) == pytest.approx(do.expand(ref.dyad.L))
+            assert do.expand(kid.dyad.R) == pytest.approx(do.expand(ref.dyad.R))
+
     def test_empty_part_rejected(self):
         # width 7 lies above the dense completeness check
         with pytest.raises(ch.ChannelError):
@@ -197,9 +222,18 @@ def reference_chunk(dec, chans, measurement, seed, lo, hi):
             node = node.children[j]
         else:
             if node.value is None:
-                node.value = dy._measure_value(node.dyad, measurement)
+                node.value = _measure(node.dyad, measurement)
             values.append(dec.l1 * float(np.real(phases[r0] * node.value)))
     return kahan_sum(values), aborted
+
+
+def _measure(dyad, measurement):
+    """Tr[E |L><R|] after every channel, the Schroedinger-picture leaf value."""
+    if isinstance(measurement, sc.PauliOp):
+        Lm = sc.apply_pauli(dyad.L, measurement)
+    else:
+        Lm, _ = sc.project_stab(dyad.L, measurement)
+    return sc.inner_product(dyad.R, Lm)
 
 
 def gadget_noise_measure():
@@ -213,7 +247,73 @@ def gadget_noise_measure():
     return dec, chans, proj_zero(3, 0)
 
 
+def gadget_then_clifford_tail(diagonal=False):
+    """A T gadget followed by a Clifford tail: depolarizing noise and a
+    two-term mix over H, S, SDG, CZ, SWAP and Y.  The input is |+,H,H>, or
+    with diagonal set the stabilizer mixture of its robustness pair, whose
+    dyads are all diagonal."""
+    states = [mono.BlochState.named(s) for s in "+HH"]
+    dec = cs.optimal_pair(states).sigma if diagonal else ch.dyadic_decompose_product(states)
+    terms = [
+        [0.55, [["H", 0], ["S", 1], ["CZ", 0, 2], ["SWAP", 1, 2]]],
+        [0.45, [["SDG", 2], ["Y", 0], ["H", 1], ["CZ", 1, 0], ["S", 0]]],
+    ]
+    chans = [
+        ch.builtin_channel("t_gadget", [0, 1], 3),
+        ch.builtin_channel("depolarizing", [2], 3, {"lambda": 0.3}),
+        ch.builtin_channel("clifford_mix", [0, 1, 2], 3, {"terms": terms}),
+    ]
+    return dec, chans
+
+
+TAIL_MEASUREMENTS = {
+    "pauli": sc.PauliOp.from_letters("XYZ", -1),
+    "projector": sc.StabProjector.from_strings([("ZXI", 1), ("IIZ", -1)]),
+}
+
+
 class TestChunkStream:
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("kind", sorted(TAIL_MEASUREMENTS))
+    def test_tail_chunk_matches_eager_reference(self, kind, diagonal):
+        # the tree stops at the gadget; the tail is pulled back onto the measurement
+        dec, chans = gadget_then_clifford_tail(diagonal)
+        assert all((d.R is d.L) == diagonal for _, d in dec.terms)
+        measurement = TAIL_MEASUREMENTS[kind]
+        assert dy._tail_start(chans) == 1
+        roots = [dy._Node(d) for _, d in dec.terms]
+        payload = (dec, chans, measurement, 13, dec.l1, roots)
+        for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 53)):
+            total, aborted = dy._chunk_worker(payload, lo, hi)
+            want_total, want_aborted = reference_chunk(dec, chans, measurement, 13, lo, hi)
+            assert aborted == want_aborted
+            assert abs(total - want_total) <= 1e-12
+            assert total != 0.0
+
+    def test_tail_abort_matches_eager_reference(self):
+        # a tail channel whose branches fall short of 1 aborts the sample, as
+        # it does when the tree walks through it
+        dec, chans = gadget_then_clifford_tail()
+        short = SimpleNamespace(n=3, kraus_part=(), unitary_part=(
+            (0.6, (("H", 2),)), (0.3, (("CZ", 0, 2), ("SDG", 1))),
+        ))
+        chans.insert(2, short)
+        measurement = TAIL_MEASUREMENTS["projector"]
+        roots = [dy._Node(d) for _, d in dec.terms]
+        payload = (dec, chans, measurement, 19, dec.l1, roots)
+        total, aborted = dy._chunk_worker(payload, CHUNK, 2 * CHUNK + 7)
+        want_total, want_aborted = reference_chunk(dec, chans, measurement, 19, CHUNK, 2 * CHUNK + 7)
+        assert aborted == want_aborted > 0
+        assert abs(total - want_total) <= 1e-12
+
+    def test_tail_estimate_reproducible_across_workers(self):
+        dec, chans = gadget_then_clifford_tail()
+        for measurement in TAIL_MEASUREMENTS.values():
+            reps = [dy.estimate_born(dec, chans, measurement, 0.12, 0.05, seed=17, workers=w)
+                    for w in (1, 2)]
+            assert reps[0].M > 3 * CHUNK
+            assert repr(reps[0].to_dict()) == repr(reps[1].to_dict())
+
     def test_chunk_matches_eager_reference(self):
         dec, chans, proj = gadget_noise_measure()
         roots = [dy._Node(d) for _, d in dec.terms]

@@ -228,6 +228,53 @@ def test_equatorial_overlap_examples_and_oracle():
         assert abs(sc.equatorial_overlap(psi, A) - want) < ATOL
 
 
+@pytest.mark.parametrize("name", sc.GATE_NAMES)
+def test_conjugate_pauli_matches_dense(name):
+    # U^dag P U for one gate after a random prefix, P carrying any of the four phases
+    rng = np.random.default_rng(sorted(sc.GATE_NAMES).index(name))
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        targets = rng.choice(n, size=2 if name in ("CX", "CZ", "SWAP") else 1, replace=False)
+        gates = [random_gate(rng, n) for _ in range(int(rng.integers(0, 4)))]
+        gates.append((name, *map(int, targets)))
+        p = random_pauli(rng, n, hermitian=False)
+        U = do.circuit_unitary(n, gates)
+        want = U.conj().T @ do.pauli_matrix(p) @ U
+        assert np.allclose(do.pauli_matrix(sc.conjugate_pauli(p, gates)), want, atol=ATOL)
+
+
+def test_conjugate_pauli_round_trip_wide():
+    # conjugating by U and then by U^dag returns the Pauli with its phase
+    rng = np.random.default_rng(41)
+    n = 40
+    gates = [random_gate(rng, n) for _ in range(400)]
+    inverse = [({"S": "SDG", "SDG": "S"}.get(g[0], g[0]), *g[1:]) for g in reversed(gates)]
+    for _ in range(10):
+        p = random_pauli(rng, n, hermitian=False)
+        there = sc.conjugate_pauli(p, gates)
+        assert there != p
+        assert sc.conjugate_pauli(there, inverse) == p
+
+
+def test_pauli_expectation_matches_dense():
+    rng = np.random.default_rng(43)
+    kinds = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        state = random_stab_state(rng, n)
+        for _ in range(int(rng.integers(0, 3))):
+            state, _ = sc.project_pauli(state, random_pauli(rng, n), 1 if rng.random() < 0.5 else -1)
+        kinds.add("null" if state.null else "rescaled" if state.p2 < 0 else "unit")
+        p = random_pauli(rng, n, hermitian=False)
+        vec = do.expand(state)
+        want = np.vdot(vec, do.pauli_matrix(p) @ vec)
+        assert abs(sc.pauli_expectation(state, p) - want) < ATOL
+        # a stabilizer of the state reads its squared norm
+        if not state.null:
+            assert abs(sc.pauli_expectation(state, sc.PauliOp.identity(n)) - np.vdot(vec, vec)) < ATOL
+    assert kinds == {"null", "rescaled", "unit"}
+
+
 def test_multiply_phase_and_unit_amplitude():
     rng = np.random.default_rng(37)
     state = random_stab_state(rng, 3)
