@@ -4,11 +4,18 @@ A channel is decomposed into a probabilistic mixture of Clifford circuits
 plus weighted Kraus operators of the fixed form 2^{h/2} U Pi with U Clifford
 and Pi a stabilizer projector of h generators.  That shape keeps trace-norm
 transition probabilities exactly computable during sampling.  All types are
-immutable after construction and validated when built; the dense checks
-stop at six qubits.
+immutable after construction and validated when built.  Dyadic
+decompositions are checked from stabilizer overlaps at every width; a
+channel's Kraus completeness is checked densely up to six qubits and
+through its trace above that.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -19,6 +26,9 @@ from . import stab_core as sc
 DEFAULT_MAX_TERMS = 64
 
 _ATOL = 1e-8
+# bound on ||rho - rho^dag||^2 / (2 ||rho||^2): about 1e-5 in the HS norm, far
+# above the rounding of the overlap sums
+_HERMITIAN_RTOL = 1e-10
 
 
 class ChannelError(ValueError):
@@ -47,16 +57,20 @@ class Dyad:
 
 
 class DyadicDecomposition:
-    """Weighted dyad expansion rho = sum_j alpha_j |L_j><R_j|.
+    """Weighted dyad expansion rho = sum_j alpha_j |L_j><R_j|, kept as a
+    tensor product of factors.
 
-    With validate set, the trace sum_j alpha_j <R_j|L_j> = 1 is checked
-    symbolically at every width and Hermiticity densely up to six qubits;
-    above that Hermiticity stays unchecked.  Builders whose factors were
+    DyadicDecomposition(terms) is a one-factor expansion; product() joins
+    decompositions without expanding them.  l1, the unit phases and the
+    sampling weights multiply over the factors, dense() is the Kronecker
+    product of the factors' matrices, and terms is the lazy sequence of joint
+    terms, each tensored when it is read.  With validate set, unit trace and
+    Hermiticity are checked from overlaps, at every width (_check_density).  Builders whose factors were
     validated already, such as products of 1-qubit decompositions, pass
-    validate=False.
+    validate=False or join the validated factors with product().
     """
 
-    __slots__ = ("terms", "n", "l1", "_sampling")
+    __slots__ = ("factors", "terms", "n", "l1", "_sampling")
 
     def __init__(self, terms, validate: bool = True):
         terms = tuple((complex(a), d) for a, d in terms)
@@ -65,39 +79,131 @@ class DyadicDecomposition:
         n = terms[0][1].n
         if any(d.n != n for _, d in terms):
             raise ChannelError("mixed widths in decomposition")
-        self.terms = terms
-        self.n = n
-        self._sampling = None
-        self.l1 = float(sum(abs(a) for a, _ in terms))
-        if self.l1 < 1.0 - 1e-9:
+        self._join((terms,), float(sum(abs(a) for a, _ in terms)))
+        if validate:
+            _check_density(terms)
+
+    @classmethod
+    def product(cls, decomps) -> "DyadicDecomposition":
+        """Tensor product of decompositions, the first one's qubits first.
+
+        Products of Hermitian unit-trace factors are Hermitian with unit
+        trace, so nothing is checked again.
+        """
+        decomps = list(decomps)
+        if not decomps:
+            raise ChannelError("product needs at least one factor")
+        out = cls.__new__(cls)
+        out._join(tuple(f for d in decomps for f in d.factors), math.prod(d.l1 for d in decomps))
+        return out
+
+    def _join(self, factors, l1: float) -> None:
+        if l1 < 1.0 - 1e-9:
             raise ChannelError("dyadic l1 weight below 1")
-        if not validate:
-            return
-        if n <= do.MAX_DENSE_QUBITS:
-            mat = self.dense()
-            if np.abs(mat - mat.conj().T).max() > _ATOL:
-                raise ChannelError("decomposition is not Hermitian")
-        trace = sum(a * sc.inner_product(d.R, d.L) for a, d in terms)
-        if abs(trace - 1.0) > _ATOL:
-            raise ChannelError(f"decomposition trace is {trace:.6g}, expected 1")
+        self.factors = factors
+        self.terms = _JointTerms(factors)
+        self.n = sum(f[0][1].n for f in factors)
+        self.l1 = l1
+        self._sampling = None
 
     def dense(self) -> np.ndarray:
         if self.n > do.MAX_DENSE_QUBITS:
             raise ChannelError("dense expansion capped")
-        out = np.zeros((2**self.n, 2**self.n), dtype=complex)
-        for a, d in self.terms:
-            out += a * d.dense()
-        return out
+        return functools.reduce(np.kron, [sum(a * d.dense() for a, d in f) for f in self.factors])
 
-    def sampling_arrays(self):
-        """Cached (cumulative |alpha| distribution, unit phases) for sampling."""
+    def sampling_arrays(self) -> list:
+        """Per factor: cumulative |alpha| distribution and unit phases, cached.
+
+        The phases are Python complex numbers, so a joint phase is the same
+        left-to-right product wherever it is formed.
+        """
         if self._sampling is None:
-            absa = np.array([abs(a) for a, _ in self.terms])
-            cum = np.cumsum(absa)
-            cum /= cum[-1]
-            phases = np.array([a / abs(a) for a, _ in self.terms])
-            self._sampling = (cum, phases)
+            self._sampling = []
+            for f in self.factors:
+                cum = np.cumsum([abs(a) for a, _ in f])
+                self._sampling.append((cum / cum[-1], [a / abs(a) for a, _ in f]))
         return self._sampling
+
+
+class _JointTerms(Sequence):
+    """The joint terms (alpha, Dyad) of a product of factors.
+
+    The first factor is outermost, as in sc.tensor_terms.  An item is
+    tensored when it is read and not kept, so len() costs nothing at any
+    width.
+    """
+
+    __slots__ = ("factors", "_len")
+
+    def __init__(self, factors):
+        self.factors = factors
+        self._len = math.prod(len(f) for f in factors)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("joint term index out of range")
+        idx = []
+        for f in reversed(self.factors):
+            i, j = divmod(i, len(f))
+            idx.append(j)
+        return self.joint(idx[::-1])
+
+    def joint(self, idx) -> tuple[complex, Dyad]:
+        """The term with index idx[f] in factor f."""
+        picked = [f[j] for f, j in zip(self.factors, idx)]
+        if len(picked) == 1:
+            return picked[0]
+        alpha = functools.reduce(operator.mul, (a for a, _ in picked))
+        L = sc.tensor(*(d.L for _, d in picked))
+        if all(d.R is d.L for _, d in picked):
+            return alpha, Dyad(L, L)
+        return alpha, Dyad(L, sc.tensor(*(d.R for _, d in picked)))
+
+
+def _check_density(terms) -> None:
+    """Refuse rho = sum_j a_j |L_j><R_j| unless it has unit trace and is Hermitian.
+
+    Both checks read stabilizer overlaps only, so they hold at every width:
+    Tr rho = sum_j a_j <R_j|L_j>, and ||rho - rho^dag||_HS^2 = 2 ||rho||^2 -
+    2 Re Tr rho^2 with ||rho||^2 = sum_jk conj(a_j) a_k <L_j|L_k><R_k|R_j>
+    and Tr rho^2 = sum_jk a_j a_k <R_j|L_k><R_k|L_j>, compared with
+    2 ||rho||^2.  Each state's amplitude form is read once.
+    """
+    forms = {}
+    for _, d in terms:
+        for s in (d.L, d.R):
+            if id(s) not in forms:
+                forms[id(s)] = sc.amplitude_form(s)
+    Ls = [forms[id(d.L)] for _, d in terms]
+    Rs = [forms[id(d.R)] for _, d in terms]
+    a = np.array([x for x, _ in terms])
+    RL = _gram(Rs, Ls)
+    trace = complex(a @ RL.diagonal())
+    if abs(trace - 1.0) > _ATOL:
+        raise ChannelError(f"decomposition trace is {trace:.6g}, expected 1")
+    # unit trace makes ||rho||_HS positive, so the relative defect is defined
+    norm = float(np.real(np.conj(a) @ (_gram(Ls, Ls) * _gram(Rs, Rs).T) @ a))
+    square = complex(a @ (RL * RL.T) @ a)
+    if max(norm - square.real, 0.0) / norm > _HERMITIAN_RTOL:
+        raise ChannelError("decomposition is not Hermitian")
+
+
+def _gram(bras, kets) -> np.ndarray:
+    """[<bra_j|ket_k>]; a Hermitian Gram matrix when bras is kets."""
+    out = np.empty((len(bras), len(kets)), dtype=complex)
+    for j, b in enumerate(bras):
+        for k, ket in enumerate(kets):
+            if bras is kets and k < j:
+                out[j, k] = np.conj(out[k, j])
+            else:
+                out[j, k] = sc.overlap(b, ket)
+    return out
 
 
 class StabKraus:
@@ -315,24 +421,25 @@ def dyadic_decompose_product(states) -> DyadicDecomposition:
     Each factor is expanded through its equimagical decomposition and the
     extent-optimal stabilizer expansions of the pure parts, so the total
     l1 weight is the product of the single-qubit monotone values.  Each
-    factor is validated as a 1-qubit decomposition; a tensor product of
-    Hermitian unit-trace factors is Hermitian with unit trace, so the joint
-    expansion is not checked again.
+    distinct factor is built and validated once as a 1-qubit decomposition,
+    and the factors are joined without expanding the product.
     """
     states = list(states)
     if not states:
         raise ChannelError("need at least one qubit")
-    per_qubit = []
+    built = {}
+    factors = []
     for rho in states:
         if not isinstance(rho, monotones.BlochState):
             rho = monotones.BlochState(*rho)
-        _, parts = monotones.decompose_1q_state(rho)
-        dyads = []
-        for weight, _, terms in parts:
-            for cl, stl in terms:
-                for cr, str_ in terms:
-                    dyads.append((weight * cl * np.conj(cr), (stl, str_)))
-        DyadicDecomposition([(a, Dyad(L, R)) for a, (L, R) in dyads])  # validates the factor
-        per_qubit.append(dyads)
-    terms = [(a, Dyad(L, R)) for a, (L, R) in sc.tensor_terms(per_qubit)]
-    return DyadicDecomposition(terms, validate=False)
+        key = rho.as_tuple()
+        if key not in built:
+            _, parts = monotones.decompose_1q_state(rho)
+            built[key] = DyadicDecomposition([
+                (weight * cl * np.conj(cr), Dyad(stl, str_))
+                for weight, _, terms in parts
+                for cl, stl in terms
+                for cr, str_ in terms
+            ])
+        factors.append(built[key])
+    return DyadicDecomposition.product(factors)

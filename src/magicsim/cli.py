@@ -173,6 +173,9 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
         if weight <= 0:
             raise CLIError("ensemble weights must be positive")
         sub = ch.dyadic_decompose_product([_bloch_entry(x) for x in e["product"]])
+        # the mixture is one list of joint terms, so count them before any is built
+        if len(terms) + len(sub.terms) > sc.MAX_JOINT_TERMS:
+            raise CLIError(f"ensemble expands to more than {sc.MAX_JOINT_TERMS} joint terms")
         terms.extend((weight * a, d) for a, d in sub.terms)
         total += weight
     if not terms:
@@ -294,7 +297,6 @@ def _run_sample(args) -> tuple[str, int]:
     params = _params(doc, "sample")
     factors = _product_factors(doc.get("state"), "sample")
     n = len(factors)
-    inp = rs.mixed_input_product(factors)
     prefix = _clifford_prefix(doc, n)
     w = _as_int(params.get("w", n), "w")
     delta = _as_float(_opt(args.delta, params, "delta", 0.1), "delta")
@@ -303,6 +305,8 @@ def _run_sample(args) -> tuple[str, int]:
     backend = params.get("norm_backend", "fastnorm")
     if backend not in rs.NORM_BACKENDS:
         raise CLIError(f"norm_backend must be one of {rs.NORM_BACKENDS}")
+    rs.check_sample_cost(factors, w, delta, p_fail, count, backend)
+    inp = rs.mixed_input_product(factors)
     strings, rep = rs.sample_bitstrings(inp, w, delta, p_fail, count, args.seed,
                                         norm_backend=backend, prefix=prefix)
     stats = rep.to_dict()

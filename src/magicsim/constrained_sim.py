@@ -36,6 +36,8 @@ class RobustnessPair:
 
     sigma is a dyadic expansion with real nonnegative weights summing to
     one, so the dyadic simulator sees unit l1 weight regardless of lam.
+    The weights are checked factor by factor: a product of nonnegative
+    factors is nonnegative.
     """
 
     __slots__ = ("lam", "sigma")
@@ -44,9 +46,10 @@ class RobustnessPair:
         lam = float(lam)
         if not lam >= 1.0 - 1e-12:
             raise ConstrainedSimError("lam must be at least 1")
-        for a, _ in sigma.terms:
-            if abs(a.imag) > _ATOL or a.real < -_ATOL:
-                raise ConstrainedSimError("sigma weights must be real and nonnegative")
+        for factor in sigma.factors:
+            for a, _ in factor:
+                if abs(a.imag) > _ATOL or a.real < -_ATOL:
+                    raise ConstrainedSimError("sigma weights must be real and nonnegative")
         if abs(sigma.l1 - 1.0) > 1e-6:
             raise ConstrainedSimError("sigma weights must sum to 1")
         self.lam = max(1.0, lam)
@@ -107,24 +110,25 @@ def optimal_pair(states) -> RobustnessPair:
     ]
     if not blochs:
         raise ConstrainedSimError("need at least one qubit factor")
-    lam = 1.0
-    per_qubit = []
+    built = {}
     for rho in blochs:
+        key = rho.as_tuple()
+        if key in built:
+            continue
         lam_j = max(1.0, monotones.lambda_plus_1q(rho)[0])
-        b = np.array(rho.as_tuple(), dtype=float)
+        b = np.array(key, dtype=float)
         b_sig = _l1_ball_projection(b / lam_j)
         if np.linalg.norm(lam_j * b_sig - b) > lam_j - 1.0 + 1e-9:
             raise ConstrainedSimError("factor admits no stabilizer side at its lam")
-        lam *= lam_j
-        per_qubit.append([
-            (w, (monotones.axis_state(monotones.BlochState(*vertex)),))
-            for vertex, w in _octahedron_mixture(b_sig).items()
-        ])
-    # vertex weights are at most 1, so no product recovers from the cutoff
-    parts = [(w, s) for w, (s,) in sc.tensor_terms(per_qubit) if w > 1e-14]
-    total = sum(w for w, _ in parts)
-    sigma = ch.DyadicDecomposition([(w / total, ch.Dyad(s, s)) for w, s in parts], validate=False)
-    return RobustnessPair(lam, sigma)
+        weights = _octahedron_mixture(b_sig)
+        total = sum(weights.values())
+        vertices = [monotones.axis_state(monotones.BlochState(*v)) for v in weights]
+        sigma_j = ch.DyadicDecomposition(
+            [(w / total, ch.Dyad(s, s)) for w, s in zip(weights.values(), vertices)], validate=False)
+        built[key] = lam_j, sigma_j
+    factors = [built[rho.as_tuple()] for rho in blochs]
+    lam = math.prod(lam_j for lam_j, _ in factors)
+    return RobustnessPair(lam, ch.DyadicDecomposition.product(d for _, d in factors))
 
 
 @dataclasses.dataclass(frozen=True)

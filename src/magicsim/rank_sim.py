@@ -27,6 +27,10 @@ _ATOL = 1e-8
 
 NORM_BACKENDS = ("fastnorm", "exact")
 
+# stabilizer overlaps a `sample` run may be predicted to need; at the 30 to
+# 100 us an overlap costs, this is half a minute to two minutes of work
+MAX_SAMPLE_OVERLAPS = 10**6
+
 
 class RankSimError(ValueError):
     pass
@@ -259,8 +263,7 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
         raise RankSimError("p_fn must lie in (0, 1)")
     rng = _as_generator(seed)
     n = v.n
-    batch = math.ceil(4.0 / eps_fn**2)
-    nbatches = math.ceil(8.0 * math.log(2.0 / p_fn))
+    batch, nbatches = _sketch_shape(eps_fn, p_fn)
     total = batch * nbatches
     pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
     narrow = n <= do.MAX_DENSE_QUBITS
@@ -291,6 +294,11 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
         done += m
     means = etas.reshape(nbatches, batch).mean(axis=1)
     return float(np.median(means))
+
+
+def _sketch_shape(eps_fn: float, p_fn: float) -> tuple[int, int]:
+    """(draws per batch, batches) of one fast_norm call."""
+    return math.ceil(4.0 / eps_fn**2), math.ceil(8.0 * math.log(2.0 / p_fn))
 
 
 class MixedInput:
@@ -353,6 +361,53 @@ def mixed_input_product(states) -> MixedInput:
     return MixedInput(ensemble)
 
 
+def _check_run(n: int, w: int, delta: float, p_fail: float, count: int, norm_backend: str) -> None:
+    if w < 1 or w > n:
+        raise RankSimError("w must lie in 1..n")
+    if not 0.0 < delta < 1.0:
+        raise RankSimError("delta must lie in (0, 1)")
+    if not 0.0 < p_fail < 1.0:
+        raise RankSimError("p_fail must lie in (0, 1)")
+    if count < 1:
+        raise RankSimError("count must be at least 1")
+    if norm_backend not in NORM_BACKENDS:
+        raise RankSimError(f"unknown norm backend {norm_backend!r}")
+
+
+def _norm_budget(w: int, delta: float, p_fail: float) -> tuple[float, float]:
+    """(eps_fn, p_fn) of every norm estimate: eps = 2 delta/3 over 3w, p_fail over 2w."""
+    return min(2.0 * delta / (9.0 * w), 0.2), p_fail / (2.0 * w)
+
+
+def check_sample_cost(states, w: int, delta: float, p_fail: float, count: int,
+                      norm_backend: str = "fastnorm") -> int:
+    """Predicted overlap count of a sample run, refused above MAX_SAMPLE_OVERLAPS.
+
+    Read from the per-qubit decompositions alone, before anything is built.
+    mixed_input_product checks every part's norm through its Gram matrix,
+    sum over parts of terms^2 overlaps, which is prod_q sum_p t_qp^2 for
+    t_qp terms in part p of qubit q.  Above the dense cap every fast_norm
+    draw sums one overlap per drawn term, so the sketch adds count x (2w+1)
+    x draws per call x k, with k at least the standard rule's
+    ceil(12 l1^2 / delta).
+    """
+    states = list(states)
+    n, w = len(states), int(w)
+    _check_run(n, w, delta, p_fail, count, norm_backend)
+    parts = [monotones.decompose_1q_state(
+        rho if isinstance(rho, monotones.BlochState) else monotones.BlochState(*rho))[1]
+        for rho in states]
+    work = math.prod(sum(len(terms) ** 2 for _, _, terms in qubit) for qubit in parts)
+    if norm_backend == "fastnorm" and n > do.MAX_DENSE_QUBITS:
+        l1 = math.prod(max(sum(abs(c) for c, _ in terms) for _, _, terms in qubit) for qubit in parts)
+        batch, nbatches = _sketch_shape(*_norm_budget(w, delta, p_fail))
+        work += count * (2 * w + 1) * batch * nbatches * math.ceil(12.0 * l1 * l1 / delta)
+    if work > MAX_SAMPLE_OVERLAPS:
+        raise RankSimError(f"the run is predicted to need {work} stabilizer overlaps, "
+                           f"above the ceiling of {MAX_SAMPLE_OVERLAPS}")
+    return work
+
+
 @dataclass(frozen=True)
 class RuntimeReport:
     """Per-run cost accounting for the bit-string sampler."""
@@ -409,17 +464,7 @@ def sample_bitstrings(
     applied to the state before measurement.
     """
     w = int(w)
-    if w < 1 or w > inp.n:
-        raise RankSimError("w must lie in 1..n")
-    if not 0.0 < delta < 1.0:
-        raise RankSimError("delta must lie in (0, 1)")
-    if not 0.0 < p_fail < 1.0:
-        raise RankSimError("p_fail must lie in (0, 1)")
-    if count < 1:
-        raise RankSimError("count must be at least 1")
-    if norm_backend not in NORM_BACKENDS:
-        raise RankSimError(f"unknown norm backend {norm_backend!r}")
-
+    _check_run(inp.n, w, delta, p_fail, count, norm_backend)
     start = time.perf_counter()
     termsets = [d.termset() for _, d in inp.ensemble]
     prefix = tuple(tuple(g) for g in prefix)
@@ -437,8 +482,7 @@ def sample_bitstrings(
     else:
         regime = "standard"
         ks_by_part = np.ceil(12.0 * l1sq / delta).astype(np.int64)
-    eps_fn = min(2.0 * delta / (9.0 * w), 0.2)
-    p_fn = p_fail / (2.0 * w)
+    eps_fn, p_fn = _norm_budget(w, delta, p_fail)
     calls = 0
 
     def norm(v: SparseVector, rng: np.random.Generator) -> float:

@@ -638,20 +638,22 @@ def project_stab(state: StabState, proj: StabProjector) -> tuple[StabState, floa
     return out, norm
 
 
-def tensor(a: StabState, b: StabState) -> StabState:
-    """Tensor product; qubits of a come first."""
+def tensor(*states: StabState) -> StabState:
+    """Tensor product of one or more states, the first one's qubits first."""
     out = StabState.__new__(StabState)
-    out.n = n = a.n + b.n
+    out.n = n = sum(st.n for st in states)
+    offsets = np.cumsum([0] + [st.n for st in states]).tolist()
     for name in ("G", "F", "M"):
         block = np.zeros((n, n), dtype=bool)
-        block[: a.n, : a.n], block[a.n :, a.n :] = getattr(a, name), getattr(b, name)
+        for st, lo, hi in zip(states, offsets, offsets[1:]):
+            block[lo:hi, lo:hi] = getattr(st, name)
         setattr(out, name, block)
     for name in ("g", "v", "s"):
-        setattr(out, name, np.concatenate([getattr(a, name), getattr(b, name)]))
-    out.p2 = a.p2 + b.p2
-    out.w8 = (a.w8 + b.w8) & 7
-    out.unit = a.unit * b.unit
-    out.null = a.null or b.null
+        setattr(out, name, np.concatenate([getattr(st, name) for st in states]))
+    out.p2 = sum(st.p2 for st in states)
+    out.w8 = sum(st.w8 for st in states) & 7
+    out.unit = math.prod(st.unit for st in states)
+    out.null = any(st.null for st in states)
     return out
 
 

@@ -1,5 +1,7 @@
 """Channel layer: dyads, Kraus canonical form, builtins, product decompositions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ import magicsim.dense_oracle as do
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
 from magicsim.channels import ChannelError
+
+from conftest import random_stab_state
 
 
 def H_vec():
@@ -50,6 +54,52 @@ class TestDyadicDecomposition:
         z = sc.zero_state(7)
         with pytest.raises(ChannelError):
             ch.DyadicDecomposition([(2.0, ch.Dyad(z, z))])
+
+
+def _random_dyads(rng, n, hermitian):
+    """One to three random dyads a|L><R|, each with its adjoint when hermitian."""
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        L, R = random_stab_state(rng, n), random_stab_state(rng, n)
+        a = complex(rng.normal(), rng.normal())
+        terms.append((a, ch.Dyad(L, R)))
+        if hermitian:
+            terms.append((np.conj(a), ch.Dyad(R, L)))
+    return terms
+
+
+class TestHermiticity:
+    def test_symbolic_check_matches_dense(self):
+        # random dyad lists at n <= 6, scaled to unit trace: the overlap check
+        # accepts exactly those whose dense matrix is Hermitian
+        rng = np.random.default_rng(43)
+        verdicts = []
+        for trial in range(80):
+            terms = _random_dyads(rng, int(rng.integers(1, 7)), hermitian=bool(trial % 2))
+            rho = sum(a * d.dense() for a, d in terms)
+            trace = np.trace(rho)
+            if abs(trace) < 0.1:
+                continue
+            terms = [(a / trace, d) for a, d in terms]
+            rho = rho / trace
+            try:
+                ch.DyadicDecomposition(terms)
+                accepted = True
+            except ChannelError as exc:
+                assert "Hermitian" in str(exc)
+                accepted = False
+            assert accepted == bool(np.abs(rho - rho.conj().T).max() <= 1e-8)
+            verdicts.append(accepted)
+        assert 20 <= sum(verdicts) <= len(verdicts) - 20
+
+    def test_non_hermitian_refused_above_dense_cap(self):
+        # |0..0><0..0| + 0.5 |10..0><0..0| has unit trace at n=7
+        z = sc.zero_state(7)
+        x = sc.apply_circuit(z, [("X", 0)])
+        with pytest.raises(ChannelError, match="Hermitian"):
+            ch.DyadicDecomposition([(1.0, ch.Dyad(z, z)), (0.5, ch.Dyad(x, z))])
+        dec = ch.DyadicDecomposition([(1.0, ch.Dyad(z, z)), (0.5, ch.Dyad(x, z)), (0.5, ch.Dyad(z, x))])
+        assert dec.l1 == 2.0
 
 
 class TestStabKraus:
@@ -262,6 +312,31 @@ class TestDyadicProduct:
     def test_norm_above_one_rejected(self):
         with pytest.raises(ValueError):
             ch.dyadic_decompose_product([(0.9, 0.9, 0.9)])
+
+    @pytest.mark.parametrize("names", [["H", "T"], ["+", "F", "H"], ["H", "0", "T", "+", "1", "-"]])
+    def test_lazy_terms_match_fold(self, names):
+        # item i is the i-th term of the Cartesian fold, first factor outermost
+        states = [mono.BlochState.named(s).scaled(0.8 if s in "TF" else 1.0) for s in names]
+        dec = ch.dyadic_decompose_product(states)
+        fold = sc.tensor_terms([[(a, (d.L, d.R)) for a, d in f] for f in dec.factors])
+        assert len(dec.terms) == len(fold) == math.prod(len(f) for f in dec.factors)
+        for (a, d), (w, (L, R)) in zip(dec.terms, fold, strict=True):
+            assert a == w
+            assert d.dense() == pytest.approx(np.outer(do.expand(L), do.expand(R).conj()), abs=1e-12)
+        a, d = dec.terms[-1]
+        assert a == fold[-1][0]
+        with pytest.raises(IndexError):
+            dec.terms[len(fold)]
+
+    def test_joint_count_needs_no_term(self, monkeypatch):
+        def no_tensor(*states):
+            raise AssertionError("a joint term was built")
+
+        monkeypatch.setattr(sc, "tensor", no_tensor)
+        dec = ch.dyadic_decompose_product([mono.BlochState.named("H")] * 30)
+        assert len(dec.terms) == 4**30
+        assert len(dec.factors) == 30
+        assert dec.l1 == pytest.approx((4 - 2 * np.sqrt(2)) ** 30, rel=1e-12)
 
     def test_factor_validated_at_any_width(self, monkeypatch):
         # a factor whose part weights sum to 2 has trace 2; the per-factor

@@ -481,9 +481,23 @@ class TestMalformedInput:
         assert_schema(diag, "error")
         assert diag["error"]["kind"] == "validation"
 
-    def test_oversized_product_refused(self, capsys, tmp_path):
-        # 4^12 joint dyads would need about 64 GiB: refused before any fold
+    def test_wide_product_runs(self, capsys, tmp_path):
+        # 4^12 joint dyads are drawn factor by factor, and none is built
         doc = {"state": {"product": ["H"] * 12}, "measurement": {"pauli": "Z" * 12}}
+        t0 = time.monotonic()
+        rc, out, err = run_cli(capsys, "estimate", "--input", write_doc(tmp_path, doc), "--epsilon", "0.3")
+        assert time.monotonic() - t0 < 5.0
+        assert rc == 0, err
+        payload = json.loads(out)
+        assert_schema(payload, "estimate")
+        # <Z> = 2^-1/2 on each H factor
+        radius = payload["l1"] * math.sqrt(2.0 * math.log(2.0 / 1e-9) / payload["samples"])
+        assert abs(payload["mu_hat"] - 2.0**-6) <= radius
+
+    def test_oversized_ensemble_refused(self, capsys, tmp_path):
+        # an ensemble is one list of joint terms: 4^10 of them are refused before any is built
+        doc = {"state": {"ensemble": [{"weight": 1.0, "product": ["H"] * 10}]},
+               "measurement": {"pauli": "Z" * 10}}
         t0 = time.monotonic()
         rc, out, err = run_cli(capsys, "estimate", "--input", write_doc(tmp_path, doc), "--epsilon", "0.3")
         assert time.monotonic() - t0 < 1.0
@@ -492,6 +506,32 @@ class TestMalformedInput:
         assert_schema(diag, "error")
         assert diag["error"]["kind"] == "validation"
         assert "joint terms" in diag["error"]["message"]
+
+    def test_non_hermitian_dyads_above_dense_cap_refused(self, capsys, tmp_path):
+        # |0..0><0..0| + 0.5 |10..0><0..0| at n=7: unit trace, not Hermitian
+        doc = {"state": {"n": 7, "dyads": [{"alpha": 1.0, "left": []},
+                                           {"alpha": 0.5, "left": [["X", 0]], "right": []}]},
+               "measurement": {"pauli": "Z" + "I" * 6}}
+        rc, out, err = run_cli(capsys, "estimate", "--input", write_doc(tmp_path, doc), "--epsilon", "0.3")
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "Hermitian" in diag["error"]["message"]
+
+    @pytest.mark.parametrize("factor", ["H", {"named": "H", "alpha": 0.9}], ids=["pure", "noisy"])
+    def test_sample_over_cost_ceiling_refused(self, capsys, tmp_path, factor):
+        # seven factors: the noisy input's Gram checks alone need 2^21 overlaps,
+        # and either input's sketch runs above the dense cap
+        doc = {"state": {"product": [factor] * 7}, "params": {"w": 2, "delta": 0.15}}
+        t0 = time.monotonic()
+        rc, out, err = run_cli(capsys, "sample", "--input", write_doc(tmp_path, doc), "--samples", "2")
+        assert time.monotonic() - t0 < 1.0
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "ceiling" in diag["error"]["message"]
 
     @pytest.mark.parametrize("argv, phrase", [
         (("--state", "T", "--alpha", "0.85", "--copies", "5000"), "overflow"),

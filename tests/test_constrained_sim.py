@@ -259,6 +259,31 @@ class TestConstrainedEstimate:
         assert reps[0].samples > 3 * CHUNK and reps[0].samples % CHUNK
         assert reps[0] == reps[1]
 
+    def test_independent_blocks_at_48_qubits(self):
+        # eight 6-qubit blocks, each a CX ladder and depolarizing noise under
+        # Z^6: the sigma-side mean factors into dense 6-qubit block values
+        block = [mono.BlochState.named("H").scaled(0.8)] * 6
+        ladder = [["CX", i, i + 1] for i in range(5)]
+
+        def channels(n, base):
+            return [ch.builtin_channel("clifford_mix", list(range(base, base + 6)), n,
+                                       {"terms": [[1.0, ladder]]}),
+                    *(ch.builtin_channel("depolarizing", [base + q], n, {"lambda": 0.05})
+                      for q in range(6))]
+
+        rho = cs.optimal_pair(block).sigma.dense()
+        for chan in channels(6, 0):
+            rho = do.apply_channel_dense(rho, chan)
+        Z6 = sc.PauliOp.from_letters("Z" * 6)
+        mu_exact = float(np.trace(do.pauli_matrix(Z6) @ rho).real) ** 8
+        pair = cs.optimal_pair(block * 8)
+        assert len(pair.sigma.terms) == 2**48
+        circuit = [chan for b in range(8) for chan in channels(48, 6 * b)]
+        r = cs.constrained_estimate(pair, circuit, sc.PauliOp.from_letters("Z" * 48),
+                                    c=0.05, p_fail=0.05, seed=61)
+        radius = math.sqrt(2.0 * math.log(2.0 / 1e-9) / r.samples)
+        assert abs(r.E_sigma / r.lam - mu_exact) <= radius
+
     def test_parameter_validation(self):
         pair = cs.optimal_pair([mono.BlochState.named("0")])
         E = sc.PauliOp.from_letters("Z")

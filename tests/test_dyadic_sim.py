@@ -13,6 +13,8 @@ import magicsim.monotones as mono
 import magicsim.stab_core as sc
 from magicsim._util import CHUNK, kahan_sum, sample_rng
 
+from conftest import random_pauli, random_stab_state
+
 
 def proj_zero(n, qubit):
     letters = ["I"] * n
@@ -204,14 +206,22 @@ class _EagerNode:
 
 
 def reference_chunk(dec, chans, measurement, seed, lo, hi):
-    """Chunk [lo, hi) walked on an eager tree with np.searchsorted on the same rows."""
-    cum0, phases = dec.sampling_arrays()
-    roots = [_EagerNode(d) for _, d in dec.terms]
+    """Chunk [lo, hi) walked on an eager tree with np.searchsorted on the same
+    rows: column f picks the term of factor f, and the channels follow."""
+    sampling = dec.sampling_arrays()
+    nf = len(sampling)
+    roots = {}
     values, aborted = [], 0
-    for row in sample_rng(seed, lo).random((hi - lo, len(chans) + 1)):
-        r0 = min(int(np.searchsorted(cum0, row[0], side="right")), len(roots) - 1)
-        node = roots[r0]
-        for chan, u in zip(chans, row[1:]):
+    for row in sample_rng(seed, lo).random((hi - lo, nf + len(chans))):
+        idx = tuple(min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+                    for (cum, _), u in zip(sampling, row))
+        phase = 1
+        for (_, phases), j in zip(sampling, idx):
+            phase = phase * phases[j]
+        if idx not in roots:
+            roots[idx] = _EagerNode(dec.terms.joint(idx)[1])
+        node = roots[idx]
+        for chan, u in zip(chans, row[nf:]):
             if node.children is None:
                 node.expand(chan)
             j = int(np.searchsorted(node.cum, u, side="right"))
@@ -223,7 +233,7 @@ def reference_chunk(dec, chans, measurement, seed, lo, hi):
         else:
             if node.value is None:
                 node.value = _measure(node.dyad, measurement)
-            values.append(dec.l1 * float(np.real(phases[r0] * node.value)))
+            values.append(dec.l1 * float(np.real(phase * node.value)))
     return kahan_sum(values), aborted
 
 
@@ -278,11 +288,12 @@ class TestChunkStream:
     def test_tail_chunk_matches_eager_reference(self, kind, diagonal):
         # the tree stops at the gadget; the tail is pulled back onto the measurement
         dec, chans = gadget_then_clifford_tail(diagonal)
-        assert all((d.R is d.L) == diagonal for _, d in dec.terms)
+        # a joint dyad is diagonal when every factor's is, so only sigma is all diagonal
+        diagonals = [d.R is d.L for _, d in dec.terms]
+        assert all(diagonals) if diagonal else not all(diagonals)
         measurement = TAIL_MEASUREMENTS[kind]
         assert dy._tail_start(chans) == 1
-        roots = [dy._Node(d) for _, d in dec.terms]
-        payload = (dec, chans, measurement, 13, dec.l1, roots)
+        payload = dy._payload(dec, chans, measurement, 13)
         for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 53)):
             total, aborted = dy._chunk_worker(payload, lo, hi)
             want_total, want_aborted = reference_chunk(dec, chans, measurement, 13, lo, hi)
@@ -299,8 +310,7 @@ class TestChunkStream:
         ))
         chans.insert(2, short)
         measurement = TAIL_MEASUREMENTS["projector"]
-        roots = [dy._Node(d) for _, d in dec.terms]
-        payload = (dec, chans, measurement, 19, dec.l1, roots)
+        payload = dy._payload(dec, chans, measurement, 19)
         total, aborted = dy._chunk_worker(payload, CHUNK, 2 * CHUNK + 7)
         want_total, want_aborted = reference_chunk(dec, chans, measurement, 19, CHUNK, 2 * CHUNK + 7)
         assert aborted == want_aborted > 0
@@ -314,16 +324,81 @@ class TestChunkStream:
             assert reps[0].M > 3 * CHUNK
             assert repr(reps[0].to_dict()) == repr(reps[1].to_dict())
 
+    def test_root_cache_cap_keeps_values(self, monkeypatch):
+        # past the cap a drawn root is built for its sample and dropped
+        dec, chans, proj = gadget_noise_measure()
+        want = dy._chunk_worker(dy._payload(dec, chans, proj, 11), 0, CHUNK)
+        monkeypatch.setattr(dy, "MAX_CACHED_ROOTS", 3)
+        payload = dy._payload(dec, chans, proj, 11)
+        assert dy._chunk_worker(payload, 0, CHUNK) == want
+        assert len(payload[4]) == 3 < len(dec.terms)
+
     def test_chunk_matches_eager_reference(self):
         dec, chans, proj = gadget_noise_measure()
-        roots = [dy._Node(d) for _, d in dec.terms]
-        payload = (dec, chans, proj, 11, dec.l1, roots)
+        payload = dy._payload(dec, chans, proj, 11)
         aborted = 0
         for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 37)):
             got = dy._chunk_worker(payload, lo, hi)
             assert got == reference_chunk(dec, chans, proj, 11, lo, hi)
             aborted += got[1]
         assert 0 < aborted < 2 * CHUNK + 37
+
+
+def random_product_decomposition(rng, n):
+    """n one-qubit factors of one to three random dyads, mostly with L != R."""
+    factors = []
+    for _ in range(n):
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            L = random_stab_state(rng, 1)
+            R = L if rng.random() < 0.25 else random_stab_state(rng, 1)
+            terms.append((complex(rng.normal(), rng.normal()), ch.Dyad(L, R)))
+        l1 = sum(abs(a) for a, _ in terms)
+        factors.append(ch.DyadicDecomposition([(1.5 * a / l1, d) for a, d in terms], validate=False))
+    return ch.DyadicDecomposition.product(factors)
+
+
+class TestQubitLeaves:
+    def test_tables_match_tableau_leaf(self):
+        # i^k prod_q tab[q, j_q, 2 x_q + z_q] is phase * <R|P|L> on the joint dyad
+        rng = np.random.default_rng(47)
+        i_pow = (1, 1j, -1, -1j)
+        for n in range(1, 9):
+            dec = random_product_decomposition(rng, n)
+            tables = dy._qubit_tables(dec)
+            for _ in range(12):
+                idx = tuple(int(rng.integers(len(f))) for f in dec.factors)
+                p = random_pauli(rng, n, hermitian=False)
+                alpha, dyad = dec.terms.joint(idx)
+                want = alpha / abs(alpha) * sc.inner_product(dyad.R, sc.apply_pauli(dyad.L, p))
+                got = i_pow[p.k] * np.prod([tables[q, idx[q], 2 * p.x[q] + p.z[q]] for q in range(n)])
+                assert abs(got - want) <= 1e-10
+
+    @pytest.mark.parametrize("short", [False, True])
+    def test_chunk_matches_eager_reference(self, short):
+        # no Kraus channel and a Pauli measurement: no root is built, and the
+        # chunk's leaves agree with the Schroedinger-picture walk
+        rng = np.random.default_rng(53)
+        dec = random_product_decomposition(rng, 4)
+        chans = [
+            ch.builtin_channel("depolarizing", [1], 4, {"lambda": 0.4}),
+            ch.builtin_channel("clifford_mix", [0, 1, 2, 3], 4, {"terms": [
+                [0.7, [["H", 0], ["CX", 0, 3], ["S", 2], ["SWAP", 1, 2]]],
+                [0.3, [["CZ", 1, 3], ["SDG", 0], ["Y", 2]]],
+            ]}),
+        ]
+        if short:
+            chans.append(SimpleNamespace(n=4, kraus_part=(), unitary_part=((0.8, (("H", 3),)),)))
+        measurement = sc.PauliOp.from_letters("XYZI", -1)
+        payload = dy._payload(dec, chans, measurement, 23)
+        assert payload[5] is not None
+        for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK + 29)):
+            total, aborted = dy._chunk_worker(payload, lo, hi)
+            want_total, want_aborted = reference_chunk(dec, chans, measurement, 23, lo, hi)
+            assert aborted == want_aborted
+            assert (aborted > 0) == short
+            assert abs(total - want_total) <= 1e-9
+        assert payload[4] == {}
 
 
 class TestEstimateBorn:

@@ -311,6 +311,29 @@ class TestMixedInput:
         assert not inp.equimagical
 
 
+class TestSampleCost:
+    def test_build_prediction_is_the_gram_size(self):
+        # parts x terms^2 from the factors equals the Gram entries of the built input
+        noisy = mono.BlochState.named("H").scaled(0.9)
+        states = [noisy, mono.BlochState.named("T"), noisy]
+        inp = rs.mixed_input_product(states)
+        want = sum(len(d.terms) ** 2 for _, d in inp.ensemble)
+        assert rs.check_sample_cost(states, 2, 0.15, 0.05, 2) == want == 2 * 2 * 4 * 16
+
+    def test_wide_sketch_refused_before_any_build(self, monkeypatch):
+        def no_build(states):
+            raise AssertionError("input built")
+
+        monkeypatch.setattr(rs, "mixed_input_product", no_build)
+        with pytest.raises(RankSimError, match="ceiling"):
+            rs.check_sample_cost([mono.BlochState.named("H")] * 7, 2, 0.15, 0.05, 2)
+        with pytest.raises(RankSimError, match="ceiling"):
+            rs.check_sample_cost([mono.BlochState.named("H").scaled(0.9)] * 7, 1, 0.15, 0.05, 1,
+                                 norm_backend="exact")
+        assert rs.check_sample_cost([mono.BlochState.named("H")] * 7, 2, 0.15, 0.05, 2,
+                                    norm_backend="exact") == 4**7
+
+
 class TestSampleBitstrings:
     def test_zero_product_always_zero(self):
         inp = rs.mixed_input_product([mono.BlochState.named("0")] * 3)
