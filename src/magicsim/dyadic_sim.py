@@ -92,12 +92,13 @@ def _pull_back(measurement, gates):
 
     A Pauli i^k X^x Z^z is keyed by x and z and returned without its i^k,
     which multiplies the leaf value afterwards; a projector keeps its
-    generators' phases and is keyed on them.
+    generators' phases and is keyed on them.  The gates are a channel
+    branch's, checked when the channel was built.
     """
     if isinstance(measurement, sc.PauliOp):
-        p = sc.conjugate_pauli(measurement, gates)
+        p = sc._conjugate_pauli_unchecked(measurement, gates)
         return (p.x.tobytes(), p.z.tobytes()), sc.PauliOp(p.x, p.z), p.k
-    gens = [(sc.conjugate_pauli(op, gates), sign) for op, sign in measurement.generators]
+    gens = [(sc._conjugate_pauli_unchecked(op, gates), sign) for op, sign in measurement.generators]
     key = tuple((op.x.tobytes(), op.z.tobytes(), (op.k + 1 - sign) % 4) for op, sign in gens)
     return key, sc.StabProjector(measurement.n, gens), 0
 

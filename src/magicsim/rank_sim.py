@@ -114,7 +114,7 @@ class SparseDecomposition:
     the phase-absorbed terms (c_j/|c_j|)|phi_j>, weighted by |c_j|.
     """
 
-    __slots__ = ("coeffs", "terms", "n", "l1", "_mags", "_probs", "_termset", "_C")
+    __slots__ = ("coeffs", "terms", "n", "l1", "_mags", "_probs", "_termset", "_norm_sq", "_C")
 
     def __init__(self, coeffs, terms):
         coeffs = np.asarray([complex(c) for c in coeffs], dtype=complex)
@@ -122,26 +122,48 @@ class SparseDecomposition:
         if coeffs.shape[0] != len(terms):
             raise RankSimError("coefficient and term counts differ")
         keep = np.abs(coeffs) > 1e-14
-        coeffs = coeffs[keep]
         terms = tuple(t for t, kept in zip(terms, keep) if kept)
         if len(terms) == 0:
             raise RankSimError("decomposition needs a nonzero term")
-        n = terms[0].n
-        if any(t.n != n or t.null for t in terms):
+        if any(t.n != terms[0].n or t.null for t in terms):
             raise RankSimError("terms must be non-null states of equal width")
+        self._store(coeffs[keep], terms)
+        self._norm_sq = float(np.real(self._mags @ self._termset.gram() @ self._mags))
+        self._C = None
+        if abs(self._norm_sq - 1.0) > _ATOL:
+            raise RankSimError(f"decomposition norm^2 is {self._norm_sq}, expected 1")
+
+    @classmethod
+    def product(cls, factors) -> "SparseDecomposition":
+        """Tensor product of decompositions, the first one's qubits outermost.
+
+        The joint terms are folded as in sc.tensor_terms.  Their Gram matrix
+        is the Kronecker product of the factors' Grams, so no joint overlap
+        is computed, and the norm and C are the products of the factors'.
+        The factors were checked when they were built, so nothing is
+        checked again.
+        """
+        factors = list(factors)
+        if not factors:
+            raise RankSimError("product needs at least one factor")
+        expansion = sc.tensor_terms([[(c, (t,)) for c, t in zip(f.coeffs, f.terms)] for f in factors])
+        out = cls.__new__(cls)
+        out._store(np.array([c for c, _ in expansion]), tuple(t for _, (t,) in expansion))
+        out._termset._gram = functools.reduce(np.kron, [f.termset().gram() for f in factors])
+        out._norm_sq = math.prod(f.norm_sq() for f in factors)
+        out._C = math.prod(f.C for f in factors)
+        return out
+
+    def _store(self, coeffs: np.ndarray, terms: tuple) -> None:
         mags = np.abs(coeffs)
         self.coeffs = coeffs
         self.terms = terms
-        self.n = n
+        self.n = terms[0].n
         self.l1 = float(np.sum(mags))
         self._mags = mags
         self._probs = mags / np.sum(mags)
         # terms with the unit coefficient phases folded into their scalars
         self._termset = _TermSet(sc.multiply_phase(t, c / m) for c, m, t in zip(coeffs, mags, terms))
-        self._C = None
-        nrm = self.norm_sq()
-        if abs(nrm - 1.0) > _ATOL:
-            raise RankSimError(f"decomposition norm^2 is {nrm}, expected 1")
 
     def termset(self) -> _TermSet:
         return self._termset
@@ -150,7 +172,7 @@ class SparseDecomposition:
         return self._probs
 
     def norm_sq(self) -> float:
-        return float(np.real(self._mags @ self._termset.gram() @ self._mags))
+        return self._norm_sq
 
     def dense(self) -> np.ndarray:
         return self._mags @ self._termset.dense_matrix()
@@ -242,6 +264,21 @@ def _equatorial_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     return diag.astype(np.uint8), off.astype(np.uint8)
 
 
+def _equatorial_etas(diag_table: np.ndarray, off_table: np.ndarray, vdense: np.ndarray) -> np.ndarray:
+    """|sum_x (-i)^{x^T A x} v(x)|^2 for every equatorial A, at row d*no + o.
+
+    Built in blocks of diagonal rows, each block of at most 32768 entries.
+    """
+    no = len(off_table)
+    right = (_NEG_I_POW.take(off_table & 3) * vdense).T
+    out = np.empty(len(diag_table) * no)
+    step = max(1, 32768 // no)
+    for lo in range(0, len(diag_table), step):
+        amps = _NEG_I_POW.take(diag_table[lo : lo + step] & 3) @ right
+        out[lo * no : lo * no + amps.size] = (np.abs(amps) ** 2).ravel()
+    return out
+
+
 def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     """Multiplicative norm-squared sketch over random equatorial states.
 
@@ -251,9 +288,15 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     single-state estimate eta_A = 2^n |<phi_A|v>|^2.
 
     Draws come in blocks of up to 32768.  For n <= 6 a draw is two integers,
-    one uniform row of each _equatorial_grid table, so a block's exponents
-    x^T A x are row lookups and its overlaps one product with the dense
-    vector; wider vectors draw A's digits and bits and take one
+    one uniform row d of the nd-row diagonal and one row o of the no-row
+    off-diagonal _equatorial_grid table.  A call that makes at least nd*no
+    draws, one per equatorial state, first tabulates every state's eta as
+    one product of the two phase tables, (-i)^diag times ((-i)^off * v)^T,
+    exact as (-i)^(a+b) = (-i)^a (-i)^b, and a draw reads entry d*no + o.
+    A call with fewer draws sums each draw's exponents x^T A x from the two
+    rows and takes one product with the dense vector per block, so neither
+    way does more work than the draws ask for, and both draw the same
+    integers.  Wider vectors draw A's digits and bits and take one
     SparseVector.equatorial_overlap per draw, an exponential sum per
     distinct drawn term.
     """
@@ -267,19 +310,26 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     total = batch * nbatches
     pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
     narrow = n <= do.MAX_DENSE_QUBITS
+    table = None
     if narrow:
         diag_table, off_table = _equatorial_grid(n)
+        nd, no = len(diag_table), len(off_table)
         vdense = v.dense()
+        if total >= nd * no:
+            table = _equatorial_etas(diag_table, off_table, vdense)
     etas = np.empty(total)
     done = 0
     while done < total:
         m = min(32768, total - done)
-        if narrow:
+        if table is not None:
+            d = rng.integers(0, nd, m)
+            etas[done : done + m] = table.take(d * no + rng.integers(0, no, m))
+        elif narrow:
             # eta_A = |sum_x (-i)^{x^T A x} v(x)|^2; the 2^n prefactor
             # cancels against the equatorial amplitude normalization.
             # take copies whole rows, several times faster than fancy indexing
-            expo = diag_table.take(rng.integers(0, len(diag_table), m), axis=0)
-            expo += off_table.take(rng.integers(0, len(off_table), m), axis=0)
+            expo = diag_table.take(rng.integers(0, nd, m), axis=0)
+            expo += off_table.take(rng.integers(0, no, m), axis=0)
             amps = _NEG_I_POW.take(expo & 3) @ vdense
             etas[done : done + m] = np.abs(amps) ** 2
         else:
@@ -336,9 +386,9 @@ def mixed_input_product(states) -> MixedInput:
     """Equimagical product input from single-qubit Bloch factors.
 
     Each factor decomposes into pure parts of equal extent whose optimal
-    stabilizer expansions are tensored across the qubits, so every ensemble
-    member shares the same l1 weight and the sampler's per-string term count
-    is deterministic.
+    stabilizer expansions are checked one qubit at a time and joined by
+    SparseDecomposition.product, so every ensemble member shares the same
+    l1 weight and the sampler's per-string term count is deterministic.
     """
     states = list(states)
     if not states:
@@ -347,15 +397,14 @@ def mixed_input_product(states) -> MixedInput:
     for rho in states:
         if not isinstance(rho, monotones.BlochState):
             rho = monotones.BlochState(*rho)
-        per_qubit.append(monotones.decompose_1q_state(rho)[1])
+        per_qubit.append([(w, SparseDecomposition([c for c, _ in terms], [t for _, t in terms]))
+                          for w, _, terms in monotones.decompose_1q_state(rho)[1]])
     ensemble = []
     for combo in itertools.product(*per_qubit):
-        weight = math.prod(w for w, _, _ in combo)
+        weight = math.prod(w for w, _ in combo)
         if weight <= 1e-14:
             continue
-        expansion = sc.tensor_terms([[(c, (t,)) for c, t in terms] for _, _, terms in combo])
-        d = SparseDecomposition([c for c, _ in expansion], [t for _, (t,) in expansion])
-        ensemble.append((weight, d))
+        ensemble.append((weight, SparseDecomposition.product(d for _, d in combo)))
     total = sum(p for p, _ in ensemble)
     ensemble = [(p / total, d) for p, d in ensemble]
     return MixedInput(ensemble)
@@ -384,9 +433,12 @@ def check_sample_cost(states, w: int, delta: float, p_fail: float, count: int,
     """Predicted overlap count of a sample run, refused above MAX_SAMPLE_OVERLAPS.
 
     Read from the per-qubit decompositions alone, before anything is built.
-    mixed_input_product checks every part's norm through its Gram matrix,
-    sum over parts of terms^2 overlaps, which is prod_q sum_p t_qp^2 for
-    t_qp terms in part p of qubit q.  Above the dense cap every fast_norm
+    mixed_input_product gives every part a Gram matrix, sum over parts of
+    terms^2 entries, which is prod_q sum_p t_qp^2 for t_qp terms in part p
+    of qubit q.  Those entries are products of per-factor Gram entries, not
+    overlaps, but their count still sizes the input: each part's joint terms
+    are built, and the exact backend fills a Gram matrix of that size by
+    overlaps for every projected term set.  Above the dense cap every fast_norm
     draw sums one overlap per drawn term, so the sketch adds count x (2w+1)
     x draws per call x k, with k at least the standard rule's
     ceil(12 l1^2 / delta).

@@ -556,9 +556,15 @@ def conjugate_pauli(p: PauliOp, gates) -> PauliOp:
     rules keep every phase, so a projector is conjugated generator by
     generator.
     """
+    for gate in gates:
+        check_gate(gate, p.n)
+    return _conjugate_pauli_unchecked(p, gates)
+
+
+def _conjugate_pauli_unchecked(p: PauliOp, gates) -> PauliOp:
+    """conjugate_pauli for gates already checked, as a channel's are."""
     x, z, k = p.x.tolist(), p.z.tolist(), p.k
     for gate in reversed(gates):
-        check_gate(gate, p.n)
         name, a = gate[0], gate[1]
         if name == "H":
             # H X^x Z^z H = Z^x X^z = (-1)^{xz} X^z Z^x

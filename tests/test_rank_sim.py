@@ -197,16 +197,34 @@ def fast_norm_int64(v, eps_fn, p_fn, rng):
 
 class TestFastNorm:
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_int64_exponent(self, n):
+    def test_matches_int64_exponent(self, n, monkeypatch):
         # two magic factors keep the Gram matrix small; the rest spread amplitude
         rng = np.random.default_rng(100 + n)
         blochs = [random_pure_bloch(rng) for _ in range(min(n, 2))]
         blochs += [mono.BlochState.named(s) for s in ("+", "+i", "-", "-i")[: n - len(blochs)]]
         om = rs.sparsify(rs.mixed_input_product(blochs).ensemble[0][1], 8, seed=n)
-        # eps_fn=0.05 needs 48,000 draws, so the last case spans two blocks
-        for seed, eps in ((1, 0.2), (2, 0.2), (3, 0.05 if n == 6 else 0.1)):
+        tables = []
+        etas = rs._equatorial_etas
+
+        def spy(*args):
+            tables.append(args)
+            return etas(*args)
+
+        monkeypatch.setattr(rs, "_equatorial_etas", spy)
+        # eps_fn=0.05 needs 48,000 draws, so that case spans two blocks; at
+        # n=4 it is the one case with a draw per equatorial state
+        cases = [(1, 0.2), (2, 0.2), (3, 0.05 if n == 6 else 0.1)] + [(4, 0.05)] * (n == 4)
+        states = 4**n * 2 ** (n * (n - 1) // 2)
+        paths = []
+        for seed, eps in cases:
+            draws = math.ceil(4.0 / eps**2) * math.ceil(8.0 * math.log(2.0 / 0.05))
+            del tables[:]
             want = fast_norm_int64(om, eps, 0.05, sample_rng(seed, 0))
             assert rs.fast_norm(om, eps, 0.05, sample_rng(seed, 0)) == pytest.approx(want, rel=1e-12)
+            paths.append("table" if tables else "per-draw")
+            assert paths[-1] == ("table" if draws >= states else "per-draw")
+        # the table runs at n = 1-4, the per-draw product at n = 4-6
+        assert set(paths) == ({"table"} if n < 4 else {"per-draw"} if n > 4 else {"table", "per-draw"})
 
     def test_matches_int64_exponent_partly_null(self):
         # qubit 0 of the second term is |1>, so the projection drops it
@@ -309,6 +327,28 @@ class TestMixedInput:
         d0 = rs.SparseDecomposition([1.0], [sc.zero_state(1)])
         inp = rs.MixedInput([(0.5, d0), (0.5, h_decomp())])
         assert not inp.equimagical
+
+
+class TestProductGram:
+    @pytest.mark.parametrize("count", range(1, 5))
+    def test_kronecker_gram_matches_overlaps(self, count):
+        # F and H scaled below 1 split into parts of 3 and 2 terms, the
+        # octahedron member into five one-term parts, and T is pure; H and T
+        # have equal Grams, so no mirrored pair of positions holds both and a
+        # reversed factor order shows
+        states = [mono.BlochState.named("F").scaled(0.85), mono.BlochState.named("H").scaled(0.9),
+                  mono.BlochState(0.3, -0.2, 0.1), mono.BlochState.named("T")][:count]
+        for _, d in rs.mixed_input_product(states).ensemble:
+            g = rs._TermSet(d.termset().terms).gram()
+            assert np.abs(d.termset().gram() - g).max() <= 1e-12
+            mags = np.abs(d.coeffs)
+            assert d.norm_sq() == pytest.approx(float(np.real(mags @ g @ mags)), abs=1e-12)
+            C = d.l1 * np.sum(mags * np.abs(mags @ g) ** 2)
+            assert d.C == pytest.approx(C, rel=1e-12)
+
+    def test_product_needs_a_factor(self):
+        with pytest.raises(RankSimError):
+            rs.SparseDecomposition.product([])
 
 
 class TestSampleCost:

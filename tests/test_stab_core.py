@@ -209,6 +209,10 @@ def test_malformed_gate_rejected(gate):
         sc.apply_gate(sc.zero_state(2), gate)
     with pytest.raises(ValueError):
         sc.apply_circuit(sc.zero_state(2), [("H", 0), gate])
+    # conjugation undoes the gates last first; the gate is checked at either end
+    for gates in ([("H", 0), gate], [gate, ("H", 0)]):
+        with pytest.raises(ValueError):
+            sc.conjugate_pauli(sc.PauliOp.from_letters("ZX"), gates)
 
 
 def test_equatorial_overlap_examples_and_oracle():
