@@ -6,12 +6,14 @@ worker processes run the sampling loop.  Three conventions enforce that:
 * samples are grouped into fixed-size chunks regardless of worker count,
 * every chunk owns an RNG stream keyed by (master seed, first sample index),
 * partial results are reduced in chunk order with compensated summation.
+
+A worker call evaluates a run of up to RUN consecutive chunks, so that it
+can batch the run's samples; it still returns one result per chunk.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -20,6 +22,9 @@ import numpy as np
 # Chunk size is part of the reproducibility contract: changing it reorders the
 # compensated reduction and may flip low bits of reported means.
 CHUNK = 256
+# chunks per worker call; a run's chunks keep their own streams and sums, so
+# this sets only batching, never the results
+RUN = 8
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,15 +67,24 @@ def run_chunked(
     n_samples: int,
     workers: int | None = None,
 ) -> list:
-    """Evaluate worker(payload, lo, hi) over fixed chunks, results in chunk order.
+    """Per-chunk results of worker(payload, lo, hi), in chunk order.
 
-    The chunk grid depends only on n_samples, so single-process and pooled runs
-    produce identical result lists.  payload must be picklable when workers > 1.
+    Each call covers a run [lo, hi) of up to RUN chunks, with lo a multiple
+    of CHUNK, and returns one result per chunk of the run
+    (range(lo, hi, CHUNK)).  The chunk grid depends only on n_samples, so
+    single-process and pooled runs produce identical result lists; a pool
+    task is one contiguous run.  payload must be picklable when workers > 1.
     """
-    los = range(0, n_samples, CHUNK)
-    his = (min(lo + CHUNK, n_samples) for lo in los)
+    step = RUN * CHUNK
+    los = range(0, n_samples, step)
+    his = [min(lo + step, n_samples) for lo in los]
     nproc = resolve_workers(workers)
     if nproc <= 1 or len(los) <= 1:
-        return [worker(payload, lo, hi) for lo, hi in zip(los, his)]
-    with ProcessPoolExecutor(max_workers=nproc) as pool:
-        return list(pool.map(worker, repeat(payload), los, his, chunksize=4))
+        runs = list(map(worker, repeat(payload), los, his))
+    else:
+        # imported here: a single-process run should not pay for the pool module
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=nproc) as pool:
+            runs = list(pool.map(worker, repeat(payload), los, his))
+    return [result for run in runs for result in run]

@@ -9,35 +9,45 @@ the shortfall of the branch probabilities is an abort that contributes zero.
 
 The input is a product of factors, and an initial dyad is drawn factor by
 factor: one uniform per factor, whose terms are picked with probability
-|alpha_j| / l1 of that factor.  A joint dyad is tensored only when a sample
-first draws it.  Dyads are propagated only up to the last channel with a
-Kraus part.  Every later branch is a Clifford unitary U, and
-Tr[E U|L><R|U^dag] = <R|U^dag E U|L>, so the measurement E is pulled back
-through the sampled tail instead (Heisenberg picture) and evaluated on the
-dyad where the Kraus part ends.  With no Kraus part at all and a Pauli
-measurement, a product of one-qubit factors is evaluated qubit by qubit and
-no joint dyad is built (_qubit_tables).
+|alpha_j| / l1 of that factor.  Dyads are propagated only up to the last
+channel with a Kraus part, the head.  Every later branch is a Clifford
+unitary U, and Tr[E U|L><R|U^dag] = <R|U^dag E U|L>, so the measurement E
+is pulled back through the sampled tail instead (Heisenberg picture) and
+evaluated on the dyad where the head ends.
+
+The qubits are split into independent blocks by one union-find over two
+kinds of sets: each input factor's qubits, and each head channel's support
+(the qubits of its unitary gates, Kraus circuits and projector generators).
+No option selects the partition.  Each block walks its own trajectory tree
+at its own width, through its head channels restricted to its qubits, from
+roots that tensor the block's drawn factor terms.  A Pauli pulled back to
+i^k P meets the product of the block dyads as i^k prod_b <R_b|P_b|L_b>, P_b
+being P on block b's qubits, so a sample's value is a product of block leaf
+values.  With no head channel, a product of one-qubit factors has one block
+per qubit.  A pulled-back projector does not factor, so a projector
+measurement joins every qubit into one block: the joint walk.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from . import stab_core as sc
-from ._util import kahan_sum, run_chunked, sample_rng
-from .channels import ChannelError, Dyad, DyadicDecomposition, SimulableChannel
+from ._util import CHUNK, kahan_sum, run_chunked, sample_rng
+from .channels import ChannelError, Dyad, DyadicDecomposition, StabKraus, _JointTerms
 
 _P0_TOL = 1e-12
 _I_POW = (1, 1j, -1, -1j)
 # refused before any sampling: at ~16 us per sample this is still over four hours
 MAX_SAMPLES = 10**9
-# roots kept per process with their trees; a root drawn past this many is
-# built for its sample and dropped, so a wide product's walk stays bounded
+# roots kept per block and process with their trees; a root drawn past this
+# many is walked in a tree that serves one chunk of samples, so a wide
+# product's walk stays bounded
 MAX_CACHED_ROOTS = 1024
 
 
@@ -88,19 +98,14 @@ def _tail_start(chans) -> int:
 
 
 def _pull_back(measurement, gates):
-    """U^dag E U for the tail circuit U, as (cache key, operator, power of i).
+    """U^dag E U for the tail circuit U, a PauliOp or a StabProjector.
 
-    A Pauli i^k X^x Z^z is keyed by x and z and returned without its i^k,
-    which multiplies the leaf value afterwards; a projector keeps its
-    generators' phases and is keyed on them.  The gates are a channel
-    branch's, checked when the channel was built.
+    The gates are a channel branch's, checked when the channel was built.
     """
     if isinstance(measurement, sc.PauliOp):
-        p = sc._conjugate_pauli_unchecked(measurement, gates)
-        return (p.x.tobytes(), p.z.tobytes()), sc.PauliOp(p.x, p.z), p.k
+        return sc._conjugate_pauli_unchecked(measurement, gates)
     gens = [(sc._conjugate_pauli_unchecked(op, gates), sign) for op, sign in measurement.generators]
-    key = tuple((op.x.tobytes(), op.z.tobytes(), (op.k + 1 - sign) % 4) for op, sign in gens)
-    return key, sc.StabProjector(measurement.n, gens), 0
+    return sc.StabProjector(measurement.n, gens)
 
 
 def _leaf_value(dyad: Dyad, op) -> complex:
@@ -115,12 +120,10 @@ def _leaf_value(dyad: Dyad, op) -> complex:
 
 
 class _Node:
-    """Node of the trajectory tree: a dyad plus its branch distribution per channel.
+    """Node of a block's trajectory tree: a dyad plus its branch distribution
+    for the block's channel at the node's depth.
 
-    The tree covers the channels up to the last one with a Kraus part.  Its
-    roots are the input's joint dyads, each tensored when a sample first
-    draws it and cached by its index tuple (_root, _chunk_worker).  The
-    branch path fully determines the dyad, so transition probabilities and
+    The branch path fully determines the dyad, so transition probabilities and
     leaf values are computed once and shared by every sample that walks the
     same path.  Unitary and Kraus branches share one joint distribution; the
     tail mass is the abort.  A Kraus child is built with its probability,
@@ -128,7 +131,8 @@ class _Node:
     until a sample first walks into it.  A diagonal dyad, such as every
     sigma term or a joint dyad of diagonal factor terms, stays diagonal and
     is propagated once per branch.  A leaf keeps its values keyed by the
-    content of the measurement pulled back through the Clifford tail.
+    content of its block's part of the measurement pulled back through the
+    Clifford tail.
     """
 
     __slots__ = ("dyad", "cum", "children", "values")
@@ -139,7 +143,7 @@ class _Node:
         self.children = None
         self.values = {}
 
-    def expand(self, chan: SimulableChannel) -> None:
+    def expand(self, chan) -> None:
         probs = [p for p, _ in chan.unitary_part]
         kids = [gates for _, gates in chan.unitary_part]
         L, R = self.dyad.L, self.dyad.R
@@ -166,139 +170,348 @@ class _Node:
         return kid
 
 
+class _Local(NamedTuple):
+    """A head channel's branches on one block's qubits, in local indices."""
+
+    unitary_part: tuple
+    kraus_part: tuple
+
+
+def _support(chan) -> set[int]:
+    """Qubits of a channel's unitary gates, Kraus circuits and projector generators."""
+    qubits = {t for _, gates in chan.unitary_part for g in gates for t in g[1:]}
+    for _, k in chan.kraus_part:
+        qubits.update(t for g in k.circuit for t in g[1:])
+        for op, _ in k.proj.generators:
+            qubits.update(np.flatnonzero(op.x | op.z).tolist())
+    return qubits
+
+
+def _restrict(chan, qubits: list[int]):
+    """chan on the listed qubits, numbered from 0 in that order.
+
+    The channel's support lies inside them, so probabilities and branch
+    dyads on a block are those of the joint walk.  Its gates were checked
+    when it was built, and its completeness is the joint channel's.
+    """
+    if len(qubits) == chan.n:
+        return chan
+    local = {q: i for i, q in enumerate(qubits)}
+
+    def relabel(gates):
+        return tuple((g[0], *(local[t] for t in g[1:])) for g in gates)
+
+    kraus = []
+    for q, k in chan.kraus_part:
+        gens = [(sc.PauliOp(op.x[qubits], op.z[qubits], op.k), sign)
+                for op, sign in k.proj.generators]
+        kraus.append((q, StabKraus(k.h, sc.StabProjector(len(qubits), gens), relabel(k.circuit))))
+    return _Local(tuple((p, relabel(gates)) for p, gates in chan.unitary_part), tuple(kraus))
+
+
+class _Block:
+    """An independent block: its qubits, its factors' numbers, its head
+    channels on its qubits with their draw columns, and its trajectory tree."""
+
+    __slots__ = ("qubits", "factors", "terms", "phases", "head", "cols", "tree")
+
+    def __init__(self, decomp: DyadicDecomposition, qubits, factors, head):
+        self.qubits = qubits
+        self.factors = factors
+        self.terms = _JointTerms(tuple(decomp.factors[f] for f in factors))
+        self.phases = [decomp.sampling_arrays()[f][1] for f in factors]
+        self.head = [_restrict(chan, qubits) for _, chan in head]
+        self.cols = [col for col, _ in head]
+        self.tree = _Tree(self)
+
+
+def _blocks(decomp: DyadicDecomposition, chans, measurement) -> list[_Block]:
+    """The independent blocks, ordered by their first qubit (see the module notes)."""
+    n = decomp.n
+    parent = list(range(n))
+
+    def find(q: int) -> int:
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        return q
+
+    def join(qubits) -> None:
+        qubits = list(qubits)
+        for q in qubits[1:]:
+            parent[find(q)] = find(qubits[0])
+
+    starts = list(accumulate((f[0][1].n for f in decomp.factors), initial=0))
+    for lo, hi in zip(starts, starts[1:]):
+        join(range(lo, hi))
+    supports = [sorted(_support(chan)) for chan in chans[: _tail_start(chans)]]
+    for qubits in supports:
+        join(qubits)
+    if not isinstance(measurement, sc.PauliOp):
+        join(range(n))
+    groups = {}
+    for q in range(n):
+        groups.setdefault(find(q), []).append(q)
+    number = {root: b for b, root in enumerate(groups)}
+    factors = [[] for _ in groups]
+    for f, lo in enumerate(starts[:-1]):
+        factors[number[find(lo)]].append(f)
+    # a channel that touches no qubit branches the same on every dyad; the first block takes it
+    head = [[] for _ in groups]
+    for l, qubits in enumerate(supports):
+        head[number[find(qubits[0])] if qubits else 0].append((len(decomp.factors) + l, chans[l]))
+    return [_Block(decomp, qubits, fs, hs)
+            for qubits, fs, hs in zip(groups.values(), factors, head)]
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d array of nonnegative integers, in sorted order:
+    the index of one copy of each, and each row's number among them.
+
+    The columns are packed into one integer per row, first column most
+    significant; a prefix that would overflow is renumbered first.  Packed
+    values in a range a few times the row count are numbered through a
+    table, which is far cheaper than the sort in np.unique.
+    """
+    ids = np.zeros(len(a), dtype=np.int64)
+    size = 1
+    for col in a.T.astype(np.int64):
+        radix = int(col.max()) + 1 if len(col) else 1
+        if size * radix >= 2**62:
+            _, ids = np.unique(ids, return_inverse=True)
+            size = int(ids.max()) + 1
+        ids = ids * radix + col
+        size *= radix
+    if size > 8 * len(ids) + 256:
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        return first, inverse
+    where = np.full(size, -1, dtype=np.int64)
+    where[ids] = np.arange(len(ids))
+    present = where >= 0
+    return where[present], (np.cumsum(present) - 1)[ids]
+
+
+class _Level:
+    """The nodes at one depth of a tree, with the tables the walk reads.
+
+    cum[i] holds node i's cumulative branch probabilities, NaN until it is
+    expanded, and kids[i, j] the id of its child j one level down, -1 until
+    a sample first walks there.
+    """
+
+    __slots__ = ("nodes", "cum", "kids")
+
+    def __init__(self, branches: int):
+        self.nodes = []
+        self.cum = np.full((16, branches), np.nan)
+        self.kids = np.full((16, branches), -1, dtype=np.int64)
+
+    def add(self, node: _Node) -> int:
+        i = len(self.nodes)
+        if i == len(self.cum):
+            self.cum = np.concatenate([self.cum, np.full_like(self.cum, np.nan)])
+            self.kids = np.concatenate([self.kids, np.full_like(self.kids, -1)])
+        self.nodes.append(node)
+        return i
+
+
+class _Tree:
+    """A block's trajectory tree, one _Level per head channel plus the leaves.
+
+    Roots are the block's joint dyads, each tensored when a sample first
+    draws it and keyed by the block's index tuple; phases[i] is root i's
+    unit phase.  A tree that is not kept serves one walk and drops each
+    level's nodes once the walk has passed it.
+    """
+
+    __slots__ = ("block", "keep", "roots", "phases", "levels")
+
+    def __init__(self, block: _Block, keep: bool = True):
+        self.block = block
+        self.keep = keep
+        self.roots = {}
+        self.phases = []
+        self.levels = [_Level(len(c.unitary_part) + len(c.kraus_part)) for c in block.head]
+        self.levels.append(_Level(0))
+
+    def add_root(self, idx: tuple) -> int:
+        phase = 1
+        for phases, j in zip(self.block.phases, idx):
+            phase = phase * phases[j]
+        self.phases.append(phase)
+        self.roots[idx] = rid = self.levels[0].add(_Node(self.block.terms.joint(idx)[1]))
+        return rid
+
+    def walk(self, ids: np.ndarray, draws: np.ndarray, key_ids: np.ndarray, keys: list):
+        """Leaf values of samples that start at roots ids, and which reach a leaf.
+
+        draws[s, d] is sample s's uniform at the block's head channel d, and
+        keys[key_ids[s]] its (key, operator) on this block.  Per depth, a
+        node is expanded and a child built only for the distinct nodes that
+        samples first reach; a leaf value, phase * <R_b|P_b|L_b>, is
+        computed once per leaf and key.
+        """
+        start, ids = ids, ids.copy()
+        live = np.ones(len(ids), dtype=bool)
+        levels = zip(self.block.head, self.levels, self.levels[1:])
+        for d, (chan, level, below) in enumerate(levels):
+            at = np.flatnonzero(live)
+            here = ids[at]
+            fresh = here[np.isnan(level.cum[here, 0])]
+            if fresh.size:
+                for i in fresh[_distinct_rows(fresh[:, None])[0]].tolist():
+                    node = level.nodes[i]
+                    node.expand(chan)
+                    level.cum[i] = node.cum
+            # bisect_right on each node's cumulative probabilities
+            j = (level.cum[here] <= draws[at, d, None]).sum(axis=1)
+            going = j < level.cum.shape[1]
+            live[at[~going]] = False
+            at, here, j = at[going], here[going], j[going]
+            kids = level.kids[here, j]
+            new = kids < 0
+            if new.any():
+                pairs = np.stack([here[new], j[new]], axis=1)
+                for i, b in pairs[_distinct_rows(pairs)[0]].tolist():
+                    level.kids[i, b] = below.add(level.nodes[i].child(b))
+                kids = level.kids[here, j]
+            ids[at] = kids
+            if not self.keep:
+                level.nodes = None
+        values = np.zeros(len(ids), dtype=complex)
+        at = np.flatnonzero(live)
+        if at.size:
+            first, pair = _distinct_rows(np.stack([ids[at], key_ids[at]], axis=1))
+            leaves = self.levels[-1].nodes
+            found = []
+            for s in at[first].tolist():
+                node = leaves[ids[s]]
+                key, op = keys[key_ids[s]]
+                value = node.values.get(key)
+                if value is None:
+                    # a leaf lies under one root only, so its phase is fixed with it
+                    value = node.values[key] = self.phases[start[s]] * _leaf_value(node.dyad, op)
+                found.append(value)
+            values[at] = np.array(found, dtype=complex)[pair]
+        return values, live
+
+
+def _block_values(block: _Block, rows: np.ndarray, draws, key_ids, keys):
+    """Block leaf values of a run's samples and which reach a leaf (_Tree.walk).
+
+    rows[s] holds the terms sample s drew for the block's factors, and
+    draws[s] its uniforms at the block's head channels.  Samples whose root
+    is drawn past MAX_CACHED_ROOTS are walked a chunk at a time, each chunk
+    in a tree that is not kept.
+    """
+    tree = block.tree
+    first, inverse = _distinct_rows(rows)
+    rids = np.full(len(first), -1, dtype=np.int64)
+    for r, s in enumerate(first.tolist()):
+        idx = tuple(rows[s].tolist())
+        rid = tree.roots.get(idx)
+        if rid is None and len(tree.roots) < MAX_CACHED_ROOTS:
+            rid = tree.add_root(idx)
+        if rid is not None:
+            rids[r] = rid
+    rids = rids[inverse]
+    if rids.min(initial=0) >= 0:
+        return tree.walk(rids, draws, key_ids, keys)
+    values = np.empty(len(rows), dtype=complex)
+    live = np.empty(len(rows), dtype=bool)
+    kept = np.flatnonzero(rids >= 0)
+    values[kept], live[kept] = tree.walk(rids[kept], draws[kept], key_ids[kept], keys)
+    rest = np.flatnonzero(rids < 0)
+    for sel in np.split(rest, range(CHUNK, len(rest), CHUNK)):
+        spill = _Tree(block, keep=False)
+        first, inverse = _distinct_rows(rows[sel])
+        ids = np.array([spill.add_root(tuple(rows[s].tolist())) for s in sel[first].tolist()])
+        values[sel], live[sel] = spill.walk(ids[inverse], draws[sel], key_ids[sel], keys)
+    return values, live
+
+
+def _block_keys(blocks: list[_Block], pulled: list) -> list:
+    """Per block: each tail path's key number, and the distinct (key, operator) pairs.
+
+    A pulled-back Pauli i^k X^x Z^z gives block b the part X^x_b Z^z_b,
+    keyed by content; i^k multiplies the product of the block values.  A
+    projector has the one block and is keyed by its generators and phases.
+    """
+    if pulled and isinstance(pulled[0], sc.StabProjector):
+        index, keys, of_path = {}, [], []
+        for proj in pulled:
+            key = tuple((op.x.tobytes(), op.z.tobytes(), (op.k + 1 - sign) % 4)
+                        for op, sign in proj.generators)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append((key, proj))
+            of_path.append(index[key])
+        return [(np.array(of_path, dtype=np.int64), keys)]
+    n = sum(len(block.qubits) for block in blocks)
+    codes = np.array([2 * p.x + p.z for p in pulled], dtype=np.uint8).reshape(len(pulled), n)
+    out = []
+    for block in blocks:
+        part = codes[:, block.qubits]
+        first, of_path = _distinct_rows(part)
+        keys = [(row.tobytes(), sc.PauliOp(row >> 1, row & 1)) for row in part[first]]
+        out.append((of_path, keys))
+    return out
+
+
 def _payload(decomp: DyadicDecomposition, chans, measurement, seed: int):
-    """What each chunk reads: the inputs, an empty root cache and, when the
-    per-qubit leaf rule applies, the factor tables of _qubit_tables."""
-    per_qubit = (_tail_start(chans) == 0 and isinstance(measurement, sc.PauliOp)
-                 and len(decomp.factors) == decomp.n)
-    return decomp, chans, measurement, seed, {}, _qubit_tables(decomp) if per_qubit else None
+    """What each run of chunks reads: the inputs and the blocks with their trees."""
+    return decomp, chans, measurement, seed, _blocks(decomp, chans, measurement)
 
 
-def _qubit_tables(decomp: DyadicDecomposition) -> np.ndarray:
-    """tab[q, j, 2x + z] = phase_j <R_j|X^x Z^z|L_j> over the terms j of qubit q.
+def _chunk_worker(payload, lo: int, hi: int) -> list:
+    """(sum, aborts) of each chunk of the run lo..hi-1, in chunk order.
 
-    With no Kraus channel the trajectory tree is empty, and a Pauli pulled
-    back through the tail, i^k X^x Z^z, meets a product dyad as
-    i^k prod_q <R_q|X^{x_q} Z^{z_q}|L_q>.  Rows past a factor's last term
-    are zero and never drawn; a factor shared by several qubits is read once.
+    Each chunk draws its own rows from its own stream: column f picks the
+    term of factor f, and column F + l the branch at channel l, F being the
+    factor count.  The run's samples are then walked together, block by
+    block.  A tail channel's branches do not depend on the dyad, so its
+    columns are read for the whole run at once, and the measurement is
+    pulled back once per distinct tail path.  Each chunk's values are
+    summed in sample order.
     """
-    paulis = [sc.PauliOp(np.array([x]), np.array([z])) for x in (0, 1) for z in (0, 1)]
-    tab = np.zeros((decomp.n, max(len(f) for f in decomp.factors), 4), dtype=complex)
-    rows = {}
-    for q, (factor, (_, phases)) in enumerate(zip(decomp.factors, decomp.sampling_arrays())):
-        if id(factor) not in rows:
-            rows[id(factor)] = [[ph * _leaf_value(d, p) for p in paulis]
-                                for (_, d), ph in zip(factor, phases)]
-        tab[q, : len(factor)] = rows[id(factor)]
-    return tab
-
-
-def _root(decomp: DyadicDecomposition, idx: tuple) -> tuple[_Node, complex]:
-    """The root with term idx[f] of factor f, and its unit phase."""
-    phase = 1
-    for (_, phases), j in zip(decomp.sampling_arrays(), idx):
-        phase = phase * phases[j]
-    return _Node(decomp.terms.joint(idx)[1]), phase
-
-
-def _chunk_worker(payload, lo: int, hi: int):
-    """Samples lo..hi-1: column f of the chunk's draws picks the term of
-    factor f, and column F + l the branch at channel l, F being the factor
-    count.
-
-    A root is tensored when a sample first draws it and is cached by its
-    index tuple, up to MAX_CACHED_ROOTS roots.  The trajectory tree is walked through the head channels
-    only.  A tail channel's branches do not depend on the dyad, so each tail
-    column is drawn for the whole chunk at once, and the measurement is
-    pulled back once per distinct tail path: Tr[E U|L><R|U^dag] =
-    <R|U^dag E U|L>.  With factor tables (see _qubit_tables) no root is
-    built and a chunk's leaf values are one gather and product.
-    """
-    decomp, chans, measurement, seed, roots, tables = payload
+    decomp, chans, measurement, seed, blocks = payload
     cut = _tail_start(chans)
-    head, tail = chans[:cut], chans[cut:]
+    tail = chans[cut:]
     nf = len(decomp.factors)
-    draws = sample_rng(seed, lo).random((hi - lo, nf + len(chans)))
+    chunks = [(a, min(a + CHUNK, hi)) for a in range(lo, hi, CHUNK)]
+    draws = np.concatenate(
+        [sample_rng(seed, a).random((b - a, nf + len(chans))) for a, b in chunks])
     picked = np.empty((hi - lo, nf), dtype=np.int64)
     for f, (cum, _) in enumerate(decomp.sampling_arrays()):
         picked[:, f] = np.minimum(np.searchsorted(cum, draws[:, f], side="right"), len(cum) - 1)
     picks = np.empty((hi - lo, len(tail)), dtype=np.int64)
-    tail_aborts = np.zeros(hi - lo, dtype=bool)
+    live = np.ones(hi - lo, dtype=bool)
     for l, chan in enumerate(tail):
         cum = _cumulative([p for p, _ in chan.unitary_part])
         picks[:, l] = np.searchsorted(cum, draws[:, nf + cut + l], side="right")
-        tail_aborts |= picks[:, l] >= len(cum)
-    # each distinct tail path of the chunk pulls the measurement back once
-    path_ids = np.zeros(hi - lo, dtype=np.int64)
-    pulled, seen = [], {}
-    for i, (path, tail_abort) in enumerate(zip(picks.tolist(), tail_aborts.tolist())):
-        if tail_abort:
-            continue
-        path = tuple(path)
-        if path not in seen:
-            seen[path] = len(pulled)
-            gates = [g for chan, j in zip(tail, path) for g in chan.unitary_part[j][1]]
-            pulled.append(_pull_back(measurement, gates))
-        path_ids[i] = seen[path]
+        live &= picks[:, l] < len(cum)
+    at = np.flatnonzero(live)
+    # each distinct tail path of the run pulls the measurement back once
+    first, path_ids = _distinct_rows(picks[at])
+    pulled = [
+        _pull_back(measurement, [g for chan, j in zip(tail, path) for g in chan.unitary_part[j][1]])
+        for path in picks[at[first]].tolist()
+    ]
+    picked, draws = picked[at], draws[at]
+    leaves = np.empty((at.size, len(blocks)), dtype=complex)
+    for b, (block, (key_of_path, keys)) in enumerate(zip(blocks, _block_keys(blocks, pulled))):
+        leaves[:, b], reached = _block_values(
+            block, picked[:, block.factors], draws[:, block.cols], key_of_path[path_ids], keys)
+        live[at[~reached]] = False
+    ks = np.array([p.k if isinstance(p, sc.PauliOp) else 0 for p in pulled], dtype=np.int64)
     bound = decomp.l1
-    if tables is not None:
-        return _qubit_leaves(tables, picked, pulled, path_ids, tail_aborts, bound, lo)
-    values = []
-    aborted = 0
-    for index, idx, row, pid, tail_abort in zip(
-        range(lo, hi), picked.tolist(), draws[:, nf : nf + cut].tolist(), path_ids.tolist(),
-        tail_aborts.tolist()
-    ):
-        idx = tuple(idx)
-        root = roots.get(idx)
-        if root is None:
-            root = _root(decomp, idx)
-            if len(roots) < MAX_CACHED_ROOTS:
-                roots[idx] = root
-        node, phase = root
-        for chan, u in zip(head, row):
-            if node.children is None:
-                node.expand(chan)
-            j = bisect_right(node.cum, u)
-            if j >= len(node.cum):
-                node = None
-                break
-            node = node.child(j)
-        if node is None or tail_abort:
-            aborted += 1
-            values.append(0.0)
-            continue
-        key, op, k = pulled[pid]
-        value = node.values.get(key)
-        if value is None:
-            value = node.values[key] = _leaf_value(node.dyad, op)
-        if k:
-            value = value * _I_POW[k]
-        # a leaf lies under one root only, so its phase is fixed with it
-        mu = bound * float(np.real(phase * value))
-        if abs(mu) > bound + 1e-9:
-            raise RuntimeError(f"sample {index} exceeded the l1 bound: {mu}")
-        values.append(mu)
-    return kahan_sum(values), aborted
-
-
-def _qubit_leaves(tables, picked, pulled, path_ids, tail_aborts, bound: float, lo: int):
-    """A chunk's samples under the per-qubit leaf rule, summed in sample order."""
-    n = tables.shape[0]
-    # aborted samples read path 0 and are zeroed after; the spare row serves
-    # a chunk in which every sample aborts
-    codes = np.zeros((len(pulled) + 1, n), dtype=np.int64)
-    ks = np.zeros(len(pulled) + 1, dtype=np.int64)
-    for p, (_, op, k) in enumerate(pulled):
-        codes[p] = 2 * op.x + op.z
-        ks[p] = k
-    leaves = tables[np.arange(n), picked, codes[path_ids]].prod(axis=1)
-    mu = bound * np.real(np.asarray(_I_POW)[ks[path_ids]] * leaves)
-    mu[tail_aborts] = 0.0
+    mu = np.zeros(hi - lo)
+    mu[at] = bound * np.real(np.asarray(_I_POW)[ks[path_ids]] * leaves.prod(axis=1))
+    mu[~live] = 0.0
     over = np.flatnonzero(np.abs(mu) > bound + 1e-9)
     if over.size:
         raise RuntimeError(f"sample {lo + int(over[0])} exceeded the l1 bound: {mu[over[0]]}")
-    return kahan_sum(mu.tolist()), int(tail_aborts.sum())
+    return [(kahan_sum(mu[a - lo : b - lo].tolist()), int(b - a - live[a - lo : b - lo].sum()))
+            for a, b in chunks]
 
 
 def estimate_born(

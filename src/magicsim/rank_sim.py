@@ -287,18 +287,19 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     means, each batch averaging ceil(4/eps_fn^2) draws of the unbiased
     single-state estimate eta_A = 2^n |<phi_A|v>|^2.
 
-    Draws come in blocks of up to 32768.  For n <= 6 a draw is two integers,
-    one uniform row d of the nd-row diagonal and one row o of the no-row
-    off-diagonal _equatorial_grid table.  A call that makes at least nd*no
-    draws, one per equatorial state, first tabulates every state's eta as
-    one product of the two phase tables, (-i)^diag times ((-i)^off * v)^T,
-    exact as (-i)^(a+b) = (-i)^a (-i)^b, and a draw reads entry d*no + o.
-    A call with fewer draws sums each draw's exponents x^T A x from the two
-    rows and takes one product with the dense vector per block, so neither
-    way does more work than the draws ask for, and both draw the same
-    integers.  Wider vectors draw A's digits and bits and take one
-    SparseVector.equatorial_overlap per draw, an exponential sum per
-    distinct drawn term.
+    Draws come in blocks of up to 32768, and only the current batch's draws
+    are kept.  For n <= 6 a draw is two integers, one uniform row d of the
+    nd-row diagonal and one row o of the no-row off-diagonal
+    _equatorial_grid table.  A call that makes at least nd*no draws, one per
+    equatorial state, first tabulates every state's eta as one product of
+    the two phase tables, (-i)^diag times ((-i)^off * v)^T, exact as
+    (-i)^(a+b) = (-i)^a (-i)^b, and a draw reads entry d*no + o.  A call
+    with fewer draws sums each draw's exponents x^T A x from the two rows
+    and multiplies the dense vector by row slices of at most 32768 phases,
+    so neither way does more work or holds more memory than the draws ask
+    for, and both draw the same integers.  Wider vectors draw A's digits and
+    bits and take one SparseVector.equatorial_overlap per draw, an
+    exponential sum per distinct drawn term.
     """
     if not 0.0 < eps_fn <= 0.2:
         raise RankSimError("eps_fn must lie in (0, 1/5]")
@@ -317,32 +318,49 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
         vdense = v.dense()
         if total >= nd * no:
             table = _equatorial_etas(diag_table, off_table, vdense)
-    etas = np.empty(total)
-    done = 0
+    # one batch of draws is kept at a time; its mean is the same pairwise sum
+    # as a row of the (nbatches, batch) array
+    batch_etas = np.empty(batch)
+    means = []
+    filled = done = 0
     while done < total:
         m = min(32768, total - done)
         if table is not None:
             d = rng.integers(0, nd, m)
-            etas[done : done + m] = table.take(d * no + rng.integers(0, no, m))
+            etas = table.take(d * no + rng.integers(0, no, m))
         elif narrow:
             # eta_A = |sum_x (-i)^{x^T A x} v(x)|^2; the 2^n prefactor
             # cancels against the equatorial amplitude normalization.
-            # take copies whole rows, several times faster than fancy indexing
-            expo = diag_table.take(rng.integers(0, nd, m), axis=0)
-            expo += off_table.take(rng.integers(0, no, m), axis=0)
-            amps = _NEG_I_POW.take(expo & 3) @ vdense
-            etas[done : done + m] = np.abs(amps) ** 2
+            d = rng.integers(0, nd, m)
+            o = rng.integers(0, no, m)
+            etas = np.empty(m)
+            # rows per product, so that no complex temporary passes 32768 entries
+            step = max(1, 32768 >> n)
+            for lo in range(0, m, step):
+                # take copies whole rows, several times faster than fancy indexing
+                expo = diag_table.take(d[lo : lo + step], axis=0)
+                expo += off_table.take(o[lo : lo + step], axis=0)
+                etas[lo : lo + step] = np.abs(_NEG_I_POW.take(expo & 3) @ vdense) ** 2
         else:
             diags = rng.integers(0, 4, size=(m, n))
             offs = rng.integers(0, 2, size=(m, len(pairs)))
             scale = float(2**n)
+            etas = np.empty(m)
             for r in range(m):
                 A = np.diag(diags[r])
                 for idx, (j, l) in enumerate(pairs):
                     A[j, l] = A[l, j] = offs[r, idx]
-                etas[done + r] = scale * abs(v.equatorial_overlap(A)) ** 2
+                etas[r] = scale * abs(v.equatorial_overlap(A)) ** 2
         done += m
-    means = etas.reshape(nbatches, batch).mean(axis=1)
+        pos = 0
+        while pos < m:
+            take = min(batch - filled, m - pos)
+            batch_etas[filled : filled + take] = etas[pos : pos + take]
+            filled += take
+            pos += take
+            if filled == batch:
+                means.append(batch_etas.mean())
+                filled = 0
     return float(np.median(means))
 
 

@@ -117,6 +117,25 @@ class TestReproducibility:
                       "--workers", "3")[1]
         assert base == alt
 
+    def test_worker_count_does_not_change_block_walk(self, capsys, tmp_path):
+        # two independent gadget blocks, {0, 2} and {1, 3}, over three runs of chunks
+        doc = {
+            "state": {"product": ["+", "+", "T", "T"]},
+            "circuit": [
+                {"type": "t_gadget", "qubits": [0, 2]},
+                {"type": "t_gadget", "qubits": [1, 3]},
+                {"type": "clifford_mix", "qubits": [0, 1], "params": {"terms": [[1.0, [["CX", 0, 1]]]]}},
+                {"type": "depolarizing", "qubits": [1], "params": {"lambda": 0.1}},
+            ],
+            "measurement": {"pauli": "XYII"},
+            "params": {"epsilon": 0.05},
+        }
+        path = write_doc(tmp_path, doc)
+        outs = [run_cli(capsys, "estimate", "--input", path, "--seed", "8", "--workers", w)[1]
+                for w in ("1", "2")]
+        assert json.loads(outs[0])["samples"] > 2 * 8 * 256
+        assert outs[0] == outs[1]
+
     def test_seed_changes_output(self, capsys, tmp_path):
         path = write_doc(tmp_path, H_FIXTURE)
         a = json.loads(run_cli(capsys, "estimate", "--input", path, "--seed", "1")[1])

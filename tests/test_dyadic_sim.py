@@ -294,8 +294,10 @@ class TestChunkStream:
         measurement = TAIL_MEASUREMENTS[kind]
         assert dy._tail_start(chans) == 1
         payload = dy._payload(dec, chans, measurement, 13)
-        for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 53)):
-            total, aborted = dy._chunk_worker(payload, lo, hi)
+        # one run of three chunks, then one chunk again on the warm trees
+        bounds = ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 53))
+        got = dy._chunk_worker(payload, 0, 2 * CHUNK + 53) + dy._chunk_worker(payload, CHUNK, 2 * CHUNK)
+        for (total, aborted), (lo, hi) in zip(got, bounds + bounds[1:2]):
             want_total, want_aborted = reference_chunk(dec, chans, measurement, 13, lo, hi)
             assert aborted == want_aborted
             assert abs(total - want_total) <= 1e-12
@@ -311,10 +313,13 @@ class TestChunkStream:
         chans.insert(2, short)
         measurement = TAIL_MEASUREMENTS["projector"]
         payload = dy._payload(dec, chans, measurement, 19)
-        total, aborted = dy._chunk_worker(payload, CHUNK, 2 * CHUNK + 7)
-        want_total, want_aborted = reference_chunk(dec, chans, measurement, 19, CHUNK, 2 * CHUNK + 7)
-        assert aborted == want_aborted > 0
-        assert abs(total - want_total) <= 1e-12
+        got = dy._chunk_worker(payload, CHUNK, 2 * CHUNK + 7)
+        assert len(got) == 2
+        for (total, aborted), (lo, hi) in zip(got, ((CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 7))):
+            want_total, want_aborted = reference_chunk(dec, chans, measurement, 19, lo, hi)
+            assert aborted == want_aborted
+            assert abs(total - want_total) <= 1e-12
+        assert sum(aborted for _, aborted in got) > 0
 
     def test_tail_estimate_reproducible_across_workers(self):
         dec, chans = gadget_then_clifford_tail()
@@ -331,16 +336,18 @@ class TestChunkStream:
         monkeypatch.setattr(dy, "MAX_CACHED_ROOTS", 3)
         payload = dy._payload(dec, chans, proj, 11)
         assert dy._chunk_worker(payload, 0, CHUNK) == want
-        assert len(payload[4]) == 3 < len(dec.terms)
+        # a projector measurement walks one block, the joint tree
+        (block,) = payload[4]
+        assert len(block.tree.roots) == 3 < len(dec.terms)
 
     def test_chunk_matches_eager_reference(self):
         dec, chans, proj = gadget_noise_measure()
         payload = dy._payload(dec, chans, proj, 11)
-        aborted = 0
-        for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 37)):
-            got = dy._chunk_worker(payload, lo, hi)
-            assert got == reference_chunk(dec, chans, proj, 11, lo, hi)
-            aborted += got[1]
+        bounds = ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 37))
+        got = dy._chunk_worker(payload, 0, 2 * CHUNK + 37) + dy._chunk_worker(payload, CHUNK, 2 * CHUNK)
+        for result, (lo, hi) in zip(got, bounds + bounds[1:2]):
+            assert result == reference_chunk(dec, chans, proj, 11, lo, hi)
+        aborted = sum(a for _, a in got[:3])
         assert 0 < aborted < 2 * CHUNK + 37
 
 
@@ -359,25 +366,33 @@ def random_product_decomposition(rng, n):
 
 
 class TestQubitLeaves:
-    def test_tables_match_tableau_leaf(self):
-        # i^k prod_q tab[q, j_q, 2 x_q + z_q] is phase * <R|P|L> on the joint dyad
+    """No Kraus channel and a Pauli measurement: one block per one-qubit factor."""
+
+    def test_block_leaves_match_tableau_leaf(self):
+        # i^k prod_q (phase_q <R_q|P_q|L_q>) is phase * <R|P|L> on the joint dyad
         rng = np.random.default_rng(47)
         i_pow = (1, 1j, -1, -1j)
         for n in range(1, 9):
             dec = random_product_decomposition(rng, n)
-            tables = dy._qubit_tables(dec)
             for _ in range(12):
                 idx = tuple(int(rng.integers(len(f))) for f in dec.factors)
                 p = random_pauli(rng, n, hermitian=False)
+                blocks = dy._blocks(dec, [], p)
+                assert [b.qubits for b in blocks] == [[q] for q in range(n)]
+                got = i_pow[p.k]
+                for block, (key_of_path, keys) in zip(blocks, dy._block_keys(blocks, [p])):
+                    values, live = dy._block_values(
+                        block, np.array([[idx[block.factors[0]]]]), np.zeros((1, n)), key_of_path, keys)
+                    assert live.tolist() == [True]
+                    got = got * values[0]
                 alpha, dyad = dec.terms.joint(idx)
                 want = alpha / abs(alpha) * sc.inner_product(dyad.R, sc.apply_pauli(dyad.L, p))
-                got = i_pow[p.k] * np.prod([tables[q, idx[q], 2 * p.x[q] + p.z[q]] for q in range(n)])
                 assert abs(got - want) <= 1e-10
 
     @pytest.mark.parametrize("short", [False, True])
     def test_chunk_matches_eager_reference(self, short):
-        # no Kraus channel and a Pauli measurement: no root is built, and the
-        # chunk's leaves agree with the Schroedinger-picture walk
+        # every root is a factor's own dyad, so no tableau is tensored, and
+        # the chunks' leaves agree with the Schroedinger-picture walk
         rng = np.random.default_rng(53)
         dec = random_product_decomposition(rng, 4)
         chans = [
@@ -391,14 +406,137 @@ class TestQubitLeaves:
             chans.append(SimpleNamespace(n=4, kraus_part=(), unitary_part=((0.8, (("H", 3),)),)))
         measurement = sc.PauliOp.from_letters("XYZI", -1)
         payload = dy._payload(dec, chans, measurement, 23)
-        assert payload[5] is not None
-        for lo, hi in ((0, CHUNK), (CHUNK, 2 * CHUNK + 29)):
-            total, aborted = dy._chunk_worker(payload, lo, hi)
+        assert [b.qubits for b in payload[4]] == [[0], [1], [2], [3]]
+        got = dy._chunk_worker(payload, 0, CHUNK) + dy._chunk_worker(payload, CHUNK, 2 * CHUNK + 29)
+        bounds = ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 29))
+        for (total, aborted), (lo, hi) in zip(got, bounds):
             want_total, want_aborted = reference_chunk(dec, chans, measurement, 23, lo, hi)
             assert aborted == want_aborted
             assert (aborted > 0) == short
             assert abs(total - want_total) <= 1e-9
-        assert payload[4] == {}
+        for block, factor in zip(payload[4], dec.factors):
+            dyads = [d for _, d in factor]
+            assert all(any(node.dyad is d for d in dyads) for node in block.tree.levels[0].nodes)
+
+
+def gadget_pairs(n_pairs, tail=True):
+    """|+>^m (x) |T>^m with a T gadget on each pair (d, d + m), m = n_pairs,
+    then optionally a CX chain over the data qubits and depolarizing noise
+    on qubit 0: the perfbench estimate document at m = 3."""
+    n = 2 * n_pairs
+    dec = ch.dyadic_decompose_product([mono.BlochState.named(s) for s in "+" * n_pairs + "T" * n_pairs])
+    chans = [ch.builtin_channel("t_gadget", [d, d + n_pairs], n) for d in range(n_pairs)]
+    if tail:
+        chain = [["CX", d, d + 1] for d in range(n_pairs - 1)]
+        chans.append(ch.builtin_channel("clifford_mix", list(range(n_pairs)), n,
+                                        {"terms": [[1.0, chain]]}))
+        chans.append(ch.builtin_channel("depolarizing", [0], n, {"lambda": 0.05}))
+    return dec, chans
+
+
+def merged_by_projector():
+    """A measure-and-forward ZZ on qubits 0 and 2 joins two factors' blocks,
+    and a gadget on (1, 3) makes a second block; qubit 4 stays alone."""
+    dec = ch.dyadic_decompose_product([mono.BlochState.named(s) for s in ("H", "+", "F", "T", "H")])
+    chans = [
+        ch.builtin_channel("pauli_measure_and_forward", [0, 2], 5, {"pauli": "ZZ"}),
+        ch.builtin_channel("t_gadget", [1, 3], 5),
+        ch.builtin_channel("depolarizing", [2], 5, {"lambda": 0.3}),
+        ch.builtin_channel("clifford_mix", [0, 1, 4], 5, {"terms": [
+            [0.6, [["H", 0], ["CZ", 0, 2], ["S", 1]]], [0.4, [["CX", 2, 1], ["SDG", 0]]],
+        ]}),
+    ]
+    return dec, chans, sc.PauliOp.from_letters("XZYZX", -1), [[0, 2], [1, 3], [4]]
+
+
+def two_qubit_factor():
+    """A validated two-qubit dyads factor (the joint terms of H (x) T, so
+    its dyads have L != R) next to |+> and |H>; a gadget joins the factor
+    with qubit 2."""
+    pair = ch.DyadicDecomposition(list(ch.dyadic_decompose_product(
+        [mono.BlochState.named("H"), mono.BlochState.named("T")]).terms))
+    dec = ch.DyadicDecomposition.product(
+        [pair, ch.dyadic_decompose_product([mono.BlochState.named(s) for s in "+H"])])
+    assert [len(f[0][1].L.s) for f in dec.factors] == [2, 1, 1]
+    chans = [
+        ch.builtin_channel("t_gadget", [2, 1], 4),
+        ch.builtin_channel("clifford_mix", [0, 3], 4, {"terms": [[0.5, [["H", 1]]], [0.5, [["CX", 1, 0]]]]}),
+    ]
+    return dec, chans, sc.PauliOp.from_letters("YXXZ"), [[0, 1, 2], [3]]
+
+
+def short_tail():
+    """Two gadget blocks and a tail channel whose branches sum to 0.85."""
+    dec, chans = gadget_pairs(2, tail=False)
+    chans.append(SimpleNamespace(n=4, kraus_part=(), unitary_part=(
+        (0.6, (("H", 0), ("CX", 0, 1))), (0.25, (("S", 2),)),
+    )))
+    return dec, chans, sc.PauliOp.from_letters("XYZI"), [[0, 2], [1, 3]]
+
+
+BLOCK_CASES = {
+    "disjoint-gadgets": lambda: (*gadget_pairs(3), sc.PauliOp.from_letters("XXYIII"),
+                                 [[0, 3], [1, 4], [2, 5]]),
+    "projector-merge": merged_by_projector,
+    "two-qubit-factor": two_qubit_factor,
+    "short-tail": short_tail,
+}
+
+
+class TestBlocks:
+    def test_benchmark_document_partition(self):
+        # the perfbench estimate document: gadgets on (d, d + 3), then a Clifford tail
+        dec, chans = gadget_pairs(3)
+        blocks = dy._blocks(dec, chans, sc.PauliOp.from_letters("XXXIII"))
+        assert [b.qubits for b in blocks] == [[0, 3], [1, 4], [2, 5]]
+        assert [b.factors for b in blocks] == [[0, 3], [1, 4], [2, 5]]
+        assert [b.cols for b in blocks] == [[6], [7], [8]]
+        # a projector measurement walks the joint tree
+        (joint,) = dy._blocks(dec, chans, proj_zero(6, 0))
+        assert joint.qubits == list(range(6)) and joint.head == chans[:3]
+
+    def test_restricted_channel_matches_joint_branches(self):
+        # a block's local channel gives a product dyad's branches their joint probabilities
+        dec, chans, _, _ = merged_by_projector()
+        (block,) = [b for b in dy._blocks(dec, chans, sc.PauliOp.from_letters("ZZZZZ")) if b.qubits == [0, 2]]
+        local = block.head[0]
+        assert local.kraus_part[0][1].proj.generators[0][0].letters() == "ZZ"
+        for idx in [(0, 0, 0, 0, 0), (1, 0, 2, 0, 3), (3, 0, 1, 0, 1)]:
+            joint = dy._Node(dec.terms.joint(idx)[1])
+            joint.expand(chans[0])
+            part = dy._Node(block.terms.joint((idx[0], idx[2]))[1])
+            part.expand(local)
+            assert part.cum == joint.cum
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_chunks_match_eager_reference(self, case):
+        dec, chans, measurement, partition = BLOCK_CASES[case]()
+        payload = dy._payload(dec, chans, measurement, 29)
+        assert [b.qubits for b in payload[4]] == partition
+        bounds = [(lo, min(lo + CHUNK, 3 * CHUNK + 41)) for lo in range(0, 3 * CHUNK + 41, CHUNK)]
+        got = dy._chunk_worker(payload, 0, 3 * CHUNK + 41)
+        assert len(got) == len(bounds)
+        for (total, aborted), (lo, hi) in zip(got, bounds):
+            want_total, want_aborted = reference_chunk(dec, chans, measurement, 29, lo, hi)
+            assert aborted == want_aborted
+            assert abs(total - want_total) <= 1e-12
+        if case == "short-tail":
+            assert sum(a for _, a in got) > 0
+
+    def test_gadget_product_at_20_qubits(self):
+        # no CX chain: the exact value is the product of ten two-qubit dense values
+        m = 10
+        dec, chans = gadget_pairs(m, tail=False)
+        letters = "XY" * (m // 2)
+        measurement = sc.PauliOp.from_letters(letters + "I" * m)
+        pair = ch.dyadic_decompose_product([mono.BlochState.named("+"), mono.BlochState.named("T")])
+        rho = do.apply_channel_dense(pair.dense(), ch.builtin_channel("t_gadget", [0, 1], 2))
+        want = np.prod([np.trace(rho @ do.pauli_matrix(sc.PauliOp.from_letters(c + "I"))).real
+                        for c in letters])
+        rep = dy.estimate_born(dec, chans, measurement, 0.15, 0.05, seed=31)
+        assert rep.aborted == 0
+        radius = dec.l1 * np.sqrt(2.0 * np.log(2.0 / 1e-9) / rep.M)
+        assert abs(rep.mu_hat - want) <= radius
 
 
 class TestEstimateBorn:
