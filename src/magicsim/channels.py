@@ -4,10 +4,9 @@ A channel is decomposed into a probabilistic mixture of Clifford circuits
 plus weighted Kraus operators of the fixed form 2^{h/2} U Pi with U Clifford
 and Pi a stabilizer projector of h generators.  That shape keeps trace-norm
 transition probabilities exactly computable during sampling.  All types are
-immutable after construction and validated when built.  Dyadic
-decompositions are checked from stabilizer overlaps at every width; a
-channel's Kraus completeness is checked densely up to six qubits and
-through its trace above that.
+immutable after construction and validated when built, at every width:
+dyadic decompositions from stabilizer overlaps, and a channel's Kraus
+completeness exactly from stabilizer projections of a Bell state.
 """
 
 from __future__ import annotations
@@ -128,9 +127,8 @@ class DyadicDecomposition:
 class _JointTerms(Sequence):
     """The joint terms (alpha, Dyad) of a product of factors.
 
-    The first factor is outermost, as in sc.tensor_terms.  An item is
-    tensored when it is read and not kept, so len() costs nothing at any
-    width.
+    The first factor's index is outermost.  An item is tensored when it is
+    read and not kept, so len() costs nothing at any width.
     """
 
     __slots__ = ("factors", "_len")
@@ -233,10 +231,10 @@ class SimulableChannel:
 
     unitary_part holds (p_r, circuit) with p_r >= 0, kraus_part holds
     (q_s, StabKraus).  Completeness sum p_r I + sum q_s 2^h Pi_s = I is
-    verified densely up to six qubits and through its trace, P_U + sum q_s
-    = 1, at every width; its other Pauli coefficients go unchecked above six
-    qubits.  A channel with neither part is rejected at every width: every
-    sample through it would abort.
+    checked exactly at every width: the channel is refused when the RMS
+    eigenvalue deviation of the left side from I passes _ATOL
+    (_completeness_defect).  A channel with neither part is rejected too:
+    every sample through it would abort.
     """
 
     __slots__ = ("n", "unitary_part", "kraus_part", "P_U", "P_K")
@@ -262,13 +260,53 @@ class SimulableChannel:
         self.P_K = 1.0 - self.P_U
         if not -1e-12 <= self.P_U <= 1.0 + 1e-12:
             raise ChannelError("unitary weight outside [0, 1]")
-        weight = self.P_U + sum(q for q, _ in kraus_part)
-        if abs(weight - 1.0) > _ATOL:
-            raise ChannelError(f"channel weights sum to {weight:.6g}, expected 1")
-        if n <= do.MAX_DENSE_QUBITS:
-            defect = do.channel_completeness_defect(self, n)
-            if defect > _ATOL:
-                raise ChannelError(f"Kraus completeness violated by {defect:.3g}")
+        defect = _completeness_defect(self.n, unitary_part, kraus_part)
+        if defect > _ATOL:
+            raise ChannelError(f"Kraus completeness violated by {defect:.3g}")
+
+
+def _completeness_defect(n: int, unitary_part, kraus_part) -> float:
+    """RMS eigenvalue deviation sqrt(D) of E = sum_r p_r I + sum_s q_s K_s^dag K_s
+    from I, with D = ||E - I||_HS^2 / 2^n, exact at every width.
+
+    K_s^dag K_s = 2^{h_s} Pi_s and Tr Pi_s = 2^{n - h_s}, so with P = sum_r p_r
+    - 1, D = P^2 + 2 P sum_s q_s + sum_st q_s q_t 2^{h_s + h_t} tau_st, where
+    tau_st = Tr[Pi_s Pi_t] / 2^n = ||(Pi_s (x) Pi_t^T)|Phi>||^2 for the Bell
+    state |Phi> on 2n qubits.  Pi_t^T has Pi_t's generators with one sign flip
+    per Y, as (X^x Z^z)^T = (-1)^{x.z} X^x Z^z, and tau_st is 0 or 2^-m after
+    m halving projections, the drop in p2.  D is summed over Fractions of the
+    float weights; only a Kraus part needs that.
+    """
+    if not kraus_part:
+        return abs(math.fsum(p for p, _ in unitary_part) - 1.0)
+    from fractions import Fraction
+
+    def doubled(proj, transpose: bool) -> sc.StabProjector:
+        # Pi on the first n of 2n qubits, or Pi^T on the last n
+        lo = n if transpose else 0
+        gens = []
+        for op, sign in proj.generators:
+            x, z = np.zeros(2 * n, dtype=bool), np.zeros(2 * n, dtype=bool)
+            x[lo:lo + n], z[lo:lo + n] = op.x, op.z
+            if transpose and np.count_nonzero(op.x & op.z) & 1:
+                sign = -sign
+            gens.append((sc.PauliOp(x, z, op.k), sign))
+        return sc.StabProjector(2 * n, gens)
+
+    bell = sc.apply_circuit(sc.zero_state(2 * n), [g for q in range(n) for g in (("H", q), ("CX", q, q + n))])
+    q = [Fraction(w) for w, _ in kraus_part]
+    h = [k.h for _, k in kraus_part]
+    rights = [doubled(k.proj, True) for _, k in kraus_part]
+    P = sum((Fraction(p) for p, _ in unitary_part), Fraction(-1))
+    D = P * P + 2 * P * sum(q)
+    for s, (_, k) in enumerate(kraus_part):
+        left, _ = sc.project_stab(bell, doubled(k.proj, False))
+        for t in range(s, len(kraus_part)):
+            both, _ = sc.project_stab(left, rights[t])
+            if not both.null:
+                # tau_st = tau_ts, so each pair off the diagonal counts twice
+                D += (1 if s == t else 2) * q[s] * q[t] * Fraction(2) ** (h[s] + h[t] + both.p2 - bell.p2)
+    return math.sqrt(D)
 
 
 def _check_circuit(gates, n: int) -> None:

@@ -30,6 +30,9 @@ from . import stab_core as sc
 
 # rows of the `monotone` table; 10^5 rows already take about 2 s and 2 MB
 MAX_COPIES = 10**5
+# joint terms of an `ensemble` state; a joint term costs about 4 KiB, so
+# this caps the list near 1 GiB
+MAX_JOINT_TERMS = 2**18
 
 SUBCOMMANDS = ("estimate", "sample", "constrained", "monotone", "distill", "bench", "selftest")
 
@@ -174,8 +177,8 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
             raise CLIError("ensemble weights must be positive")
         sub = ch.dyadic_decompose_product([_bloch_entry(x) for x in e["product"]])
         # the mixture is one list of joint terms, so count them before any is built
-        if len(terms) + len(sub.terms) > sc.MAX_JOINT_TERMS:
-            raise CLIError(f"ensemble expands to more than {sc.MAX_JOINT_TERMS} joint terms")
+        if len(terms) + len(sub.terms) > MAX_JOINT_TERMS:
+            raise CLIError(f"ensemble expands to more than {MAX_JOINT_TERMS} joint terms")
         terms.extend((weight * a, d) for a, d in sub.terms)
         total += weight
     if not terms:

@@ -137,7 +137,10 @@ def apply_channel_dense(rho: np.ndarray, ch) -> np.ndarray:
 
 
 def channel_completeness_defect(ch, n: int) -> float:
-    """Max-abs deviation of sum p_r I + sum q_s K_s^dag K_s from I."""
+    """Max-abs deviation of sum p_r I + sum q_s K_s^dag K_s from I.
+
+    The tests' reference for the exact check that builds every channel.
+    """
     _check_n(n)
     acc = np.zeros((2**n, 2**n), dtype=complex)
     for p, _ in ch.unitary_part:

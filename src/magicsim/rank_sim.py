@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -137,19 +138,19 @@ class SparseDecomposition:
     def product(cls, factors) -> "SparseDecomposition":
         """Tensor product of decompositions, the first one's qubits outermost.
 
-        The joint terms are folded as in sc.tensor_terms.  Their Gram matrix
-        is the Kronecker product of the factors' Grams, so no joint overlap
-        is computed, and the norm and C are the products of the factors'.
-        The factors were checked when they were built, so nothing is
-        checked again.
+        Joint term j_1..j_m is c_j1 ... c_jm |phi_j1> (x) ... (x) |phi_jm>,
+        the first factor's index outermost.  The norm and C are the products
+        of the factors', so no Gram matrix is built here; the exact backend
+        builds one from overlaps when it first reads it.  The factors were
+        checked when they were built, so nothing is checked again.
         """
         factors = list(factors)
         if not factors:
             raise RankSimError("product needs at least one factor")
-        expansion = sc.tensor_terms([[(c, (t,)) for c, t in zip(f.coeffs, f.terms)] for f in factors])
+        joint = list(itertools.product(*(list(zip(f.coeffs, f.terms)) for f in factors)))
         out = cls.__new__(cls)
-        out._store(np.array([c for c, _ in expansion]), tuple(t for _, (t,) in expansion))
-        out._termset._gram = functools.reduce(np.kron, [f.termset().gram() for f in factors])
+        out._store(np.array([functools.reduce(operator.mul, (c for c, _ in combo)) for combo in joint]),
+                   tuple(sc.tensor(*(t for _, t in combo)) for combo in joint))
         out._norm_sq = math.prod(f.norm_sq() for f in factors)
         out._C = math.prod(f.C for f in factors)
         return out
@@ -253,15 +254,15 @@ def _equatorial_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     order.  Their sum is at most 3n + n(n-1) <= 48 for n <= 6.
     """
     labels = np.arange(2**n)
-    bits = np.array([(labels >> (n - 1 - q)) & 1 for q in range(n)])
-    pair_bits = np.array([bits[j] * bits[l] for j, l in itertools.combinations(range(n), 2)])
+    bits = np.array([(labels >> (n - 1 - q)) & 1 for q in range(n)], dtype=np.uint8)
+    pair_bits = np.array([bits[j] * bits[l] for j, l in itertools.combinations(range(n), 2)],
+                         dtype=np.uint8).reshape(-1, 2**n)
 
     def digits(base: int, width: int) -> np.ndarray:
-        return np.arange(base**width)[:, None] // base ** np.arange(width) % base
+        return (np.arange(base**width)[:, None] // base ** np.arange(width) % base).astype(np.uint8)
 
-    diag = digits(4, n) @ bits
-    off = 2 * (digits(2, len(pair_bits)) @ pair_bits.reshape(-1, 2**n))
-    return diag.astype(np.uint8), off.astype(np.uint8)
+    # every partial sum stays below 256, so the products run in uint8 throughout
+    return digits(4, n) @ bits, 2 * (digits(2, len(pair_bits)) @ pair_bits)
 
 
 def _equatorial_etas(diag_table: np.ndarray, off_table: np.ndarray, vdense: np.ndarray) -> np.ndarray:
@@ -451,12 +452,12 @@ def check_sample_cost(states, w: int, delta: float, p_fail: float, count: int,
     """Predicted overlap count of a sample run, refused above MAX_SAMPLE_OVERLAPS.
 
     Read from the per-qubit decompositions alone, before anything is built.
-    mixed_input_product gives every part a Gram matrix, sum over parts of
-    terms^2 entries, which is prod_q sum_p t_qp^2 for t_qp terms in part p
-    of qubit q.  Those entries are products of per-factor Gram entries, not
-    overlaps, but their count still sizes the input: each part's joint terms
-    are built, and the exact backend fills a Gram matrix of that size by
-    overlaps for every projected term set.  Above the dense cap every fast_norm
+    The build is counted as the Gram entries of mixed_input_product's parts,
+    sum over parts of terms^2, which is prod_q sum_p t_qp^2 for t_qp terms
+    in part p of qubit q.  The fastnorm backend computes none of them, but
+    their count still sizes the input: each part's joint terms are built,
+    and the exact backend fills a Gram matrix of that size by overlaps for
+    every term set it reads.  Above the dense cap every fast_norm
     draw sums one overlap per drawn term, so the sketch adds count x (2w+1)
     x draws per call x k, with k at least the standard rule's
     ceil(12 l1^2 / delta).

@@ -44,9 +44,6 @@ GATE_NAMES = tuple(_GATE_ARITY)
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
-# a joint term of a product fold costs about 4 KiB, so this caps a fold near 1 GiB
-MAX_JOINT_TERMS = 2**18
-
 
 def _parity(bits: np.ndarray) -> int:
     return int(np.count_nonzero(bits)) & 1
@@ -661,28 +658,6 @@ def tensor(*states: StabState) -> StabState:
     out.unit = math.prod(st.unit for st in states)
     out.null = any(st.null for st in states)
     return out
-
-
-def tensor_terms(factors) -> list[tuple]:
-    """Expand a product of per-qubit term lists into its joint terms.
-
-    Each factor lists (weight, states) pairs, states being a tuple of
-    StabStates such as the two sides of a dyad.  The first factor is
-    outermost; weights multiply left to right and states tensor position by
-    position, so the joint states carry the factors' qubits in order.  A
-    product of more than MAX_JOINT_TERMS terms is refused before any fold.
-    """
-    size = math.prod(len(terms) for terms in factors)
-    if size > MAX_JOINT_TERMS:
-        raise ValueError(f"product expands to {size} joint terms, more than {MAX_JOINT_TERMS}")
-    acc = list(factors[0])
-    for terms in factors[1:]:
-        acc = [
-            (w1 * w2, tuple(tensor(a, b) for a, b in zip(s1, s2)))
-            for w1, s1 in acc
-            for w2, s2 in terms
-        ]
-    return acc
 
 
 # -- overlaps as exponential sums ---------------------------------------------

@@ -1,6 +1,11 @@
 """Channel layer: dyads, Kraus canonical form, builtins, product decompositions."""
 
+import functools
+import inspect
+import itertools
 import math
+import operator
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ import magicsim.monotones as mono
 import magicsim.stab_core as sc
 from magicsim.channels import ChannelError
 
-from conftest import random_stab_state
+from conftest import random_gate, random_stab_state
 
 
 def H_vec():
@@ -214,7 +219,7 @@ class TestBuiltins:
             ch.SimulableChannel(1, [(0.5, ())], [])
 
     def test_incomplete_channel_rejected_above_dense_cap(self):
-        # the trace of the completeness relation is checked at every width
+        # completeness is checked exactly at every width, its trace included
         with pytest.raises(ChannelError):
             ch.SimulableChannel(7, [(0.5, ())], [])
         zz = sc.PauliOp.from_letters("ZZ" + "I" * 5)
@@ -222,6 +227,11 @@ class TestBuiltins:
         with pytest.raises(ChannelError):
             ch.SimulableChannel(7, [], kraus)
         ch.SimulableChannel(7, [(0.2, ())], kraus)
+        # weights summing to 1 are not enough: (1 + ZZ)/2 + (1 + XX)/2 is not I
+        xx = sc.PauliOp.from_letters("XX" + "I" * 5)
+        kraus = [(0.5, ch.StabKraus(1, sc.StabProjector(7, [(op, 1)]), ())) for op in (zz, xx)]
+        with pytest.raises(ChannelError, match="completeness"):
+            ch.SimulableChannel(7, [], kraus)
 
     def test_trace_preserved_randomly(self):
         rng = np.random.default_rng(17)
@@ -237,6 +247,99 @@ class TestBuiltins:
             out = do.apply_channel_dense(rho, chan)
             assert np.trace(out) == pytest.approx(1.0, abs=1e-10)
             assert np.abs(out - out.conj().T).max() < 1e-10
+
+
+def random_group(rng, n, h):
+    """h independent commuting Paulis: Z_0..Z_{h-1} pulled back through a random circuit."""
+    gates = [random_gate(rng, n) for _ in range(4 * n)]
+    return [sc.conjugate_pauli(sc.PauliOp.single(n, j, "Z"), gates) for j in range(h)]
+
+
+def sign_patterns(rng, n, ops, weight):
+    """One Kraus term of weight weight / 2^h per sign pattern of the h ops.
+
+    Their 2^h projectors sum to I, so the terms sum to weight * I whatever
+    circuits follow the projectors.
+    """
+    h = len(ops)
+    return [(weight / 2**h, ch.StabKraus(h, sc.StabProjector(n, list(zip(ops, signs))),
+                                         [random_gate(rng, n) for _ in range(2)]))
+            for signs in itertools.product((1, -1), repeat=h)]
+
+
+def staircase(n, flip=None):
+    """Kraus terms 2^-h 2^h Pi_s for the orthogonal projectors Pi_s with Z_j = +1
+    for j < s and Z_s = -1 (s < n - 1), plus Z_j = +1 for every j < n - 1; h runs
+    up to n - 1.  flip negates the first sign of term flip."""
+    kraus = []
+    for s in range(n):
+        h = min(s + 1, n - 1)
+        signs = [-1 if j == s else 1 for j in range(h)]
+        if s == flip:
+            signs[0] = -signs[0]
+        proj = sc.StabProjector(n, [(sc.PauliOp.single(n, j, "Z"), sign) for j, sign in enumerate(signs)])
+        kraus.append((2.0**-h, ch.StabKraus(h, proj, ())))
+    return kraus
+
+
+class TestCompleteness:
+    def test_matches_dense_defect(self):
+        # complete channels: a unitary weight plus one or two groups' full sign
+        # patterns; incomplete: one term dropped, or one sign flipped so that two
+        # terms share a projector and the weights still sum to 1
+        rng = np.random.default_rng(29)
+        seen = {True: 0, False: 0}
+        for case in range(48):
+            n = int(rng.integers(1, 7))
+            P_U = (0.0, 0.3)[case % 2]
+            unitary = [(P_U, [random_gate(rng, n)])] if P_U else []
+            groups = 1 + (case // 2) % 2
+            kraus = []
+            for _ in range(groups):
+                ops = random_group(rng, n, int(rng.integers(1, min(n, 3) + 1)))
+                kraus += sign_patterns(rng, n, ops, (1.0 - P_U) / groups)
+            mutation = (case // 4) % 3
+            if mutation == 1:
+                del kraus[int(rng.integers(len(kraus)))]
+            elif mutation == 2:
+                j = int(rng.integers(len(kraus)))
+                q, k = kraus[j]
+                (op, sign), *rest = k.proj.generators
+                kraus[j] = (q, ch.StabKraus(k.h, sc.StabProjector(n, [(op, -sign), *rest]), k.circuit))
+            dense = do.channel_completeness_defect(
+                types.SimpleNamespace(unitary_part=unitary, kraus_part=kraus), n)
+            try:
+                ch.SimulableChannel(n, unitary, kraus)
+                accepted = True
+            except ChannelError:
+                accepted = False
+            assert accepted == (dense <= ch._ATOL), (case, n, dense)
+            seen[accepted] += 1
+        assert min(seen.values()) >= 12
+
+    def test_staircase_at_n64(self):
+        # 64 terms with h up to 63: the check stays exact where 2^h passes 2^53
+        ch.SimulableChannel(64, [], staircase(64))
+        with pytest.raises(ChannelError, match="completeness"):
+            ch.SimulableChannel(64, [], staircase(64, flip=40))
+
+    def test_channels_built_without_dense_oracle(self, monkeypatch):
+        # the benchmark estimate document's channels, with every dense_oracle
+        # function made to fail
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense_oracle called while building a channel")
+
+        for name, obj in vars(do).items():
+            if inspect.isfunction(obj) and obj.__module__ == do.__name__:
+                monkeypatch.setattr(do, name, refuse)
+        circuit = [
+            *({"type": "t_gadget", "qubits": [d, d + 3]} for d in range(3)),
+            {"type": "clifford_mix", "qubits": [0, 1, 2],
+             "params": {"terms": [[1.0, [["CX", 0, 1], ["CX", 1, 2]]]]}},
+            {"type": "depolarizing", "qubits": [0], "params": {"lambda": 0.05}},
+        ]
+        chans = [ch.channel_from_json(obj, 6) for obj in circuit]
+        assert [len(c.kraus_part) for c in chans] == [2, 2, 2, 0, 0]
 
 
 class TestChannelFromJson:
@@ -315,16 +418,17 @@ class TestDyadicProduct:
 
     @pytest.mark.parametrize("names", [["H", "T"], ["+", "F", "H"], ["H", "0", "T", "+", "1", "-"]])
     def test_lazy_terms_match_fold(self, names):
-        # item i is the i-th term of the Cartesian fold, first factor outermost
+        # item i is the i-th term of the Cartesian product, first factor outermost
         states = [mono.BlochState.named(s).scaled(0.8 if s in "TF" else 1.0) for s in names]
         dec = ch.dyadic_decompose_product(states)
-        fold = sc.tensor_terms([[(a, (d.L, d.R)) for a, d in f] for f in dec.factors])
+        fold = list(itertools.product(*dec.factors))
         assert len(dec.terms) == len(fold) == math.prod(len(f) for f in dec.factors)
-        for (a, d), (w, (L, R)) in zip(dec.terms, fold, strict=True):
-            assert a == w
-            assert d.dense() == pytest.approx(np.outer(do.expand(L), do.expand(R).conj()), abs=1e-12)
+        for (a, d), combo in zip(dec.terms, fold, strict=True):
+            assert a == functools.reduce(operator.mul, (w for w, _ in combo))
+            kron = functools.reduce(np.kron, (e.dense() for _, e in combo))
+            assert d.dense() == pytest.approx(kron, abs=1e-12)
         a, d = dec.terms[-1]
-        assert a == fold[-1][0]
+        assert a == functools.reduce(operator.mul, (w for w, _ in fold[-1]))
         with pytest.raises(IndexError):
             dec.terms[len(fold)]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import time
@@ -397,6 +398,17 @@ class TestValidation:
         assert proc.returncode == 2
         diag = json.loads(proc.stderr)
         assert diag["error"]["kind"] == "usage"
+
+    def test_incomplete_channel_refused_above_dense_cap(self, capsys):
+        # Kraus terms 0.5 * 2 (1 + ZZ)/2 and 0.5 * 2 (1 + XX)/2 at n=7: the weights
+        # sum to 1 and every branch sum on |+0...0> is 1, but the channel is not
+        # complete
+        path = str(pathlib.Path(__file__).parent / "data" / "estimate_zz_xx_n7.json")
+        rc, out, err = run_cli(capsys, "estimate", "--input", path, "--seed", "1")
+        assert rc == 2 and out == ""
+        diag = json.loads(err)["error"]
+        assert diag["kind"] == "validation"
+        assert "completeness" in diag["message"]
 
     def test_bloch_outside_ball_rejected(self, capsys, tmp_path):
         doc = {"state": {"product": [[0.9, 0.9, 0.9]]},

@@ -143,8 +143,11 @@ class TestStabilizerUpdate:
         state = sc.apply_circuit(sc.plus_state(2), [("S", 0), ("CX", 0, 1)])
         chan = ch.builtin_channel("t_gadget", [0, 1], 2)
         twin = expanded(ch.Dyad(state, state.copy()), 2, kraus=chan.kraus_part)
+        # building a channel projects too (its completeness check), so the
+        # channel is built before the count starts
+        diag = dy._Node(ch.Dyad(state, state))
         monkeypatch.setattr(sc, "project_stab", counted)
-        diag = expanded(ch.Dyad(state, state), 2, kraus=chan.kraus_part)
+        diag.expand(chan)
         assert len(calls) == len(chan.kraus_part)
         assert diag.cum == twin.cum
         for j in range(len(diag.cum)):
@@ -154,7 +157,7 @@ class TestStabilizerUpdate:
             assert do.expand(kid.dyad.R) == pytest.approx(do.expand(ref.dyad.R))
 
     def test_empty_part_rejected(self):
-        # width 7 lies above the dense completeness check
+        # an empty channel is refused at every width, here above the dense cap
         with pytest.raises(ch.ChannelError):
             ch.SimulableChannel(7, [], [])
 

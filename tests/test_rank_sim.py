@@ -1,5 +1,7 @@
 """Stabilizer-rank sampler: sparsification statistics, norm sketch, bit sampling."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -338,9 +340,15 @@ class TestProductGram:
         # reversed factor order shows
         states = [mono.BlochState.named("F").scaled(0.85), mono.BlochState.named("H").scaled(0.9),
                   mono.BlochState(0.3, -0.2, 0.1), mono.BlochState.named("T")][:count]
-        for _, d in rs.mixed_input_product(states).ensemble:
-            g = rs._TermSet(d.termset().terms).gram()
-            assert np.abs(d.termset().gram() - g).max() <= 1e-12
+        parts = [[rs.SparseDecomposition([c for c, _ in terms], [t for _, t in terms])
+                  for _, _, terms in mono.decompose_1q_state(rho)[1]] for rho in states]
+        for combo in itertools.product(*parts):
+            d = rs.SparseDecomposition.product(combo)
+            # a product builds no Gram matrix; the first read fills it from overlaps
+            assert d.termset()._gram is None
+            g = d.termset().gram()
+            kron = functools.reduce(np.kron, [f.termset().gram() for f in combo])
+            assert np.abs(kron - g).max() <= 1e-12
             mags = np.abs(d.coeffs)
             assert d.norm_sq() == pytest.approx(float(np.real(mags @ g @ mags)), abs=1e-12)
             C = d.l1 * np.sum(mags * np.abs(mags @ g) ** 2)
