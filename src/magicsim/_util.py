@@ -1,4 +1,4 @@
-"""Deterministic RNG streams, compensated summation, and worker pools.
+"""Deterministic RNG streams, compensated summation, and worker processes.
 
 Monte Carlo results must be byte-identical for a given seed no matter how many
 worker processes run the sampling loop.  Three conventions enforce that:
@@ -8,12 +8,13 @@ worker processes run the sampling loop.  Three conventions enforce that:
 * partial results are reduced in chunk order with compensated summation.
 
 A worker call evaluates a run of up to RUN consecutive chunks, so that it
-can batch the run's samples; it still returns one result per chunk.
+can batch the run's samples; it still returns one result per chunk.  Each
+process walks one contiguous span of runs against one copy of the payload,
+so whatever the worker caches in the payload serves all of the span.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -51,40 +52,34 @@ def kahan_sum(values: Sequence[float]) -> float:
     return total
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None and workers > 0:
-        return workers
-    env = os.environ.get("MAGICSIM_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def _span(worker: Callable, payload, lo: int, hi: int) -> list:
+    """Per-chunk results of worker over the samples [lo, hi), run by run."""
+    step = RUN * CHUNK
+    return [result for a in range(lo, hi, step) for result in worker(payload, a, min(a + step, hi))]
 
 
-def run_chunked(
-    worker: Callable,
-    payload,
-    n_samples: int,
-    workers: int | None = None,
-) -> list:
+def run_chunked(worker: Callable, payload, n_samples: int, workers: int = 1) -> list:
     """Per-chunk results of worker(payload, lo, hi), in chunk order.
 
     Each call covers a run [lo, hi) of up to RUN chunks, with lo a multiple
     of CHUNK, and returns one result per chunk of the run
-    (range(lo, hi, CHUNK)).  The chunk grid depends only on n_samples, so
-    single-process and pooled runs produce identical result lists; a pool
-    task is one contiguous run.  payload must be picklable when workers > 1.
+    (range(lo, hi, CHUNK)).  The runs are cut into min(workers, runs)
+    contiguous spans of near-equal run counts, one per process.  The chunk
+    grid depends only on n_samples, so the result list is the same for any
+    worker count.  payload must be picklable when workers > 1; each process
+    unpickles it once.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     step = RUN * CHUNK
-    los = range(0, n_samples, step)
-    his = [min(lo + step, n_samples) for lo in los]
-    nproc = resolve_workers(workers)
-    if nproc <= 1 or len(los) <= 1:
-        runs = list(map(worker, repeat(payload), los, his))
-    else:
-        # imported here: a single-process run should not pay for the pool module
-        from concurrent.futures import ProcessPoolExecutor
+    runs = -(-n_samples // step)
+    nproc = min(workers, runs)
+    if nproc <= 1:
+        return _span(worker, payload, 0, n_samples)
+    cuts = [min(runs * k // nproc * step, n_samples) for k in range(nproc + 1)]
+    # imported here: a single-process run should not pay for the pool module
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=nproc) as pool:
-            runs = list(pool.map(worker, repeat(payload), los, his))
-    return [result for run in runs for result in run]
+    with ProcessPoolExecutor(max_workers=nproc) as pool:
+        spans = pool.map(_span, repeat(worker), repeat(payload), cuts[:-1], cuts[1:])
+        return [result for span in spans for result in span]

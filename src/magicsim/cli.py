@@ -567,7 +567,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, help="sampling l1 accuracy")
     p.add_argument("--pfail", type=float, help="allowed failure probability")
     p.add_argument("--samples", type=int, help="sample/program count where applicable")
-    p.add_argument("--workers", type=int, help="worker count; MAGICSIM_WORKERS as fallback")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, each walking one contiguous span of chunks")
     p.add_argument("--format", choices=("json", "csv"), help="primary output format")
 
 

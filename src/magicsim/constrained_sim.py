@@ -78,28 +78,14 @@ def _l1_ball_projection(v: np.ndarray) -> np.ndarray:
     return np.sign(v) * np.maximum(a - shift, 0.0)
 
 
-def _octahedron_mixture(b: np.ndarray) -> dict[tuple[int, int, int], float]:
-    """Vertex weights realizing an octahedron point; the slack fills in I/2."""
-    weights: dict[tuple[int, int, int], float] = {}
-    for i in range(3):
-        w = abs(float(b[i]))
-        if w <= 1e-14:
-            continue
-        vertex = tuple((1 if b[i] > 0 else -1) if j == i else 0 for j in range(3))
-        weights[vertex] = weights.get(vertex, 0.0) + w
-    rest = 1.0 - sum(weights.values())
-    if rest > 1e-14:
-        for vertex in ((0, 0, 1), (0, 0, -1)):
-            weights[vertex] = weights.get(vertex, 0.0) + rest / 2.0
-    return weights
-
-
 def optimal_pair(states) -> RobustnessPair:
     """Feasible pair for a product of single-qubit states.
 
     lam multiplies the per-factor generalized robustness values; each
     factor's stabilizer side is the closest octahedron point to b / lam_j,
-    which the one-qubit primal optimum guarantees to be feasible.  The
+    which the one-qubit primal optimum guarantees to be feasible, and sigma
+    is the product of those points as dyadic_decompose_product expands
+    them, over octahedron vertices with nonnegative weights.  The
     per-factor check |lam_j b_sigma - b| <= lam_j - 1 is exactly the 2x2
     inequality rho_j <= lam_j sigma_j, and those inequalities tensor, so
     the product pair needs no joint check.
@@ -110,25 +96,19 @@ def optimal_pair(states) -> RobustnessPair:
     ]
     if not blochs:
         raise ConstrainedSimError("need at least one qubit factor")
-    built = {}
+    built, factors = {}, []
     for rho in blochs:
         key = rho.as_tuple()
-        if key in built:
-            continue
-        lam_j = max(1.0, monotones.lambda_plus_1q(rho)[0])
-        b = np.array(key, dtype=float)
-        b_sig = _l1_ball_projection(b / lam_j)
-        if np.linalg.norm(lam_j * b_sig - b) > lam_j - 1.0 + 1e-9:
-            raise ConstrainedSimError("factor admits no stabilizer side at its lam")
-        weights = _octahedron_mixture(b_sig)
-        total = sum(weights.values())
-        vertices = [monotones.axis_state(monotones.BlochState(*v)) for v in weights]
-        sigma_j = ch.DyadicDecomposition(
-            [(w / total, ch.Dyad(s, s)) for w, s in zip(weights.values(), vertices)], validate=False)
-        built[key] = lam_j, sigma_j
-    factors = [built[rho.as_tuple()] for rho in blochs]
+        if key not in built:
+            lam_j = max(1.0, monotones.lambda_plus_1q(rho)[0])
+            b = np.array(key, dtype=float)
+            b_sig = _l1_ball_projection(b / lam_j)
+            if np.linalg.norm(lam_j * b_sig - b) > lam_j - 1.0 + 1e-9:
+                raise ConstrainedSimError("factor admits no stabilizer side at its lam")
+            built[key] = lam_j, monotones.BlochState(*b_sig)
+        factors.append(built[key])
     lam = math.prod(lam_j for lam_j, _ in factors)
-    return RobustnessPair(lam, ch.DyadicDecomposition.product(d for _, d in factors))
+    return RobustnessPair(lam, ch.dyadic_decompose_product(point for _, point in factors))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,7 +185,7 @@ def constrained_estimate(
     c: float = 0.05,
     p_fail: float = 0.05,
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> ConstrainedReport:
     """Interval for the target expectation from a run on the stabilizer side.
 

@@ -119,57 +119,6 @@ def _leaf_value(dyad: Dyad, op) -> complex:
     return sc.inner_product(dyad.R, Lm)
 
 
-class _Node:
-    """Node of a block's trajectory tree: a dyad plus its branch distribution
-    for the block's channel at the node's depth.
-
-    The branch path fully determines the dyad, so transition probabilities and
-    leaf values are computed once and shared by every sample that walks the
-    same path.  Unitary and Kraus branches share one joint distribution; the
-    tail mass is the abort.  A Kraus child is built with its probability,
-    which needs the projection anyway; a unitary child stays a gate list
-    until a sample first walks into it.  A diagonal dyad, such as every
-    sigma term or a joint dyad of diagonal factor terms, stays diagonal and
-    is propagated once per branch.  A leaf keeps its values keyed by the
-    content of its block's part of the measurement pulled back through the
-    Clifford tail.
-    """
-
-    __slots__ = ("dyad", "cum", "children", "values")
-
-    def __init__(self, dyad: Dyad | None):
-        self.dyad = dyad
-        self.cum = None
-        self.children = None
-        self.values = {}
-
-    def expand(self, chan) -> None:
-        probs = [p for p, _ in chan.unitary_part]
-        kids = [gates for _, gates in chan.unitary_part]
-        L, R = self.dyad.L, self.dyad.R
-        for q, k in chan.kraus_part:
-            Lp, nl = sc.project_stab(L, k.proj)
-            Rp, nr = (Lp, nl) if R is L else sc.project_stab(R, k.proj)
-            pr = q * (2.0**k.h) * nl * nr
-            if pr > 0.0:
-                Lp = _unit(sc.apply_circuit(Lp, k.circuit))
-                Rp = Lp if R is L else _unit(sc.apply_circuit(Rp, k.circuit))
-                kids.append(_Node(Dyad(Lp, Rp)))
-            else:
-                kids.append(None)
-            probs.append(pr)
-        self.cum = _cumulative(probs)
-        self.children = kids
-
-    def child(self, j: int) -> _Node:
-        kid = self.children[j]
-        if isinstance(kid, tuple):
-            L, R = self.dyad.L, self.dyad.R
-            Lc = sc.apply_circuit(L, kid)
-            kid = self.children[j] = _Node(Dyad(Lc, Lc if R is L else sc.apply_circuit(R, kid)))
-        return kid
-
-
 class _Local(NamedTuple):
     """A head channel's branches on one block's qubits, in local indices."""
 
@@ -291,27 +240,58 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Level:
-    """The nodes at one depth of a tree, with the tables the walk reads.
+    """The nodes at one depth of a tree, by id, with the tables the walk reads.
 
-    cum[i] holds node i's cumulative branch probabilities, NaN until it is
-    expanded, and kids[i, j] the id of its child j one level down, -1 until
-    a sample first walks there.
+    dyads[i] is node i's dyad; the branch path fully determines it, so
+    branch probabilities and leaf values are computed once and shared by
+    every sample that walks the same path.  cum[i] holds node i's cumulative
+    branch probabilities, NaN until it is expanded (_expand), and kids[i, j]
+    the id of its child j one level down, -1 until that child is built.  At
+    the leaf level, values[i, key] caches node i's value under its block's
+    part of the measurement pulled back through the Clifford tail, keyed by
+    that part's content.
     """
 
-    __slots__ = ("nodes", "cum", "kids")
+    __slots__ = ("dyads", "cum", "kids", "values")
 
     def __init__(self, branches: int):
-        self.nodes = []
+        self.dyads = []
         self.cum = np.full((16, branches), np.nan)
         self.kids = np.full((16, branches), -1, dtype=np.int64)
+        self.values = {}
 
-    def add(self, node: _Node) -> int:
-        i = len(self.nodes)
+    def add(self, dyad: Dyad) -> int:
+        i = len(self.dyads)
         if i == len(self.cum):
             self.cum = np.concatenate([self.cum, np.full_like(self.cum, np.nan)])
             self.kids = np.concatenate([self.kids, np.full_like(self.kids, -1)])
-        self.nodes.append(node)
+        self.dyads.append(dyad)
         return i
+
+
+def _expand(level: _Level, i: int, chan, below: _Level) -> None:
+    """Expand node i of level through chan: write its cumulative branch
+    probabilities and add each Kraus child of nonzero probability to below.
+
+    Unitary and Kraus branches share one joint distribution; the tail mass
+    is the abort.  A Kraus child is built with its probability, which needs
+    the projection anyway; a unitary child is left to the walk, which
+    applies its gates when a sample first reaches it.  A diagonal dyad,
+    such as every sigma term or a joint dyad of diagonal factor terms,
+    stays diagonal and is projected once per branch.
+    """
+    probs = [p for p, _ in chan.unitary_part]
+    L, R = level.dyads[i].L, level.dyads[i].R
+    for j, (q, k) in enumerate(chan.kraus_part, start=len(probs)):
+        Lp, nl = sc.project_stab(L, k.proj)
+        Rp, nr = (Lp, nl) if R is L else sc.project_stab(R, k.proj)
+        pr = q * (2.0**k.h) * nl * nr
+        if pr > 0.0:
+            Lp = _unit(sc.apply_circuit(Lp, k.circuit))
+            Rp = Lp if R is L else _unit(sc.apply_circuit(Rp, k.circuit))
+            level.kids[i, j] = below.add(Dyad(Lp, Rp))
+        probs.append(pr)
+    level.cum[i] = _cumulative(probs)
 
 
 class _Tree:
@@ -320,7 +300,7 @@ class _Tree:
     Roots are the block's joint dyads, each tensored when a sample first
     draws it and keyed by the block's index tuple; phases[i] is root i's
     unit phase.  A tree that is not kept serves one walk and drops each
-    level's nodes once the walk has passed it.
+    level's dyads once the walk has passed it.
     """
 
     __slots__ = ("block", "keep", "roots", "phases", "levels")
@@ -338,7 +318,7 @@ class _Tree:
         for phases, j in zip(self.block.phases, idx):
             phase = phase * phases[j]
         self.phases.append(phase)
-        self.roots[idx] = rid = self.levels[0].add(_Node(self.block.terms.joint(idx)[1]))
+        self.roots[idx] = rid = self.levels[0].add(self.block.terms.joint(idx)[1])
         return rid
 
     def walk(self, ids: np.ndarray, draws: np.ndarray, key_ids: np.ndarray, keys: list):
@@ -359,9 +339,7 @@ class _Tree:
             fresh = here[np.isnan(level.cum[here, 0])]
             if fresh.size:
                 for i in fresh[_distinct_rows(fresh[:, None])[0]].tolist():
-                    node = level.nodes[i]
-                    node.expand(chan)
-                    level.cum[i] = node.cum
+                    _expand(level, i, chan, below)
             # bisect_right on each node's cumulative probabilities
             j = (level.cum[here] <= draws[at, d, None]).sum(axis=1)
             going = j < level.cum.shape[1]
@@ -370,26 +348,30 @@ class _Tree:
             kids = level.kids[here, j]
             new = kids < 0
             if new.any():
+                # only unitary children are left to build: _expand adds every Kraus child
                 pairs = np.stack([here[new], j[new]], axis=1)
                 for i, b in pairs[_distinct_rows(pairs)[0]].tolist():
-                    level.kids[i, b] = below.add(level.nodes[i].child(b))
+                    L, R = level.dyads[i].L, level.dyads[i].R
+                    gates = chan.unitary_part[b][1]
+                    Lc = sc.apply_circuit(L, gates)
+                    level.kids[i, b] = below.add(Dyad(Lc, Lc if R is L else sc.apply_circuit(R, gates)))
                 kids = level.kids[here, j]
             ids[at] = kids
             if not self.keep:
-                level.nodes = None
+                level.dyads = None
         values = np.zeros(len(ids), dtype=complex)
         at = np.flatnonzero(live)
         if at.size:
             first, pair = _distinct_rows(np.stack([ids[at], key_ids[at]], axis=1))
-            leaves = self.levels[-1].nodes
+            leaves = self.levels[-1]
             found = []
-            for s in at[first].tolist():
-                node = leaves[ids[s]]
-                key, op = keys[key_ids[s]]
-                value = node.values.get(key)
+            sel = at[first]
+            for i, k, r in zip(ids[sel].tolist(), key_ids[sel].tolist(), start[sel].tolist()):
+                key, op = keys[k]
+                value = leaves.values.get((i, key))
                 if value is None:
                     # a leaf lies under one root only, so its phase is fixed with it
-                    value = node.values[key] = self.phases[start[s]] * _leaf_value(node.dyad, op)
+                    value = leaves.values[i, key] = self.phases[r] * _leaf_value(leaves.dyads[i], op)
                 found.append(value)
             values[at] = np.array(found, dtype=complex)[pair]
         return values, live
@@ -521,7 +503,7 @@ def estimate_born(
     epsilon: float,
     p_fail: float,
     seed: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> EstimateReport:
     """Estimate Tr[Pi E(rho)] (or a Pauli expectation) to epsilon, p_fail.
 

@@ -741,14 +741,6 @@ def inner_product(left: StabState, right: StabState) -> complex:
     return overlap(amplitude_form(left), amplitude_form(right))
 
 
-def equatorial_overlap(state: StabState, A: np.ndarray) -> complex:
-    """<phi_A|state> for the equatorial state indexed by A."""
-    bra = equatorial_form(A)
-    if bra.L.size != state.n:
-        raise ValueError("dimension mismatch")
-    return 0j if state.null else overlap(bra, amplitude_form(state))
-
-
 def _exp_sum(a: list[int], adj: list[int]) -> complex:
     """Exact sum over z in {0,1}^r of i^(a.z + 2 sum_{k<l} B_kl z_k z_l).
 

@@ -503,6 +503,16 @@ class TestMalformedInput:
         assert diag["error"]["kind"] == "validation"
         assert "ceiling" in diag["error"]["message"]
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_refused(self, capsys, tmp_path, workers):
+        path = write_doc(tmp_path, H_FIXTURE)
+        rc, out, err = run_cli(capsys, "estimate", "--input", path, "--workers", workers)
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "workers" in diag["error"]["message"]
+
     def test_incomplete_channel_above_dense_cap_is_validation_error(self, capsys, tmp_path):
         doc = {"state": {"product": ["0"] * 7}, "circuit": [{"unitary": [[0.5, []]]}],
                "measurement": {"pauli": "Z" * 7}}

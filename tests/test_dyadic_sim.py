@@ -28,10 +28,32 @@ def plus_zero_dyad():
     return ch.Dyad(L, R)
 
 
-def expanded(dyad, n, unitary=(), kraus=()):
-    node = dy._Node(dyad)
-    node.expand(ch.SimulableChannel(n, unitary, kraus))
-    return node
+def rooted(dyad, chan):
+    """A trajectory tree with the one root dyad and the one head channel."""
+    tree = dy._Tree(SimpleNamespace(head=[chan]))
+    tree.phases.append(1)
+    tree.levels[0].add(dyad)
+    return tree
+
+
+def expanded(dyad, chan):
+    """rooted(dyad, chan) with its root expanded: cum row and Kraus children."""
+    tree = rooted(dyad, chan)
+    dy._expand(tree.levels[0], 0, chan, tree.levels[1])
+    return tree
+
+
+def child(tree, j):
+    """The expanded root's child j, walked into by one sample if it is not
+    built yet; None when branch j has probability zero."""
+    root, below = tree.levels[0], tree.levels[1]
+    lo = root.cum[0, j - 1] if j else 0.0
+    if root.kids[0, j] < 0 and root.cum[0, j] > lo:
+        # the draw lo lands on branch j: bisect_right counts the cum entries <= lo
+        n = root.dyads[0].n
+        tree.walk(np.array([0]), np.array([[lo]]), np.array([0]), [(b"", sc.PauliOp.from_letters("I" * n))])
+    kid = root.kids[0, j]
+    return None if kid < 0 else below.dyads[kid]
 
 
 def z_measurement():
@@ -63,11 +85,11 @@ class TestStabilizerUpdate:
 
     def test_unitary_certain(self):
         d = ch.Dyad(sc.zero_state(1), sc.zero_state(1))
-        node = expanded(d, 1, unitary=[(1.0, (("H", 0),))])
-        assert node.cum == [1.0]
-        out = node.child(0)
-        assert do.expand(out.dyad.L) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
-        assert do.expand(out.dyad.R) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
+        tree = expanded(d, ch.SimulableChannel(1, [(1.0, (("H", 0),))], []))
+        assert tree.levels[0].cum[0].tolist() == [1.0]
+        out = child(tree, 0)
+        assert do.expand(out.L) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
+        assert do.expand(out.R) == pytest.approx(np.array([1, 1]) / np.sqrt(2))
 
     def test_selective_kraus_keeps_dyad(self):
         # dyad |+0><-0| against {I x |0><0|, X x |1><1|}: first branch certain
@@ -76,29 +98,29 @@ class TestStabilizerUpdate:
             (0.5, ch.StabKraus(1, proj_zero(2, 1), ())),
             (0.5, ch.StabKraus(1, sc.StabProjector.from_strings([("IZ", -1)]), (("X", 0),))),
         ]
-        node = expanded(d, 2, kraus=kraus)
-        assert node.cum == pytest.approx([1.0, 1.0], abs=1e-12)
-        first = node.child(0)
-        assert node.child(1) is None
-        assert do.expand(first.dyad.L) == pytest.approx(do.expand(d.L))
-        assert do.expand(first.dyad.R) == pytest.approx(do.expand(d.R))
+        tree = expanded(d, ch.SimulableChannel(2, [], kraus))
+        assert tree.levels[0].cum[0] == pytest.approx([1.0, 1.0], abs=1e-12)
+        first = child(tree, 0)
+        assert child(tree, 1) is None
+        assert do.expand(first.L) == pytest.approx(do.expand(d.L))
+        assert do.expand(first.R) == pytest.approx(do.expand(d.R))
 
     def test_measure_branch_probabilities(self):
         # Z measure-and-keep on |+><+| splits 50/50 into |0><0| and |1><1|
         d = ch.Dyad(sc.plus_state(1), sc.plus_state(1))
-        node = expanded(d, 1, kraus=z_measurement())
-        assert node.cum == pytest.approx([0.5, 1.0], abs=1e-12)
+        tree = expanded(d, ch.SimulableChannel(1, [], z_measurement()))
+        assert tree.levels[0].cum[0] == pytest.approx([0.5, 1.0], abs=1e-12)
         for j, expect in enumerate((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))):
-            child = node.child(j)
-            dense = np.outer(do.expand(child.dyad.L), do.expand(child.dyad.R).conj())
+            kid = child(tree, j)
+            dense = np.outer(do.expand(kid.L), do.expand(kid.R).conj())
             assert dense == pytest.approx(expect)
 
     def test_output_amplitudes_are_unit(self):
         d = ch.Dyad(sc.plus_state(1), sc.plus_state(1))
-        node = expanded(d, 1, kraus=z_measurement())
-        for child in (node.child(0), node.child(1)):
-            assert abs(child.dyad.L.amplitude() - 1.0) < 1e-12
-            assert abs(child.dyad.R.amplitude() - 1.0) < 1e-12
+        tree = expanded(d, ch.SimulableChannel(1, [], z_measurement()))
+        for kid in (child(tree, 0), child(tree, 1)):
+            assert abs(kid.L.amplitude() - 1.0) < 1e-12
+            assert abs(kid.R.amplitude() - 1.0) < 1e-12
 
     def test_unitary_children_built_on_first_walk(self, monkeypatch):
         # a depolarizing node costs no gate application until a branch is walked
@@ -111,25 +133,24 @@ class TestStabilizerUpdate:
 
         d = plus_zero_dyad()
         chan = ch.builtin_channel("depolarizing", [1], 2, {"lambda": 0.4})
-        node = dy._Node(d)
+        tree = rooted(d, chan)
         monkeypatch.setattr(sc, "apply_circuit", counted)
-        node.expand(chan)
+        dy._expand(tree.levels[0], 0, chan, tree.levels[1])
         assert calls == []
-        assert node.cum == pytest.approx([0.7, 0.8, 0.9, 1.0], abs=1e-12)
-        child = node.child(2)
+        assert tree.levels[0].cum[0] == pytest.approx([0.7, 0.8, 0.9, 1.0], abs=1e-12)
+        kid = child(tree, 2)
         assert calls == [(("Y", 1),)] * 2
-        assert node.child(2) is child
+        assert child(tree, 2) is kid
         assert len(calls) == 2
-        assert [isinstance(kid, dy._Node) for kid in node.children] == [False, False, True, False]
+        assert (tree.levels[0].kids[0] >= 0).tolist() == [False, False, True, False]
         for side in ("L", "R"):
             want = apply_circuit(getattr(d, side), [("Y", 1)])
-            assert do.expand(getattr(child.dyad, side)) == pytest.approx(do.expand(want))
+            assert do.expand(getattr(kid, side)) == pytest.approx(do.expand(want))
         # both sides of a diagonal dyad are one state, so one application serves both
-        diag = dy._Node(ch.Dyad(d.L, d.L))
-        diag.expand(chan)
-        kid = diag.child(1)
+        diag = expanded(ch.Dyad(d.L, d.L), chan)
+        kid = child(diag, 1)
         assert len(calls) == 3
-        assert kid.dyad.L is kid.dyad.R
+        assert kid.L is kid.R
 
     def test_diagonal_dyad_stays_diagonal_through_kraus(self, monkeypatch):
         # one projection and one circuit per Kraus branch serve both sides
@@ -142,19 +163,19 @@ class TestStabilizerUpdate:
 
         state = sc.apply_circuit(sc.plus_state(2), [("S", 0), ("CX", 0, 1)])
         chan = ch.builtin_channel("t_gadget", [0, 1], 2)
-        twin = expanded(ch.Dyad(state, state.copy()), 2, kraus=chan.kraus_part)
+        twin = expanded(ch.Dyad(state, state.copy()), ch.SimulableChannel(2, [], chan.kraus_part))
         # building a channel projects too (its completeness check), so the
         # channel is built before the count starts
-        diag = dy._Node(ch.Dyad(state, state))
+        diag = rooted(ch.Dyad(state, state), chan)
         monkeypatch.setattr(sc, "project_stab", counted)
-        diag.expand(chan)
+        dy._expand(diag.levels[0], 0, chan, diag.levels[1])
         assert len(calls) == len(chan.kraus_part)
-        assert diag.cum == twin.cum
-        for j in range(len(diag.cum)):
-            kid, ref = diag.child(j), twin.child(j)
-            assert kid.dyad.L is kid.dyad.R
-            assert do.expand(kid.dyad.L) == pytest.approx(do.expand(ref.dyad.L))
-            assert do.expand(kid.dyad.R) == pytest.approx(do.expand(ref.dyad.R))
+        assert diag.levels[0].cum[0].tolist() == twin.levels[0].cum[0].tolist()
+        for j in range(diag.levels[0].cum.shape[1]):
+            kid, ref = child(diag, j), child(twin, j)
+            assert kid.L is kid.R
+            assert do.expand(kid.L) == pytest.approx(do.expand(ref.L))
+            assert do.expand(kid.R) == pytest.approx(do.expand(ref.R))
 
     def test_empty_part_rejected(self):
         # an empty channel is refused at every width, here above the dense cap
@@ -171,11 +192,11 @@ class TestTreeWalk:
         )
         chan = ch.builtin_channel("t_gadget", [0, 1], 2)
         for _, d in dec.terms:
-            node = dy._Node(d)
-            node.expand(chan)
-            assert node.cum[-1] == pytest.approx(1.0, abs=1e-12)
-            assert len(node.cum) == 2
-            assert all(node.child(j) is not None for j in range(2))
+            tree = expanded(d, chan)
+            cum = tree.levels[0].cum[0]
+            assert cum[-1] == pytest.approx(1.0, abs=1e-12)
+            assert len(cum) == 2
+            assert all(child(tree, j) is not None for j in range(2))
 
 
 class _EagerNode:
@@ -419,7 +440,7 @@ class TestQubitLeaves:
             assert abs(total - want_total) <= 1e-9
         for block, factor in zip(payload[4], dec.factors):
             dyads = [d for _, d in factor]
-            assert all(any(node.dyad is d for d in dyads) for node in block.tree.levels[0].nodes)
+            assert all(any(root is d for d in dyads) for root in block.tree.levels[0].dyads)
 
 
 def gadget_pairs(n_pairs, tail=True):
@@ -505,11 +526,9 @@ class TestBlocks:
         local = block.head[0]
         assert local.kraus_part[0][1].proj.generators[0][0].letters() == "ZZ"
         for idx in [(0, 0, 0, 0, 0), (1, 0, 2, 0, 3), (3, 0, 1, 0, 1)]:
-            joint = dy._Node(dec.terms.joint(idx)[1])
-            joint.expand(chans[0])
-            part = dy._Node(block.terms.joint((idx[0], idx[2]))[1])
-            part.expand(local)
-            assert part.cum == joint.cum
+            joint = expanded(dec.terms.joint(idx)[1], chans[0])
+            part = expanded(block.terms.joint((idx[0], idx[2]))[1], local)
+            assert part.levels[0].cum[0].tolist() == joint.levels[0].cum[0].tolist()
 
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_chunks_match_eager_reference(self, case):
