@@ -609,6 +609,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand is None:
         parser.error("a subcommand is required")
     try:
+        if args.workers < 1:
+            raise CLIError(f"workers must be at least 1, got {args.workers}")
         text, code = _DISPATCH[args.subcommand](args)
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -9,11 +9,13 @@ two endpoints and the at most two stationary points, where a line meets the
 unit circle, and the three-term expansion of a face state sits at the Fermat
 point of three anchors in the complex plane.  Products multiply.  The
 robustness of magic is computed as an l1-minimizing linear program over
-enumerated stabilizer states for up to three qubits.
+enumerated stabilizer states for up to three qubits, solved over the orbits
+of the qubit permutations that fix the state.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +31,7 @@ Q_MIN = float(np.sqrt(2.0 / 3.0))
 
 _NORM_TOL = 1e-12
 _PURE_TOL = 1e-9
+_SYM_TOL = 1e-12  # entrywise match of rho and a qubit permutation of it
 
 _NAMED_BLOCH = {
     "0": (0.0, 0.0, 1.0),
@@ -537,11 +540,45 @@ def enumerate_stabilizer_states(n: int) -> tuple[np.ndarray, ...]:
     return tuple(seen.values())
 
 
+@lru_cache(maxsize=None)
+def _stabilizer_coords(n: int) -> np.ndarray:
+    """Pauli coordinates of every enumerated stabilizer state, one column each.
+
+    One product of the Pauli stack with the stacked projectors |v><v|; the
+    entries Tr[P_a |v><v|] are 0 or +-1, so the rounded int8 array is exact.
+    """
+    states = np.array(enumerate_stabilizer_states(n))
+    projectors = (states[:, :, None] * states.conj()[:, None, :]).reshape(len(states), -1)
+    coords = np.rint(np.real(_pauli_stack(n) @ projectors.T)).astype(np.int8)
+    coords.flags.writeable = False  # one cached array serves every caller
+    return coords
+
+
+def _fixing_permutations(rho: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """The qubit permutations p with rho unchanged when qubit k moves to p[k]."""
+    tensor = rho.reshape((2,) * (2 * n))
+    return [p for p in itertools.permutations(range(n))
+            if np.abs(tensor.transpose(p + tuple(k + n for k in p)) - tensor).max() <= _SYM_TOL]
+
+
 def robustness_lp(rho: np.ndarray) -> tuple[float, np.ndarray, dict]:
     """Robustness of magic by l1-minimizing LP over stabilizer projectors.
 
-    Returns (R, signed weights, certificate) where the certificate carries
-    the dual witness, its feasibility defect and the duality gap.
+    Returns (R, signed weights q over the enumerated states, certificate)
+    where the certificate carries the dual witness in Pauli coordinates,
+    its feasibility defect and the duality gap.
+
+    The LP is solved over the group G of qubit permutations that fix rho:
+    averaging an optimal q over G keeps it optimal, so the weights may be
+    taken constant on G's orbits.  The integer columns are summed over the
+    row permutations of G; one row is kept per Pauli orbit (its rows are
+    equal) and one column per distinct summed column, scaled by 1/|G|.
+    For rho^(x)3 that is 20 rows and 234 columns in place of 64 and 1,080
+    (468 and 2,160 with the negated copies); the trivial group keeps every
+    row and column in enumeration order.  A reduced weight is spread evenly
+    over the states sharing its column and a reduced dual value over the
+    Paulis of its orbit.  The defect and gap are measured on that lifted,
+    full-width certificate against every stabilizer state.
     """
     dim = rho.shape[0]
     n = int(np.log2(dim))
@@ -549,17 +586,25 @@ def robustness_lp(rho: np.ndarray) -> tuple[float, np.ndarray, dict]:
         raise ValueError("robustness LP supports 1 to 3 qubits")
     if np.abs(rho - rho.conj().T).max() > 1e-9:
         raise ValueError("input must be Hermitian")
-    states = enumerate_stabilizer_states(n)
-    cols = np.stack([pauli_coords(np.outer(v, v.conj())) for v in states], axis=1)
+    cols = _stabilizer_coords(n)
     b = pauli_coords(rho)
-    m, N = cols.shape
-    A = np.hstack([cols, -cols])
-    c = np.ones(2 * N)
-    x, y, obj = _simplex.solve_lp(A, b, c)
-    q = x[:N] - x[N:]
+    perms = _fixing_permutations(rho, n)
+    letters = np.arange(4**n).reshape((4,) * n)
+    moved = np.array([letters.transpose(p).reshape(-1) for p in perms])
+    # the orbit of Pauli a is moved[:, a]; its smallest index names it
+    reps, orbit, orbit_size = np.unique(moved.min(axis=0), return_inverse=True, return_counts=True)
+    summed = cols[moved].sum(axis=0, dtype=np.int8)[reps]  # |G| <= 6 terms of 0, +-1
+    _, first, inverse = np.unique(summed, axis=1, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    column = np.searchsorted(keep, first[inverse.ravel()])  # state j -> reduced column
+    A = summed[:, keep] / len(perms)
+    M = len(keep)
+    x, y, obj = _simplex.solve_lp(np.hstack([A, -A]), b[reps], np.ones(2 * M))
+    q = (x[:M] - x[M:])[column] / np.bincount(column)[column]
+    witness = y[orbit] / orbit_size[orbit]
     # dual feasibility: |<W, P_j>| <= 1 for the R-witness W = sum y_a sigma_a
-    witness_vals = cols.T @ y
+    witness_vals = cols.T @ witness
     defect = float(max(0.0, np.abs(witness_vals).max() - 1.0))
-    gap = float(obj - b @ y)
-    cert = {"witness_coords": y, "feasibility_defect": defect, "duality_gap": gap}
+    gap = float(obj - b @ witness)
+    cert = {"witness_coords": witness, "feasibility_defect": defect, "duality_gap": gap}
     return float(obj), q, cert

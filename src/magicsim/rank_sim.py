@@ -280,6 +280,13 @@ def _equatorial_etas(diag_table: np.ndarray, off_table: np.ndarray, vdense: np.n
     return out
 
 
+def _median(values) -> float:
+    """np.median of a nonempty sequence, without np.median's import of numpy.ma."""
+    s = np.sort(values)
+    k = len(s) // 2
+    return float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2)
+
+
 def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     """Multiplicative norm-squared sketch over random equatorial states.
 
@@ -362,7 +369,7 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
             if filled == batch:
                 means.append(batch_etas.mean())
                 filled = 0
-    return float(np.median(means))
+    return _median(means)
 
 
 def _sketch_shape(eps_fn: float, p_fn: float) -> tuple[int, int]:

@@ -513,6 +513,31 @@ class TestMalformedInput:
         assert diag["error"]["kind"] == "validation"
         assert "workers" in diag["error"]["message"]
 
+    @pytest.mark.parametrize("subcommand,workers", [
+        ("monotone", "0"), ("sample", "-3"), ("estimate", "0"), ("constrained", "-1"),
+        ("distill", "0"), ("bench", "0"), ("selftest", "-2"),
+    ])
+    def test_workers_below_one_refused_before_input(self, capsys, tmp_path, monkeypatch,
+                                                    subcommand, workers):
+        def unread(path):
+            raise AssertionError("input read before --workers was checked")
+
+        monkeypatch.setattr(cli, "_load_input", unread)
+        path = write_doc(tmp_path, H_FIXTURE)
+        rc, out, err = run_cli(capsys, subcommand, "--input", path, "--workers", workers)
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "workers" in diag["error"]["message"]
+
+    @pytest.mark.parametrize("subcommand", ["monotone", "sample"])
+    def test_one_worker_accepted(self, capsys, tmp_path, subcommand):
+        argv = ("--state", "H", "--copies", "2") if subcommand == "monotone" else \
+            ("--input", write_doc(tmp_path, TestSample.DOC), "--samples", "2")
+        rc, out, _ = run_cli(capsys, subcommand, *argv, "--workers", "1")
+        assert rc == 0 and out
+
     def test_incomplete_channel_above_dense_cap_is_validation_error(self, capsys, tmp_path):
         doc = {"state": {"product": ["0"] * 7}, "circuit": [{"unitary": [[0.5, []]]}],
                "measurement": {"pauli": "Z" * 7}}

@@ -6,6 +6,7 @@ import pytest
 import magicsim.dense_oracle as do
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
+from magicsim import _simplex
 from magicsim.monotones import SQRT2, SQRT3, BlochState
 
 
@@ -399,6 +400,12 @@ def enumerate_one_at_a_time(n):
     return list(seen.values())
 
 
+def unreduced_columns(n):
+    """Pauli coordinates of every enumerated stabilizer state, one state at a time."""
+    states = mono.enumerate_stabilizer_states(n)
+    return np.stack([mono.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1)
+
+
 class TestRobustnessLP:
     def test_enumeration_counts(self):
         assert len(mono.enumerate_stabilizer_states(1)) == 6
@@ -468,9 +475,61 @@ class TestRobustnessLP:
         assert 1.4571 <= R2 <= 2.0
         assert cert["duality_gap"] <= 1e-7
         # reconstruction check in Pauli coordinates
-        states = mono.enumerate_stabilizer_states(2)
-        cols = np.stack(
-            [mono.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1
-        )
+        cols = unreduced_columns(2)
         assert cols @ q == pytest.approx(mono.pauli_coords(rho2), abs=1e-7)
         assert np.sum(np.abs(q)) == pytest.approx(R2, abs=1e-7)
+
+
+def symmetry_cases():
+    """(rho, shape of the LP reaching the simplex): copies, a pair with a third, three factors.
+
+    The reduced matrix depends only on the group, so both three-copy cases
+    share 20 rows and 234 columns, each with its negation.
+    """
+    rng = np.random.default_rng(91)
+    r, s, t = (random_bloch(rng, radius=0.9).density() for _ in range(3))
+    return [
+        pytest.param(np.kron(r, r), (10, 70), id="rho^2"),
+        pytest.param(np.kron(np.kron(r, r), r), (20, 468), id="rho^3"),
+        pytest.param(np.kron(np.kron(s, s), s), (20, 468), id="sigma^3"),
+        pytest.param(np.kron(np.kron(r, r), s), (40, 1176), id="rho.rho.sigma"),
+        pytest.param(np.kron(np.kron(r, s), t), (64, 2160), id="rho.sigma.tau"),
+    ]
+
+
+class TestRobustnessReduction:
+    @pytest.mark.parametrize("rho,shape", symmetry_cases())
+    def test_reduced_matches_unreduced(self, rho, shape):
+        n = int(np.log2(rho.shape[0]))
+        cols = unreduced_columns(n)
+        b = mono.pauli_coords(rho)
+        _, _, want = _simplex.solve_lp(np.hstack([cols, -cols]), b, np.ones(2 * cols.shape[1]))
+        R, q, cert = mono.robustness_lp(rho)
+        assert R == pytest.approx(want, rel=1e-9, abs=1e-9)
+        # the lifted weights reproduce rho on every coordinate from all the states
+        assert q.shape == (cols.shape[1],)
+        assert cols @ q == pytest.approx(b, abs=1e-7)
+        assert np.sum(np.abs(q)) == pytest.approx(R, abs=1e-7)
+        assert cert["witness_coords"].shape == (4**n,)
+        assert abs(cert["duality_gap"]) <= 1e-7
+        assert cert["feasibility_defect"] <= 1e-7
+
+    @pytest.mark.parametrize("rho,shape", symmetry_cases())
+    def test_lp_reaching_the_simplex(self, monkeypatch, rho, shape):
+        seen = []
+        solve = _simplex.solve_lp
+        monkeypatch.setattr(_simplex, "solve_lp", lambda A, b, c: seen.append(A) or solve(A, b, c))
+        mono.robustness_lp(rho)
+        (A,) = seen
+        assert A.shape == shape
+        n = int(np.log2(rho.shape[0]))
+        if shape[0] == 4**n:
+            # the trivial group solves the unreduced LP, columns in enumeration order
+            cols = np.rint(unreduced_columns(n))
+            assert np.array_equal(A, np.hstack([cols, -cols]))
+
+    def test_batched_columns_match_one_state_at_a_time(self):
+        for n in (1, 2, 3):
+            got = mono._stabilizer_coords(n)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, np.rint(unreduced_columns(n)))

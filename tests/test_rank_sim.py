@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -299,6 +301,23 @@ class TestFastNorm:
             rs.fast_norm(om, 0.3, 0.05, seed=1)
         with pytest.raises(RankSimError):
             rs.fast_norm(om, 0.1, 0.0, seed=1)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 8, 21, 40, 59])
+    def test_median_matches_numpy(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(50):
+            values = list(rng.normal(size=length) * 10.0 ** rng.integers(-8, 8))
+            assert rs._median(values) == np.median(values)
+
+    def test_fast_norm_leaves_numpy_ma_unimported(self):
+        script = (
+            "import sys\n"
+            "import magicsim.rank_sim as rs, magicsim.stab_core as sc\n"
+            "om = rs.sparsify(rs.SparseDecomposition([1.0], [sc.zero_state(2)]), 1, seed=2)\n"
+            "rs.fast_norm(om, 0.2, 0.05, seed=4)\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        assert subprocess.run([sys.executable, "-c", script]).returncode == 0
 
 
 class TestMixedInput:

@@ -24,7 +24,12 @@ def random_lp(seed):
 
 
 def robustness_lp_3q():
-    """The equality form that monotones.robustness_lp solves for three T(0.85) copies."""
+    """The unreduced equality form of the robustness LP for three T(0.85) copies.
+
+    monotones.robustness_lp solves this LP over the qubit permutations that
+    fix rho, with 20 rows; the full 64 x 2160 form stays here as a problem
+    large enough to cross the simplex's refactorizations.
+    """
     t = mt.BlochState.named("T")
     rho1 = mt.BlochState(0.85 * t.bx, 0.85 * t.by, 0.85 * t.bz).density()
     states = mt.enumerate_stabilizer_states(3)
