@@ -568,7 +568,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pfail", type=float, help="allowed failure probability")
     p.add_argument("--samples", type=int, help="sample/program count where applicable")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, each walking one contiguous span of chunks")
+                   help="worker processes for estimate, constrained and bench, each walking "
+                        "one contiguous span of chunks; other subcommands ignore it")
     p.add_argument("--format", choices=("json", "csv"), help="primary output format")
 
 

@@ -24,8 +24,9 @@ roots that tensor the block's drawn factor terms.  A Pauli pulled back to
 i^k P meets the product of the block dyads as i^k prod_b <R_b|P_b|L_b>, P_b
 being P on block b's qubits, so a sample's value is a product of block leaf
 values.  With no head channel, a product of one-qubit factors has one block
-per qubit.  A pulled-back projector does not factor, so a projector
-measurement joins every qubit into one block: the joint walk.
+per qubit.  A projector of h generators is expanded into its 2^h signed
+Pauli group elements of weight 2^-h, so every leaf is a Pauli leaf, the
+partition ignores the measurement, and a sample reads 2^h leaf products.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ MAX_SAMPLES = 10**9
 # many is walked in a tree that serves one chunk of samples, so a wide
 # product's walk stays bounded
 MAX_CACHED_ROOTS = 1024
+# a projector of h generators costs 2^h leaf products per sample; more are refused
+MAX_PROJECTOR_GENERATORS = 8
 
 
 @dataclass(frozen=True)
@@ -97,26 +100,25 @@ def _tail_start(chans) -> int:
     return max((l + 1 for l, chan in enumerate(chans) if chan.kraus_part), default=0)
 
 
-def _pull_back(measurement, gates):
-    """U^dag E U for the tail circuit U, a PauliOp or a StabProjector.
-
-    The gates are a channel branch's, checked when the channel was built.
+def _pauli_terms(measurement) -> list[tuple[float, sc.PauliOp]]:
+    """The measurement as (weight, Hermitian Pauli) terms: a Pauli is its own
+    term, and a projector prod_i (1 + s_i g_i)/2 is 2^-h sum over subsets S
+    of prod_{i in S} s_i g_i, each a product of commuting Hermitian Paulis.
     """
     if isinstance(measurement, sc.PauliOp):
-        return sc._conjugate_pauli_unchecked(measurement, gates)
-    gens = [(sc._conjugate_pauli_unchecked(op, gates), sign) for op, sign in measurement.generators]
-    return sc.StabProjector(measurement.n, gens)
+        return [(1.0, measurement)]
+    terms = [sc.PauliOp.identity(measurement.n)]
+    for op, sign in measurement.generators:
+        signed = sc.PauliOp(op.x, op.z, op.k + 1 - sign)
+        terms += [t.mul(signed) for t in terms]
+    return [(2.0**-measurement.h, t) for t in terms]
 
 
-def _leaf_value(dyad: Dyad, op) -> complex:
-    """Tr[op |L><R|] = <R|op|L>; a diagonal dyad under a Pauli needs no overlap."""
-    if isinstance(op, sc.StabProjector):
-        Lm, _ = sc.project_stab(dyad.L, op)
-    elif dyad.R is dyad.L:
+def _leaf_value(dyad: Dyad, op: sc.PauliOp) -> complex:
+    """Tr[op |L><R|] = <R|op|L>; a diagonal dyad needs no overlap."""
+    if dyad.R is dyad.L:
         return sc.pauli_expectation(dyad.L, op)
-    else:
-        Lm = sc.apply_pauli(dyad.L, op)
-    return sc.inner_product(dyad.R, Lm)
+    return sc.inner_product(dyad.R, sc.apply_pauli(dyad.L, op))
 
 
 class _Local(NamedTuple):
@@ -174,7 +176,7 @@ class _Block:
         self.tree = _Tree(self)
 
 
-def _blocks(decomp: DyadicDecomposition, chans, measurement) -> list[_Block]:
+def _blocks(decomp: DyadicDecomposition, chans) -> list[_Block]:
     """The independent blocks, ordered by their first qubit (see the module notes)."""
     n = decomp.n
     parent = list(range(n))
@@ -195,8 +197,6 @@ def _blocks(decomp: DyadicDecomposition, chans, measurement) -> list[_Block]:
     supports = [sorted(_support(chan)) for chan in chans[: _tail_start(chans)]]
     for qubits in supports:
         join(qubits)
-    if not isinstance(measurement, sc.PauliOp):
-        join(range(n))
     groups = {}
     for q in range(n):
         groups.setdefault(find(q), []).append(q)
@@ -248,8 +248,8 @@ class _Level:
     branch probabilities, NaN until it is expanded (_expand), and kids[i, j]
     the id of its child j one level down, -1 until that child is built.  At
     the leaf level, values[i, key] caches node i's value under its block's
-    part of the measurement pulled back through the Clifford tail, keyed by
-    that part's content.
+    part of a measurement term pulled back through the Clifford tail, keyed
+    by that part's content.
     """
 
     __slots__ = ("dyads", "cum", "kids", "values")
@@ -325,10 +325,11 @@ class _Tree:
         """Leaf values of samples that start at roots ids, and which reach a leaf.
 
         draws[s, d] is sample s's uniform at the block's head channel d, and
-        keys[key_ids[s]] its (key, operator) on this block.  Per depth, a
-        node is expanded and a child built only for the distinct nodes that
-        samples first reach; a leaf value, phase * <R_b|P_b|L_b>, is
-        computed once per leaf and key.
+        keys[key_ids[s, t]] its (key, operator) for measurement term t on
+        this block; the values have key_ids' shape.  Per depth, a node is
+        expanded and a child built only for the distinct nodes that samples
+        first reach; a leaf value, phase * <R_b|P_b|L_b>, is computed once
+        per leaf and key.
         """
         start, ids = ids, ids.copy()
         live = np.ones(len(ids), dtype=bool)
@@ -359,21 +360,24 @@ class _Tree:
             ids[at] = kids
             if not self.keep:
                 level.dyads = None
-        values = np.zeros(len(ids), dtype=complex)
+        values = np.zeros(key_ids.shape, dtype=complex)
         at = np.flatnonzero(live)
         if at.size:
-            first, pair = _distinct_rows(np.stack([ids[at], key_ids[at]], axis=1))
+            terms = key_ids.shape[1]
+            pairs = np.stack([np.repeat(ids[at], terms), key_ids[at].ravel()], axis=1)
+            first, pair = _distinct_rows(pairs)
             leaves = self.levels[-1]
             found = []
-            sel = at[first]
-            for i, k, r in zip(ids[sel].tolist(), key_ids[sel].tolist(), start[sel].tolist()):
+            # row f of pairs belongs to sample at[f // terms]
+            sel = at[first // terms]
+            for i, k, r in zip(ids[sel].tolist(), pairs[first, 1].tolist(), start[sel].tolist()):
                 key, op = keys[k]
                 value = leaves.values.get((i, key))
                 if value is None:
                     # a leaf lies under one root only, so its phase is fixed with it
                     value = leaves.values[i, key] = self.phases[r] * _leaf_value(leaves.dyads[i], op)
                 found.append(value)
-            values[at] = np.array(found, dtype=complex)[pair]
+            values[at] = np.array(found, dtype=complex)[pair].reshape(at.size, terms)
         return values, live
 
 
@@ -398,7 +402,7 @@ def _block_values(block: _Block, rows: np.ndarray, draws, key_ids, keys):
     rids = rids[inverse]
     if rids.min(initial=0) >= 0:
         return tree.walk(rids, draws, key_ids, keys)
-    values = np.empty(len(rows), dtype=complex)
+    values = np.empty(key_ids.shape, dtype=complex)
     live = np.empty(len(rows), dtype=bool)
     kept = np.flatnonzero(rids >= 0)
     values[kept], live[kept] = tree.walk(rids[kept], draws[kept], key_ids[kept], keys)
@@ -412,36 +416,25 @@ def _block_values(block: _Block, rows: np.ndarray, draws, key_ids, keys):
 
 
 def _block_keys(blocks: list[_Block], pulled: list) -> list:
-    """Per block: each tail path's key number, and the distinct (key, operator) pairs.
+    """Per block: each pulled-back Pauli's key number, and the distinct (key, operator) pairs.
 
     A pulled-back Pauli i^k X^x Z^z gives block b the part X^x_b Z^z_b,
-    keyed by content; i^k multiplies the product of the block values.  A
-    projector has the one block and is keyed by its generators and phases.
+    keyed by content; i^k multiplies the product of the block values.
     """
-    if pulled and isinstance(pulled[0], sc.StabProjector):
-        index, keys, of_path = {}, [], []
-        for proj in pulled:
-            key = tuple((op.x.tobytes(), op.z.tobytes(), (op.k + 1 - sign) % 4)
-                        for op, sign in proj.generators)
-            if key not in index:
-                index[key] = len(keys)
-                keys.append((key, proj))
-            of_path.append(index[key])
-        return [(np.array(of_path, dtype=np.int64), keys)]
     n = sum(len(block.qubits) for block in blocks)
     codes = np.array([2 * p.x + p.z for p in pulled], dtype=np.uint8).reshape(len(pulled), n)
     out = []
     for block in blocks:
         part = codes[:, block.qubits]
-        first, of_path = _distinct_rows(part)
+        first, of_pulled = _distinct_rows(part)
         keys = [(row.tobytes(), sc.PauliOp(row >> 1, row & 1)) for row in part[first]]
-        out.append((of_path, keys))
+        out.append((of_pulled, keys))
     return out
 
 
 def _payload(decomp: DyadicDecomposition, chans, measurement, seed: int):
-    """What each run of chunks reads: the inputs and the blocks with their trees."""
-    return decomp, chans, measurement, seed, _blocks(decomp, chans, measurement)
+    """What each run of chunks reads: the inputs, the measurement terms and the blocks."""
+    return decomp, chans, _pauli_terms(measurement), seed, _blocks(decomp, chans)
 
 
 def _chunk_worker(payload, lo: int, hi: int) -> list:
@@ -451,11 +444,12 @@ def _chunk_worker(payload, lo: int, hi: int) -> list:
     term of factor f, and column F + l the branch at channel l, F being the
     factor count.  The run's samples are then walked together, block by
     block.  A tail channel's branches do not depend on the dyad, so its
-    columns are read for the whole run at once, and the measurement is
-    pulled back once per distinct tail path.  Each chunk's values are
-    summed in sample order.
+    columns are read for the whole run at once, and each measurement term
+    is pulled back once per distinct tail path.  A sample's value is
+    l1 Re(sum_t w_t i^k_t prod_b v_b,t) over the terms t and blocks b, and
+    each chunk's values are summed in sample order.
     """
-    decomp, chans, measurement, seed, blocks = payload
+    decomp, chans, terms, seed, blocks = payload
     cut = _tail_start(chans)
     tail = chans[cut:]
     nf = len(decomp.factors)
@@ -472,22 +466,22 @@ def _chunk_worker(payload, lo: int, hi: int) -> list:
         picks[:, l] = np.searchsorted(cum, draws[:, nf + cut + l], side="right")
         live &= picks[:, l] < len(cum)
     at = np.flatnonzero(live)
-    # each distinct tail path of the run pulls the measurement back once
+    # each distinct tail path pulls each term back once, through gates checked with their channel
     first, path_ids = _distinct_rows(picks[at])
-    pulled = [
-        _pull_back(measurement, [g for chan, j in zip(tail, path) for g in chan.unitary_part[j][1]])
-        for path in picks[at[first]].tolist()
-    ]
+    paths = [[g for chan, j in zip(tail, path) for g in chan.unitary_part[j][1]]
+             for path in picks[at[first]].tolist()]
+    pulled = [sc._conjugate_pauli_unchecked(op, gates) for gates in paths for _, op in terms]
     picked, draws = picked[at], draws[at]
-    leaves = np.empty((at.size, len(blocks)), dtype=complex)
-    for b, (block, (key_of_path, keys)) in enumerate(zip(blocks, _block_keys(blocks, pulled))):
-        leaves[:, b], reached = _block_values(
-            block, picked[:, block.factors], draws[:, block.cols], key_of_path[path_ids], keys)
+    acc = np.ones((at.size, len(terms)), dtype=complex)
+    for block, (key_of_pulled, keys) in zip(blocks, _block_keys(blocks, pulled)):
+        values, reached = _block_values(block, picked[:, block.factors], draws[:, block.cols],
+                                        key_of_pulled.reshape(-1, len(terms))[path_ids], keys)
+        acc *= values
         live[at[~reached]] = False
-    ks = np.array([p.k if isinstance(p, sc.PauliOp) else 0 for p in pulled], dtype=np.int64)
+    coefs = np.array([w * _I_POW[p.k] for p, (w, _) in zip(pulled, terms * len(paths))])
     bound = decomp.l1
     mu = np.zeros(hi - lo)
-    mu[at] = bound * np.real(np.asarray(_I_POW)[ks[path_ids]] * leaves.prod(axis=1))
+    mu[at] = bound * np.real((coefs.reshape(-1, len(terms))[path_ids] * acc).sum(axis=1))
     mu[~live] = 0.0
     over = np.flatnonzero(np.abs(mu) > bound + 1e-9)
     if over.size:
@@ -507,22 +501,25 @@ def estimate_born(
 ) -> EstimateReport:
     """Estimate Tr[Pi E(rho)] (or a Pauli expectation) to epsilon, p_fail.
 
-    measurement is a StabProjector or a Hermitian PauliOp; the Pauli case
-    evaluates both halves of E = Pi+ - Pi- in a single inner product.  The
-    sampling loop is chunked so results are reproducible for a fixed seed at
-    any worker count.
+    measurement is a Hermitian PauliOp or a StabProjector of at most
+    MAX_PROJECTOR_GENERATORS generators.  A Pauli leaf evaluates both
+    halves of P = Pi+ - Pi- in a single inner product; a projector of h
+    generators is expanded into its 2^h weighted Pauli terms, so each of
+    its samples reads 2^h leaf products.  The sampling loop is chunked so
+    results are reproducible for a fixed seed at any worker count.
     """
     chans = list(circuit)
     for chan in chans:
         if chan.n != decomp.n:
             raise ValueError("channel width differs from the state width")
+    if measurement.n != decomp.n:
+        raise ValueError("measurement width differs from the state width")
     if isinstance(measurement, sc.PauliOp):
-        if measurement.n != decomp.n:
-            raise ValueError("measurement width differs from the state width")
         if not measurement.is_hermitian():
             raise ValueError("Pauli observable must be Hermitian")
-    elif measurement.n != decomp.n:
-        raise ValueError("measurement width differs from the state width")
+    elif measurement.h > MAX_PROJECTOR_GENERATORS:
+        raise ValueError(f"the projector has {measurement.h} generators, above the ceiling of "
+                         f"{MAX_PROJECTOR_GENERATORS}; a sample reads 2^h leaf products")
     M = required_samples(decomp.l1, epsilon, p_fail)
     if M > MAX_SAMPLES:
         raise ValueError(f"the run needs {M} samples, above the ceiling of {MAX_SAMPLES}")

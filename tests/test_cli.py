@@ -13,6 +13,7 @@ import pytest
 from magicsim import _schema
 from magicsim import _simplex
 from magicsim import cli
+from magicsim import dyadic_sim
 from magicsim import monotones
 
 
@@ -409,6 +410,20 @@ class TestValidation:
         diag = json.loads(err)["error"]
         assert diag["kind"] == "validation"
         assert "completeness" in diag["message"]
+
+    @pytest.mark.parametrize("subcommand", ["estimate", "constrained"])
+    def test_projector_over_generator_ceiling_refused(self, capsys, tmp_path, subcommand):
+        # one Z generator per qubit, one more than the ceiling: 2^9 Pauli terms a sample
+        n = dyadic_sim.MAX_PROJECTOR_GENERATORS + 1
+        doc = {"state": {"product": ["0"] * n},
+               "measurement": {"projector": [["I" * q + "Z" + "I" * (n - q - 1), 1] for q in range(n)]}}
+        rc, out, err = run_cli(capsys, subcommand, "--input", write_doc(tmp_path, doc), "--epsilon", "0.3")
+        assert (rc, out) == (2, "")
+        assert "Traceback" not in err
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "generators" in diag["error"]["message"]
 
     def test_bloch_outside_ball_rejected(self, capsys, tmp_path):
         doc = {"state": {"product": [[0.9, 0.9, 0.9]]},

@@ -1,11 +1,14 @@
 """Dyadic simulator: transition probabilities, unbiasedness, reproducibility."""
 
+import json
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import magicsim.channels as ch
+import magicsim.cli as cli
 import magicsim.constrained_sim as cs
 import magicsim.dense_oracle as do
 import magicsim.dyadic_sim as dy
@@ -13,7 +16,9 @@ import magicsim.monotones as mono
 import magicsim.stab_core as sc
 from magicsim._util import CHUNK, kahan_sum, sample_rng
 
-from conftest import random_pauli, random_stab_state
+from conftest import random_gate, random_pauli, random_stab_state
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def proj_zero(n, qubit):
@@ -51,7 +56,7 @@ def child(tree, j):
     if root.kids[0, j] < 0 and root.cum[0, j] > lo:
         # the draw lo lands on branch j: bisect_right counts the cum entries <= lo
         n = root.dyads[0].n
-        tree.walk(np.array([0]), np.array([[lo]]), np.array([0]), [(b"", sc.PauliOp.from_letters("I" * n))])
+        tree.walk(np.array([0]), np.array([[lo]]), np.array([[0]]), [(b"", sc.PauliOp.from_letters("I" * n))])
     kid = root.kids[0, j]
     return None if kid < 0 else below.dyads[kid]
 
@@ -78,6 +83,38 @@ class TestRequiredSamples:
             dy.required_samples(1.0, 0.0, 0.05)
         with pytest.raises(ValueError):
             dy.required_samples(1.0, 0.1, 1.5)
+
+
+class TestPauliTerms:
+    def test_projector_terms_sum_to_projector(self):
+        # random commuting, independent generators: images of Z on h qubits
+        # under a random Clifford circuit, each with a random sign
+        rng = np.random.default_rng(61)
+        signs = set()
+        for n in range(1, 5):
+            for h in range(1, n + 1):
+                for _ in range(3):
+                    gates = [random_gate(rng, n) for _ in range(12)]
+                    qubits = rng.choice(n, size=h, replace=False).tolist()
+                    gens = [(sc.conjugate_pauli(sc.PauliOp.single(n, q, "Z"), gates),
+                             int(rng.choice([1, -1]))) for q in qubits]
+                    signs.update(sign for _, sign in gens)
+                    proj = sc.StabProjector(n, gens)
+                    terms = dy._pauli_terms(proj)
+                    assert len(terms) == 2**h
+                    total = np.zeros((2**n, 2**n), dtype=complex)
+                    for w, p in terms:
+                        assert w == 2.0**-h
+                        assert p.is_hermitian()
+                        m = do.pauli_matrix(p)
+                        assert np.abs(m - m.conj().T).max() == 0.0
+                        total += w * m
+                    assert np.abs(total - do.projector_matrix(proj)).max() <= 1e-12
+        assert signs == {1, -1}
+
+    def test_pauli_is_its_own_term(self):
+        p = sc.PauliOp.from_letters("XYZ", -1)
+        assert dy._pauli_terms(p) == [(1.0, p)]
 
 
 class TestStabilizerUpdate:
@@ -360,7 +397,7 @@ class TestChunkStream:
         monkeypatch.setattr(dy, "MAX_CACHED_ROOTS", 3)
         payload = dy._payload(dec, chans, proj, 11)
         assert dy._chunk_worker(payload, 0, CHUNK) == want
-        # a projector measurement walks one block, the joint tree
+        # the gadget and the measure-and-forward step join all three qubits into one block
         (block,) = payload[4]
         assert len(block.tree.roots) == 3 < len(dec.terms)
 
@@ -369,8 +406,12 @@ class TestChunkStream:
         payload = dy._payload(dec, chans, proj, 11)
         bounds = ((0, CHUNK), (CHUNK, 2 * CHUNK), (2 * CHUNK, 2 * CHUNK + 37))
         got = dy._chunk_worker(payload, 0, 2 * CHUNK + 37) + dy._chunk_worker(payload, CHUNK, 2 * CHUNK)
-        for result, (lo, hi) in zip(got, bounds + bounds[1:2]):
-            assert result == reference_chunk(dec, chans, proj, 11, lo, hi)
+        for (total, aborted), (lo, hi) in zip(got, bounds + bounds[1:2]):
+            # the projector's Pauli terms sum in another order than the eager
+            # projection, so the sum may move in its last bits
+            want_total, want_aborted = reference_chunk(dec, chans, proj, 11, lo, hi)
+            assert aborted == want_aborted
+            assert abs(total - want_total) <= 1e-12
         aborted = sum(a for _, a in got[:3])
         assert 0 < aborted < 2 * CHUNK + 37
 
@@ -401,14 +442,15 @@ class TestQubitLeaves:
             for _ in range(12):
                 idx = tuple(int(rng.integers(len(f))) for f in dec.factors)
                 p = random_pauli(rng, n, hermitian=False)
-                blocks = dy._blocks(dec, [], p)
+                blocks = dy._blocks(dec, [])
                 assert [b.qubits for b in blocks] == [[q] for q in range(n)]
                 got = i_pow[p.k]
-                for block, (key_of_path, keys) in zip(blocks, dy._block_keys(blocks, [p])):
+                for block, (key_of_pulled, keys) in zip(blocks, dy._block_keys(blocks, [p])):
                     values, live = dy._block_values(
-                        block, np.array([[idx[block.factors[0]]]]), np.zeros((1, n)), key_of_path, keys)
+                        block, np.array([[idx[block.factors[0]]]]), np.zeros((1, n)), key_of_pulled[:, None], keys)
                     assert live.tolist() == [True]
-                    got = got * values[0]
+                    assert values.shape == (1, 1)
+                    got = got * values[0, 0]
                 alpha, dyad = dec.terms.joint(idx)
                 want = alpha / abs(alpha) * sc.inner_product(dyad.R, sc.apply_pauli(dyad.L, p))
                 assert abs(got - want) <= 1e-10
@@ -501,6 +543,9 @@ def short_tail():
 BLOCK_CASES = {
     "disjoint-gadgets": lambda: (*gadget_pairs(3), sc.PauliOp.from_letters("XXYIII"),
                                  [[0, 3], [1, 4], [2, 5]]),
+    # a projector is walked as its four Pauli terms over the same blocks
+    "projector-blocks": lambda: (*gadget_pairs(3), sc.StabProjector.from_strings(
+        [("XIIZII", 1), ("IXIIII", -1)]), [[0, 3], [1, 4], [2, 5]]),
     "projector-merge": merged_by_projector,
     "two-qubit-factor": two_qubit_factor,
     "short-tail": short_tail,
@@ -511,18 +556,19 @@ class TestBlocks:
     def test_benchmark_document_partition(self):
         # the perfbench estimate document: gadgets on (d, d + 3), then a Clifford tail
         dec, chans = gadget_pairs(3)
-        blocks = dy._blocks(dec, chans, sc.PauliOp.from_letters("XXXIII"))
+        blocks = dy._blocks(dec, chans)
         assert [b.qubits for b in blocks] == [[0, 3], [1, 4], [2, 5]]
         assert [b.factors for b in blocks] == [[0, 3], [1, 4], [2, 5]]
         assert [b.cols for b in blocks] == [[6], [7], [8]]
-        # a projector measurement walks the joint tree
-        (joint,) = dy._blocks(dec, chans, proj_zero(6, 0))
-        assert joint.qubits == list(range(6)) and joint.head == chans[:3]
+        # the partition ignores the measurement: a projector walks the Pauli's blocks
+        for measurement in (sc.PauliOp.from_letters("XXXIII"), proj_zero(6, 0)):
+            payload = dy._payload(dec, chans, measurement, 1)
+            assert [b.qubits for b in payload[4]] == [[0, 3], [1, 4], [2, 5]]
 
     def test_restricted_channel_matches_joint_branches(self):
         # a block's local channel gives a product dyad's branches their joint probabilities
         dec, chans, _, _ = merged_by_projector()
-        (block,) = [b for b in dy._blocks(dec, chans, sc.PauliOp.from_letters("ZZZZZ")) if b.qubits == [0, 2]]
+        (block,) = [b for b in dy._blocks(dec, chans) if b.qubits == [0, 2]]
         local = block.head[0]
         assert local.kraus_part[0][1].proj.generators[0][0].letters() == "ZZ"
         for idx in [(0, 0, 0, 0, 0), (1, 0, 2, 0, 3), (3, 0, 1, 0, 1)]:
@@ -559,6 +605,35 @@ class TestBlocks:
         assert rep.aborted == 0
         radius = dec.l1 * np.sqrt(2.0 * np.log(2.0 / 1e-9) / rep.M)
         assert abs(rep.mu_hat - want) <= radius
+
+
+class TestProjectorDocument:
+    def test_projector_is_mean_of_identity_and_pauli(self, monkeypatch):
+        # (1 + X_0)/2 on the committed n=20 gadget document walks the ten
+        # gadget pairs as blocks, and the three runs share every draw, so
+        # mu_hat(Pi) = (mu_hat(I) + mu_hat(X_0)) / 2 holds sample by sample
+        doc = json.loads((DATA / "estimate_projector_n20.json").read_text(encoding="utf-8"))
+        dec = cli._decomp_from_state(doc["state"])
+        chans = cli._circuit(doc, dec.n)
+        proj = cli._measurement(doc, dec.n)
+        assert isinstance(proj, sc.StabProjector) and proj.h == 1
+        walked = set()
+        block_values = dy._block_values
+
+        def recorded(block, *args):
+            walked.add(tuple(block.qubits))
+            return block_values(block, *args)
+
+        monkeypatch.setattr(dy, "_block_values", recorded)
+        eps, p_fail = doc["params"]["epsilon"], doc["params"]["p_fail"]
+        rep = dy.estimate_born(dec, chans, proj, eps, p_fail, seed=1)
+        assert sorted(walked) == [(d, d + 10) for d in range(10)]
+        ident = dy.estimate_born(dec, chans, sc.PauliOp.identity(20), eps, p_fail, seed=1)
+        x0 = dy.estimate_born(dec, chans, sc.PauliOp.single(20, 0, "X"), eps, p_fail, seed=1)
+        assert rep.M == ident.M == x0.M == 4378
+        assert abs(rep.mu_hat - (ident.mu_hat + x0.mu_hat) / 2) <= 1e-12
+        # the value of the joint projector walk this expansion replaced
+        assert abs(rep.mu_hat - 0.7468657057349855) <= 1e-12
 
 
 class TestEstimateBorn:
@@ -622,6 +697,23 @@ class TestEstimateBorn:
         dec = ch.dyadic_decompose_product([mono.BlochState.named("H")])
         with pytest.raises(ValueError, match=str(dy.MAX_SAMPLES)):
             dy.estimate_born(dec, [], proj_zero(1, 0), 1e-9, 0.05, seed=1)
+
+    def test_projector_over_generator_ceiling_refused_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        def run(n):
+            dec = ch.dyadic_decompose_product([mono.BlochState.named("+")] * n)
+            proj = sc.StabProjector.from_strings(
+                [("I" * q + "Z" + "I" * (n - q - 1), 1) for q in range(n)])
+            dy.estimate_born(dec, [], proj, 0.3, 0.05, seed=1)
+
+        monkeypatch.setattr(dy, "run_chunked", no_sampling)
+        # at the ceiling the run reaches sampling; one generator more is refused
+        with pytest.raises(AssertionError, match="sampling started"):
+            run(dy.MAX_PROJECTOR_GENERATORS)
+        with pytest.raises(ValueError, match="generators"):
+            run(dy.MAX_PROJECTOR_GENERATORS + 1)
 
     def test_seed_changes_result(self):
         dec = ch.dyadic_decompose_product([mono.BlochState.named("H")])
