@@ -17,16 +17,9 @@ import time
 
 import numpy as np
 
+# each subcommand imports the layers it uses, so a process loads only those
 from . import _schema
 from . import _simplex
-from . import channels as ch
-from . import constrained_sim as cs
-from . import dense_oracle as do
-from . import distill
-from . import dyadic_sim as ds
-from . import monotones as mt
-from . import rank_sim as rs
-from . import stab_core as sc
 
 # rows of the `monotone` table; 10^5 rows already take about 2 s and 2 MB
 MAX_COPIES = 10**5
@@ -110,6 +103,8 @@ def _require_doc(args) -> dict:
 
 def _bloch_entry(entry) -> mt.BlochState:
     """One product factor: a state name, a Bloch triple, or a scaled variant."""
+    from . import monotones as mt
+
     if isinstance(entry, str):
         return mt.BlochState.named(entry)
     if isinstance(entry, list):
@@ -147,6 +142,8 @@ def _complex_weight(x) -> complex:
 
 def _decomp_from_state(state) -> ch.DyadicDecomposition:
     """Build the dyadic input from a product, dyad list, or ensemble spec."""
+    from . import channels as ch, stab_core as sc
+
     if not isinstance(state, dict):
         raise CLIError("the input document needs a 'state' object")
     kinds = [k for k in ("product", "dyads", "ensemble") if k in state]
@@ -190,11 +187,15 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
 
 
 def _circuit(doc: dict, n: int) -> list[ch.SimulableChannel]:
+    from . import channels as ch
+
     return [ch.channel_from_json(obj, n) for obj in doc.get("circuit", [])]
 
 
 def _clifford_prefix(doc: dict, n: int) -> tuple:
     """Flatten a circuit of deterministic Clifford layers into a gate list."""
+    from . import channels as ch
+
     gates: list[tuple] = []
     for obj in doc.get("circuit", []):
         chan = ch.channel_from_json(obj, n)
@@ -205,6 +206,8 @@ def _clifford_prefix(doc: dict, n: int) -> tuple:
 
 
 def _measurement(doc: dict, n: int):
+    from . import stab_core as sc
+
     m = doc.get("measurement")
     if not isinstance(m, dict):
         raise CLIError("this subcommand needs a 'measurement' object")
@@ -271,6 +274,8 @@ def _emit(args, payload: dict, header, rows, default_fmt: str = "json") -> str:
 
 
 def _run_estimate(args) -> tuple[str, int]:
+    from . import dyadic_sim as ds
+
     doc = _require_doc(args)
     params = _params(doc, "estimate")
     decomp = _decomp_from_state(doc.get("state"))
@@ -296,6 +301,8 @@ def _run_estimate(args) -> tuple[str, int]:
 
 
 def _run_sample(args) -> tuple[str, int]:
+    from . import rank_sim as rs
+
     doc = _require_doc(args)
     params = _params(doc, "sample")
     factors = _product_factors(doc.get("state"), "sample")
@@ -319,6 +326,8 @@ def _run_sample(args) -> tuple[str, int]:
 
 
 def _run_constrained(args) -> tuple[str, int]:
+    from . import constrained_sim as cs
+
     doc = _require_doc(args)
     params = _params(doc, "constrained")
     factors = _product_factors(doc.get("state"), "constrained")
@@ -335,6 +344,8 @@ def _run_constrained(args) -> tuple[str, int]:
 
 
 def _named_factors(args) -> list[mt.BlochState] | None:
+    from . import monotones as mt
+
     if args.state is None:
         return None
     alpha = args.alpha if args.alpha is not None else 1.0
@@ -351,6 +362,8 @@ def _state_factors(args, doc: dict, subcommand: str) -> list[mt.BlochState]:
 
 
 def _run_monotone(args) -> tuple[str, int]:
+    from . import monotones as mt
+
     doc = _load_input(args.input) if args.input else {}
     params = _params(doc, "monotone")
     factors = _state_factors(args, doc, "monotone")
@@ -404,6 +417,8 @@ def _parse_num(token: str, what: str, integer: bool = False):
 
 
 def _run_distill(args) -> tuple[str, int]:
+    from . import distill, monotones as mt
+
     doc = _load_input(args.input) if args.input else {}
     params = _params(doc, "distill")
     target = args.target if args.target is not None else params.get("target", "H")
@@ -445,6 +460,8 @@ def _run_distill(args) -> tuple[str, int]:
 
 
 def _run_bench(args) -> tuple[str, int]:
+    from . import channels as ch, dyadic_sim as ds, monotones as mt, rank_sim as rs, stab_core as sc
+
     if args.format == "csv":
         raise CLIError("bench emits JSON only")
     epsilon = args.epsilon if args.epsilon is not None else 0.05
@@ -477,6 +494,8 @@ def _run_bench(args) -> tuple[str, int]:
 
 
 def _random_gate(rng: np.random.Generator, n: int) -> tuple:
+    from . import stab_core as sc
+
     name = sc.GATE_NAMES[int(rng.integers(len(sc.GATE_NAMES)))]
     if name in ("CX", "CZ", "SWAP"):
         if n < 2:
@@ -495,6 +514,8 @@ def _random_pauli_word(rng: np.random.Generator, n: int) -> str:
 
 def _run_selftest(args) -> tuple[str, int]:
     """Random stabilizer programs replayed against the dense oracle."""
+    from . import dense_oracle as do, monotones as mt, stab_core as sc
+
     if args.format == "csv":
         raise CLIError("selftest emits JSON only")
     programs = args.samples if args.samples is not None else 200
@@ -574,6 +595,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .distill import TARGET_FIDELITY_INV
+
     parser = _Parser(prog="magicsim",
                      description="Classical simulators for stabilizer circuits with magic-state inputs.")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
@@ -588,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="depolarization weight applied to --state")
         parsers[name].add_argument("--copies", type=int,
                                    help="copy count (monotone table length, distill targets)")
-    parsers["distill"].add_argument("--target", choices=sorted(distill.TARGET_FIDELITY_INV),
+    parsers["distill"].add_argument("--target", choices=sorted(TARGET_FIDELITY_INV),
                                     help="distillation target state")
     parsers["distill"].add_argument("--psuccess", type=float, help="protocol success probability")
     parsers["distill"].add_argument("--sweep", choices=("eps", "m", "alpha"),

@@ -8,6 +8,9 @@ the basis index.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 from .stab_core import PauliOp, StabProjector, StabState
@@ -154,3 +157,38 @@ def channel_completeness_defect(ch, n: int) -> float:
 def born_probability_dense(rho: np.ndarray, proj: StabProjector) -> float:
     P = projector_matrix(proj)
     return float(np.real(np.trace(P @ rho)))
+
+
+@lru_cache(maxsize=None)
+def enumerate_stabilizer_states(n: int) -> tuple[np.ndarray, ...]:
+    """All pure n-qubit stabilizer states as dense vectors, n <= 3: the
+    tests' reference for monotones._stabilizer_coords.
+
+    Breadth-first closure of |0..0> under H, S and CX by the stacked gate
+    matrices, one frontier at a time.  A candidate's phase is fixed by its
+    first nonzero amplitude, and the rounded result keys the deduplication
+    in (frontier, gate) order; the counts 6 / 60 / 1080 are asserted.
+    """
+    if n > 3:
+        raise ValueError("enumeration capped at n=3")
+    dim = 2**n
+    gates = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
+    gates += [("CX", a, b) for a in range(n) for b in range(n) if a != b]
+    # row i of frontier @ step is [U_g v_i for g in gates] laid end to end
+    step = np.hstack([circuit_unitary(n, [gate]).T for gate in gates])
+    seen = {}
+    cands = np.eye(1, dim, dtype=complex)  # |0..0>
+    while len(cands):
+        lead = cands[np.arange(len(cands)), np.argmax(np.abs(cands) > 1e-9, axis=1)]
+        canon = cands * (np.conj(lead) / np.abs(lead))[:, None]
+        fresh = []
+        for i, key in enumerate(np.round(canon, 9) + 0.0):
+            key = key.tobytes()
+            if key not in seen:
+                seen[key] = canon[i]
+                fresh.append(i)
+        cands = (cands[fresh] @ step).reshape(-1, dim)
+    expected = 2**n * math.prod(2**k + 1 for k in range(1, n + 1))
+    if len(seen) != expected:
+        raise RuntimeError(f"stabilizer enumeration found {len(seen)}, expected {expected}")
+    return tuple(seen.values())

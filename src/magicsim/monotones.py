@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -479,77 +479,76 @@ def monotone_ladder_check(rho: BlochState) -> dict:
 # -- robustness LP ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pauli_strings(n: int) -> list[str]:
-    if n == 1:
-        return ["I", "X", "Y", "Z"]
-    return [a + b for a in _pauli_strings(1) for b in _pauli_strings(n - 1)]
-
-
-@lru_cache(maxsize=None)
-def _pauli_stack(n: int) -> np.ndarray:
-    from .dense_oracle import pauli_matrix
-
-    mats = [pauli_matrix(sc.PauliOp.from_letters(s)) for s in _pauli_strings(n)]
-    return np.array([m.T.reshape(-1) for m in mats])
+_LETTER_MATRICES = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                             [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
 
 
 def pauli_coords(op: np.ndarray) -> np.ndarray:
-    """Real coordinates Tr[P_a · op] over all Pauli strings."""
-    n = int(np.log2(op.shape[0]))
-    return np.real(_pauli_stack(n) @ op.reshape(-1))
+    """Real coordinates Tr[P_a · op] over all Pauli strings P_a, with
+    a = sum_q l_q 4^(n-1-q) for letters l_q of I, X, Y, Z = 0..3; op is
+    contracted one qubit at a time, so no 2^n x 2^n Pauli matrix is built."""
+    t = op.reshape(1, *op.shape)
+    while t.shape[1] > 1:
+        half = t.shape[1] // 2
+        # sum_ij P_l[j, i] t[a, (i, b), (j, c)] over the leading qubit's i, j
+        t = np.einsum("lji,aibjc->albc", _LETTER_MATRICES,
+                      t.reshape(len(t), 2, half, 2, half)).reshape(-1, half, half)
+    return np.real(t.ravel())
 
 
 @lru_cache(maxsize=None)
-def enumerate_stabilizer_states(n: int) -> tuple[np.ndarray, ...]:
-    """All pure n-qubit stabilizer states as dense vectors, n <= 3.
+def _letter_action(name: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(image, sign) with U^dag P_w U = sign[w] P_image[w] over the letter
+    words w of the gate's own `width` qubits, read off sc.conjugate_pauli."""
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=width)]
+    images = [sc.conjugate_pauli(sc.PauliOp.from_letters(w), [(name, *range(width))]) for w in words]
+    return (np.array([words.index(p.letters()) for p in images]),
+            np.array([round(p.phase.real) for p in images], np.int8))
 
-    Breadth-first closure of |0..0> under H, S and CX, one frontier at a
-    time: one product with the stacked 2^n x 2^n gate matrices applies every
-    gate to every frontier state.  Each candidate's phase is fixed by its
-    first nonzero amplitude, and the rounded result keys the deduplication
-    in (frontier, gate) order; the counts 6 / 60 / 1080 are asserted.
-    """
-    if n > 3:
-        raise ValueError("enumeration capped at n=3")
-    from .dense_oracle import circuit_unitary
 
-    dim = 2**n
-    gates = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
-    gates += [("CX", a, b) for a in range(n) for b in range(n) if a != b]
-    # row i of frontier @ step is [U_g v_i for g in gates] laid end to end
-    step = np.hstack([circuit_unitary(n, [gate]).T for gate in gates])
-    seen = {}
-    cands = np.eye(1, dim, dtype=complex)  # |0..0>
-    while len(cands):
-        lead = cands[np.arange(len(cands)), np.argmax(np.abs(cands) > 1e-9, axis=1)]
-        canon = cands * (np.conj(lead) / np.abs(lead))[:, None]
-        fresh = []
-        for i, key in enumerate(np.round(canon, 9) + 0.0):
-            key = key.tobytes()
-            if key not in seen:
-                seen[key] = canon[i]
-                fresh.append(i)
-        cands = (cands[fresh] @ step).reshape(-1, dim)
-    count = len(seen)
-    expected = 2**n
-    for k in range(1, n + 1):
-        expected *= 2**k + 1
-    if count != expected:
-        raise RuntimeError(f"stabilizer enumeration found {count}, expected {expected}")
-    return tuple(seen.values())
+def _pauli_action(gate: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(image, sign) with U^dag P_a U = sign[a] P_image[a] for every n-qubit
+    Pauli row a: the gate's letter action on those letters of the row."""
+    qubits = np.array(gate[1:])
+    image, sign = _letter_action(gate[0], len(qubits))
+    local_place = 4 ** np.arange(len(qubits) - 1, -1, -1)
+    old = np.arange(4**n)[:, None] // 4 ** (n - 1 - qubits) % 4
+    local = old @ local_place
+    new = image[local][:, None] // local_place % 4
+    return np.arange(4**n) + (new - old) @ 4 ** (n - 1 - qubits), sign[local]
 
 
 @lru_cache(maxsize=None)
 def _stabilizer_coords(n: int) -> np.ndarray:
-    """Pauli coordinates of every enumerated stabilizer state, one column each.
+    """Pauli coordinates Tr[P_a |v><v|], 0 or +-1, of every n-qubit
+    stabilizer state v, n <= 3, one int8 column each.
 
-    One product of the Pauli stack with the stacked projectors |v><v|; the
-    entries Tr[P_a |v><v|] are 0 or +-1, so the rounded int8 array is exact.
+    Breadth-first closure of |0..0> under H, S and CX on the columns, each
+    gate a signed row permutation (_pauli_action).  Candidates are
+    deduplicated exactly on packed support and sign bits in (frontier, gate)
+    order, so the columns keep the order of the dense oracle's
+    enumerate_stabilizer_states; the counts 6 / 60 / 1080 are asserted.
     """
-    states = np.array(enumerate_stabilizer_states(n))
-    projectors = (states[:, :, None] * states.conj()[:, None, :]).reshape(len(states), -1)
-    coords = np.rint(np.real(_pauli_stack(n) @ projectors.T)).astype(np.int8)
+    if n > 3:
+        raise ValueError("enumeration capped at n=3")
+    gates = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
+    gates += [("CX", a, b) for a in range(n) for b in range(n) if a != b]
+    image, sign = (np.stack(x) for x in zip(*(_pauli_action(g, n) for g in gates)))
+    cands = reduce(np.kron, [np.array([1, 0, 0, 1], np.int8)] * n)[None]  # |0..0>: I, Z rows
+    found, keys = [], np.empty(0, dtype=f"V{4**n // 4}")
+    while len(cands):
+        cand_keys = np.packbits(np.hstack([cands != 0, cands < 0]), axis=1).view(keys.dtype).ravel()
+        # a key already found sorts first, so only a new key's first index passes
+        _, first = np.unique(np.concatenate([keys, cand_keys]), return_index=True)
+        fresh = np.sort(first[first >= len(keys)]) - len(keys)
+        keys = np.concatenate([keys, cand_keys[fresh]])
+        found.append(cands[fresh])
+        # row i, gate g of the next candidates is sign_g * v_i[image_g]
+        cands = (found[-1][:, image] * sign).reshape(-1, 4**n)
+    coords = np.concatenate(found).T
+    expected = 2**n * np.prod([2**k + 1 for k in range(1, n + 1)])
+    if coords.shape[1] != expected:
+        raise RuntimeError(f"stabilizer enumeration found {coords.shape[1]}, expected {expected}")
     coords.flags.writeable = False  # one cached array serves every caller
     return coords
 

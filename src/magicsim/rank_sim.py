@@ -4,8 +4,11 @@ A pure state with a known stabilizer expansion is approximated by a random
 k-term vector whose terms are drawn from the expansion's l1 distribution.
 Bit strings are then sampled through a chain of conditional probabilities,
 each estimated either by a randomized norm sketch over equatorial stabilizer
-states or, with norm_backend="exact", by exact Gram-matrix norms.  Mixed inputs are
-handled as ensembles of pure decompositions sampled per string.
+states (Bravyi et al., arXiv:1808.00128) or, with norm_backend="exact", by
+exact Gram-matrix norms.  Up to six qubits the sketch reads dense amplitudes
+filled from the terms' amplitude forms, and a draw is one integer naming an
+equatorial state.  Mixed inputs are ensembles of pure decompositions sampled
+per string.
 """
 
 from __future__ import annotations
@@ -97,13 +100,22 @@ class _TermSet:
         return out
 
     def dense_matrix(self) -> np.ndarray:
+        """Dense amplitudes of the terms, one row each (zero for None), each
+        filled in one pass over its amplitude form's support y = Y (w, 1):
+        c i^((L.y + 2 y^T T y) mod 4) at index sum_q y_q 2^(n-1-q)."""
         if self._dense is None:
             if self.n > do.MAX_DENSE_QUBITS:
                 raise RankSimError("too wide for dense expansion")
             rows = np.zeros((len(self.terms), 2**self.n), dtype=complex)
+            place = 1 << np.arange(self.n - 1, -1, -1)
             for j, t in enumerate(self.terms):
                 if t is not None:
-                    rows[j] = do.expand(t)
+                    f = sc.amplitude_form(t)
+                    k = f.Y.shape[1]  # the rows of w1 are (w, 1) over all w
+                    w1 = np.arange(2 ** (k - 1), 2**k)[:, None] >> np.arange(k) & 1
+                    y = (w1 @ f.Y.T) & 1
+                    expo = y @ f.L + 2 * np.sum((y @ f.T) * y, axis=1)
+                    rows[j, y @ place] = f.c * sc._I_POW[expo & 3]
             self._dense = rows
         return self._dense
 
@@ -296,13 +308,13 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     single-state estimate eta_A = 2^n |<phi_A|v>|^2.
 
     Draws come in blocks of up to 32768, and only the current batch's draws
-    are kept.  For n <= 6 a draw is two integers, one uniform row d of the
-    nd-row diagonal and one row o of the no-row off-diagonal
-    _equatorial_grid table.  A call that makes at least nd*no draws, one per
-    equatorial state, first tabulates every state's eta as one product of
-    the two phase tables, (-i)^diag times ((-i)^off * v)^T, exact as
-    (-i)^(a+b) = (-i)^a (-i)^b, and a draw reads entry d*no + o.  A call
-    with fewer draws sums each draw's exponents x^T A x from the two rows
+    are kept.  For n <= 6 a draw is one uniform integer a < nd*no, naming
+    row d = a // no of the nd-row diagonal and row o = a % no of the no-row
+    off-diagonal _equatorial_grid table.  A call that makes at least nd*no
+    draws, one per equatorial state, first tabulates every state's eta as
+    one product of the two phase tables, (-i)^diag times ((-i)^off * v)^T,
+    exact as (-i)^(a+b) = (-i)^a (-i)^b, and a draw reads entry a.  A call
+    with fewer draws sums each draw's exponents x^T A x from rows d and o
     and multiplies the dense vector by row slices of at most 32768 phases,
     so neither way does more work or holds more memory than the draws ask
     for, and both draw the same integers.  Wider vectors draw A's digits and
@@ -334,13 +346,11 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     while done < total:
         m = min(32768, total - done)
         if table is not None:
-            d = rng.integers(0, nd, m)
-            etas = table.take(d * no + rng.integers(0, no, m))
+            etas = table.take(rng.integers(0, nd * no, m))
         elif narrow:
             # eta_A = |sum_x (-i)^{x^T A x} v(x)|^2; the 2^n prefactor
             # cancels against the equatorial amplitude normalization.
-            d = rng.integers(0, nd, m)
-            o = rng.integers(0, no, m)
+            d, o = np.divmod(rng.integers(0, nd * no, m), no)
             etas = np.empty(m)
             # rows per product, so that no complex temporary passes 32768 entries
             step = max(1, 32768 >> n)

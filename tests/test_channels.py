@@ -121,7 +121,7 @@ class TestStabKraus:
 
     def test_maps_stabilizers_to_stabilizer_multiples(self):
         # every builtin Kraus output has a rank-one stabilizer projector
-        states = mono.enumerate_stabilizer_states(2)
+        states = do.enumerate_stabilizer_states(2)
         chans = [
             ch.builtin_channel("t_gadget", [0, 1], 2),
             ch.builtin_channel("pauli_measure_and_forward", [0, 1], 2, {"pauli": "XZ"}),

@@ -686,3 +686,61 @@ class TestSchemaValidator:
                      "bench", "selftest", "error", "input"):
             schema = _schema.load_schema(name)
             assert isinstance(schema, dict) and schema.get("type") == "object"
+
+
+# the names `magicsim` exported from its submodules before they were resolved lazily
+PACKAGE_EXPORTS = {
+    "stab_core": ("PauliOp", "StabProjector", "StabState", "apply_circuit", "apply_gate",
+                  "basis_state", "inner_product", "plus_state", "project_pauli",
+                  "project_stab", "tensor", "zero_state"),
+    "channels": ("DyadicDecomposition", "SimulableChannel", "builtin_channel",
+                 "channel_from_json", "dyadic_decompose_product"),
+    "dyadic_sim": ("estimate_born", "required_samples"),
+    "monotones": ("BlochState", "decompose_1q_state", "extent_pure_1q", "lambda_plus_1q",
+                  "robustness_lp"),
+    "rank_sim": ("MixedInput", "SparseDecomposition", "fast_norm", "mixed_input_product",
+                 "sample_bitstrings", "sparsify"),
+    "constrained_sim": ("ConstrainedReport", "RobustnessPair", "constrained_estimate",
+                        "interval_from_estimate", "optimal_pair"),
+    "distill": ("DistillQuery", "asymptotic_rate_bound", "copies_lower_bound"),
+}
+
+
+class TestScopedImports:
+    def test_cli_and_monotone_load_only_their_layers(self):
+        script = (
+            "import json, os, sys\n"
+            "def loaded():\n"
+            "    return sorted(m.split('.')[1] for m in sys.modules if m.startswith('magicsim.'))\n"
+            "import magicsim\n"
+            "package = loaded()\n"
+            "import magicsim.cli as cli\n"
+            "imported = loaded()\n"
+            "rc = cli.main(['monotone', '--state', 'H', '--alpha', '0.9', '--copies', '3',\n"
+            "               '--output', os.devnull])\n"
+            "print(json.dumps([rc, package, imported, loaded()]))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        rc, package, imported, monotone = json.loads(res.stdout)
+        assert rc == 0
+        assert package == []
+        assert not set(imported) & {"channels", "dyadic_sim", "rank_sim", "constrained_sim",
+                                    "monotones", "distill", "dense_oracle"}
+        assert "monotones" in monotone
+        assert not set(monotone) & {"dyadic_sim", "rank_sim", "channels", "constrained_sim",
+                                    "dense_oracle"}
+
+    def test_package_exports_are_the_submodule_objects(self):
+        import importlib
+
+        import magicsim
+
+        assert sorted(magicsim.__all__) == sorted(n for names in PACKAGE_EXPORTS.values()
+                                                  for n in names)
+        for module, names in PACKAGE_EXPORTS.items():
+            sub = importlib.import_module(f"magicsim.{module}")
+            for name in names:
+                assert getattr(magicsim, name) is getattr(sub, name)
+        with pytest.raises(AttributeError):
+            magicsim.no_such_name

@@ -1,5 +1,7 @@
 """Monotone layer: canonicalization, witnesses, extent, equimagical parts, LP."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -400,20 +402,27 @@ def enumerate_one_at_a_time(n):
     return list(seen.values())
 
 
+def pauli_traces(op):
+    """Tr[P_a op] from the oracle's Pauli matrices, qubit 0's letter outermost."""
+    n = int(np.log2(len(op)))
+    return np.array([np.trace(do.pauli_matrix(sc.PauliOp.from_letters("".join(word))) @ op)
+                     for word in itertools.product("IXYZ", repeat=n)])
+
+
 def unreduced_columns(n):
     """Pauli coordinates of every enumerated stabilizer state, one state at a time."""
-    states = mono.enumerate_stabilizer_states(n)
+    states = do.enumerate_stabilizer_states(n)
     return np.stack([mono.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1)
 
 
 class TestRobustnessLP:
     def test_enumeration_counts(self):
-        assert len(mono.enumerate_stabilizer_states(1)) == 6
-        assert len(mono.enumerate_stabilizer_states(2)) == 60
+        assert len(do.enumerate_stabilizer_states(1)) == 6
+        assert len(do.enumerate_stabilizer_states(2)) == 60
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_enumeration_order_matches_one_at_a_time(self, n):
-        got = mono.enumerate_stabilizer_states(n)
+        got = do.enumerate_stabilizer_states(n)
         want = enumerate_one_at_a_time(n)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -422,7 +431,7 @@ class TestRobustnessLP:
 
     def test_enumeration_n3_distinct_stabilizer_states(self):
         n = 3
-        states = np.array(mono.enumerate_stabilizer_states(n))
+        states = np.array(do.enumerate_stabilizer_states(n))
         assert len(states) == 1080
         # distinct projectors: distinct stabilizer states overlap by at most 1/2
         overlaps = np.abs(states.conj() @ states.T) ** 2
@@ -457,7 +466,7 @@ class TestRobustnessLP:
 
     def test_stabilizer_mixture_is_one(self):
         rng = np.random.default_rng(63)
-        states = mono.enumerate_stabilizer_states(2)
+        states = do.enumerate_stabilizer_states(2)
         w = rng.dirichlet(np.ones(8))
         idx = rng.choice(len(states), size=8, replace=False)
         rho = sum(wi * np.outer(states[i], states[i].conj()) for wi, i in zip(w, idx))
@@ -533,3 +542,18 @@ class TestRobustnessReduction:
             got = mono._stabilizer_coords(n)
             assert got.dtype == np.int8
             assert np.array_equal(got, np.rint(unreduced_columns(n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symbolic_columns_are_the_oracle_traces_in_order(self, n):
+        want = np.stack([pauli_traces(np.outer(v, v.conj()))
+                         for v in do.enumerate_stabilizer_states(n)], axis=1)
+        assert np.abs(want.imag).max() <= 1e-12
+        assert np.abs(want.real - np.rint(want.real)).max() <= 1e-12
+        assert np.array_equal(mono._stabilizer_coords(n), np.rint(want.real))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_coords_match_pauli_matrix_traces(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(5):
+            op = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            assert np.abs(mono.pauli_coords(op) - pauli_traces(op).real).max() <= 1e-12

@@ -9,11 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+import magicsim.dense_oracle as do
 import magicsim.monotones as mono
 import magicsim.rank_sim as rs
 import magicsim.stab_core as sc
 from magicsim._util import sample_rng
 from magicsim.rank_sim import RankSimError
+
+from conftest import random_gate
 
 XI_H = 4.0 - 2.0 * np.sqrt(2.0)
 
@@ -186,10 +189,9 @@ def fast_norm_int64(v, eps_fn, p_fn, rng):
     done = 0
     while done < total:
         m = min(32768, total - done)
-        # two integers per draw, the table row indices; their base-4 and
-        # base-2 digits are the diagonal and off-diagonal entries of A
-        di = rng.integers(0, 4**n, m)
-        oi = rng.integers(0, 2 ** len(pairs), m)
+        # one integer per draw, split into the two table row indices; their
+        # base-4 and base-2 digits are the diagonal and off-diagonal entries of A
+        di, oi = np.divmod(rng.integers(0, 4**n * 2 ** len(pairs), m), 2 ** len(pairs))
         diags = (di[:, None] >> 2 * np.arange(n)) & 3
         offs = (oi[:, None] >> np.arange(len(pairs))) & 1
         expo = (diags @ bits.T + 2 * (offs @ pair_bits.T)) & 3
@@ -197,6 +199,27 @@ def fast_norm_int64(v, eps_fn, p_fn, rng):
         etas[done : done + m] = np.abs(amps) ** 2
         done += m
     return float(np.median(etas.reshape(nbatches, batch).mean(axis=1)))
+
+
+class TestDenseMatrix:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_equal_oracle_expand(self, n):
+        # random magic factors and a random Clifford prefix, then projected
+        # children whose annihilated terms are None
+        rng = np.random.default_rng(300 + n)
+        blochs = [random_pure_bloch(rng) for _ in range(min(n, 2))]
+        blochs += [mono.BlochState.named("H").scaled(0.9)] * (n - len(blochs))
+        base = rs.mixed_input_product(blochs).ensemble[0][1].termset()
+        prefix = [random_gate(rng, n) for _ in range(3 * n)]
+        prefixed = rs._TermSet((sc.apply_circuit(t, prefix) for t in base.terms), n)
+        sets = [base, prefixed]
+        for ts in (base, prefixed):
+            sets += [ts.child(q, b) for q in {0, n - 1} for b in (0, 1)]
+            sets.append(ts.child(0, 1).child(n - 1, 0))
+        assert any(t is None for ts in sets for t in ts.terms)
+        for ts in sets:
+            want = np.array([np.zeros(2**n) if t is None else do.expand(t) for t in ts.terms])
+            assert np.array_equal(ts.dense_matrix(), want)
 
 
 class TestFastNorm:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from magicsim import _simplex
+from magicsim import dense_oracle as do
 from magicsim import monotones as mt
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -32,7 +33,7 @@ def robustness_lp_3q():
     """
     t = mt.BlochState.named("T")
     rho1 = mt.BlochState(0.85 * t.bx, 0.85 * t.by, 0.85 * t.bz).density()
-    states = mt.enumerate_stabilizer_states(3)
+    states = do.enumerate_stabilizer_states(3)
     cols = np.stack([mt.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1)
     b = mt.pauli_coords(functools.reduce(np.kron, [rho1] * 3))
     return np.hstack([cols, -cols]), b, np.ones(2 * cols.shape[1])
