@@ -1,10 +1,10 @@
 """Classical simulators for stabilizer circuits with magic-state inputs.
 
-Subpackages cover the stabilizer engine (stab_core), a dense reference
-(dense_oracle), channel representations (channels), the dyadic-frame Born
+Subpackages cover Pauli operators (pauli), the stabilizer engine (stab_core),
+a dense reference (dense_oracle), channels (channels), the dyadic-frame Born
 estimator (dyadic_sim), the stabilizer-rank sampler (rank_sim), the
 constrained-path estimator (constrained_sim), magic monotones (monotones),
-distillation bounds (distill) and the command line front end (cli).
+single-qubit expansions (decompositions), distillation bounds (distill) and the CLI (cli).
 
 Importing the package loads no submodule: each name below is read from its
 submodule on first use (PEP 562), so a process loads only the layers it uses.
@@ -15,14 +15,14 @@ import importlib
 __version__ = "0.1.0"
 
 _OWNER = {name: module for module, names in {
-    "stab_core": ("PauliOp", "StabProjector", "StabState", "apply_circuit", "apply_gate",
-                  "basis_state", "inner_product", "plus_state", "project_pauli",
-                  "project_stab", "tensor", "zero_state"),
+    "pauli": ("PauliOp", "StabProjector"),
+    "stab_core": ("StabState", "apply_circuit", "apply_gate", "basis_state", "inner_product",
+                  "plus_state", "project_pauli", "project_stab", "tensor", "zero_state"),
     "channels": ("DyadicDecomposition", "SimulableChannel", "builtin_channel",
                  "channel_from_json", "dyadic_decompose_product"),
     "dyadic_sim": ("estimate_born", "required_samples"),
-    "monotones": ("BlochState", "decompose_1q_state", "extent_pure_1q", "lambda_plus_1q",
-                  "robustness_lp"),
+    "monotones": ("BlochState", "lambda_plus_1q", "robustness_lp"),
+    "decompositions": ("decompose_1q_state", "extent_pure_1q"),
     "rank_sim": ("MixedInput", "SparseDecomposition", "fast_norm", "mixed_input_product",
                  "sample_bitstrings", "sparsify"),
     "constrained_sim": ("ConstrainedReport", "RobustnessPair", "constrained_estimate",

@@ -18,8 +18,8 @@ _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 64
 
 
-class LPError(Exception):
-    pass
+class LPError(RuntimeError):
+    """The solver failed; the CLI reports it as an internal error."""
 
 
 def _invert(A: np.ndarray, basis: list[int]) -> np.ndarray:

@@ -29,6 +29,8 @@ RUN = 8
 
 _MASK64 = (1 << 64) - 1
 
+MAX_DENSE_QUBITS = 6  # widest state the dense reference and the rank sketch expand
+
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator keyed by (seed, index).

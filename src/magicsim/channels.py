@@ -18,8 +18,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import decompositions, monotones
 from . import dense_oracle as do
-from . import monotones
 from . import stab_core as sc
 
 DEFAULT_MAX_TERMS = 64
@@ -472,7 +472,7 @@ def dyadic_decompose_product(states) -> DyadicDecomposition:
             rho = monotones.BlochState(*rho)
         key = rho.as_tuple()
         if key not in built:
-            _, parts = monotones.decompose_1q_state(rho)
+            _, parts = decompositions.decompose_1q_state(rho)
             built[key] = DyadicDecomposition([
                 (weight * cl * np.conj(cr), Dyad(stl, str_))
                 for weight, _, terms in parts

@@ -3,7 +3,7 @@
 Subcommands share one JSON input-document format and a common flag set.
 Every primary output is a deterministic function of the parsed run spec
 and the seed, so repeated invocations are byte-identical; wall-clock
-timings go to stderr only.
+timings go to stderr only.  Each subcommand imports the layers it uses.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import sys
 import time
 
 import numpy as np
-
-# each subcommand imports the layers it uses, so a process loads only those
-from . import _schema
-from . import _simplex
 
 # rows of the `monotone` table; 10^5 rows already take about 2 s and 2 MB
 MAX_COPIES = 10**5
@@ -54,14 +50,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _is_number(x, kinds=(int, float)) -> bool:
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _as_float(x, what: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if not _is_number(x):
         raise CLIError(f"{what} must be a number, got {x!r}")
     return float(x)
 
 
 def _as_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not _is_number(x, int):
         raise CLIError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -84,6 +84,8 @@ def _params(doc: dict, subcommand: str) -> dict:
 
 
 def _load_input(path: str) -> dict:
+    from . import _schema
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     doc = json.loads(text)
@@ -193,15 +195,54 @@ def _circuit(doc: dict, n: int) -> list[ch.SimulableChannel]:
 
 
 def _clifford_prefix(doc: dict, n: int) -> tuple:
-    """Flatten a circuit of deterministic Clifford layers into a gate list."""
-    from . import channels as ch
-
+    """Flatten a circuit of deterministic Clifford layers into a gate list; any
+    other layer is refused once channel_from_json has reported its faults."""
     gates: list[tuple] = []
     for obj in doc.get("circuit", []):
-        chan = ch.channel_from_json(obj, n)
-        if chan.kraus_part or len(chan.unitary_part) != 1 or abs(chan.P_U - 1.0) > 1e-9:
+        layer = _clifford_layer(obj, n)
+        if layer is None:
+            from . import channels as ch
+
+            ch.channel_from_json(obj, n)
             raise CLIError("'sample' supports only deterministic Clifford circuits")
-        gates.extend(chan.unitary_part[0][1])
+        gates.extend(layer)
+    return tuple(gates)
+
+
+def _clifford_layer(obj: dict, n: int) -> tuple | None:
+    """Global gates of the circuit entries channel_from_json builds as one
+    unitary branch of weight within 1e-9 of 1, else None: {"unitary": [[p,
+    gates]]}, a one-term clifford_mix, and depolarizing with lambda/4 == 0."""
+    from .pauli import check_gate
+
+    # an explicit entry reads neither params nor qubits; its gates act on all n qubits
+    params = {} if "type" not in obj or obj.get("params") is None else obj["params"]
+    qubits = obj.get("qubits", []) if "type" in obj else list(range(n))
+    if not (isinstance(params, dict) and isinstance(qubits, list) and all(_is_number(q, int) for q in qubits)
+            and len(set(qubits)) == len(qubits) and all(0 <= q < n for q in qubits)):
+        return None
+    if "type" not in obj:
+        terms = obj.get("unitary", []) if obj.get("kraus", []) == [] else None
+    elif obj["type"] == "depolarizing":
+        lam = params.get("lambda" if "lambda" in params else "p", 0.0)
+        zero = len(qubits) == 1 and _is_number(lam) and lam >= 0.0 and 0.25 * lam == 0.0
+        terms = [[1.0, []]] if zero else None
+    else:
+        terms = params.get("terms", []) if obj["type"] == "clifford_mix" else None
+    if not (isinstance(terms, list) and len(terms) == 1 and isinstance(terms[0], list) and len(terms[0]) == 2):
+        return None
+    p, spec = terms[0]
+    if not (_is_number(p) and abs(p - 1.0) <= 1e-9 and p <= 1.0 + 1e-12 and isinstance(spec, list)):
+        return None
+    gates = []
+    for g in spec:
+        if not (isinstance(g, list) and g and isinstance(g[0], str) and all(_is_number(t, int) for t in g[1:])):
+            return None
+        try:
+            check_gate((g[0].upper(), *g[1:]), len(qubits))
+        except ValueError:
+            return None
+        gates.append((g[0].upper(), *(qubits[t] for t in g[1:])))
     return tuple(gates)
 
 
@@ -595,8 +636,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .distill import TARGET_FIDELITY_INV
-
     parser = _Parser(prog="magicsim",
                      description="Classical simulators for stabilizer circuits with magic-state inputs.")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
@@ -611,7 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="depolarization weight applied to --state")
         parsers[name].add_argument("--copies", type=int,
                                    help="copy count (monotone table length, distill targets)")
-    parsers["distill"].add_argument("--target", choices=sorted(TARGET_FIDELITY_INV),
+    # sorted(distill.TARGET_FIDELITY_INV), spelled out so parsing loads no distill
+    parsers["distill"].add_argument("--target", choices=["F", "H", "T"],
                                     help="distillation target state")
     parsers["distill"].add_argument("--psuccess", type=float, help="protocol success probability")
     parsers["distill"].add_argument("--sweep", choices=("eps", "m", "alpha"),
@@ -641,12 +681,12 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, OSError, RuntimeError, _simplex.LPError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         if isinstance(exc, json.JSONDecodeError):
             kind = "parse"
         elif isinstance(exc, OSError):
             kind = "io"
-        elif isinstance(exc, (RuntimeError, _simplex.LPError)):
+        elif isinstance(exc, RuntimeError):
             kind = "internal"
         else:
             kind = getattr(exc, "kind", "validation")

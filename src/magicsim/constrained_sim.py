@@ -59,11 +59,6 @@ class RobustnessPair:
     def n(self) -> int:
         return self.sigma.n
 
-    def dominates(self, rho: np.ndarray, tol: float = _ATOL) -> bool:
-        """Dense check of the operator inequality rho <= lam * sigma."""
-        gap = self.lam * self.sigma.dense() - np.asarray(rho, dtype=complex)
-        return float(np.linalg.eigvalsh(gap)[0]) >= -tol
-
 
 def _l1_ball_projection(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the unit l1 ball by soft thresholding."""

@@ -13,9 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import MAX_DENSE_QUBITS
 from .stab_core import PauliOp, StabProjector, StabState
-
-MAX_DENSE_QUBITS = 6
 
 _S2 = 1.0 / np.sqrt(2.0)
 

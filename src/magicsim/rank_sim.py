@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense_oracle as do
-from . import monotones
+from . import decompositions, monotones
 from . import stab_core as sc
-from ._util import sample_rng
+from ._util import MAX_DENSE_QUBITS, sample_rng
 
 _ATOL = 1e-8
 
@@ -104,7 +103,7 @@ class _TermSet:
         filled in one pass over its amplitude form's support y = Y (w, 1):
         c i^((L.y + 2 y^T T y) mod 4) at index sum_q y_q 2^(n-1-q)."""
         if self._dense is None:
-            if self.n > do.MAX_DENSE_QUBITS:
+            if self.n > MAX_DENSE_QUBITS:
                 raise RankSimError("too wide for dense expansion")
             rows = np.zeros((len(self.terms), 2**self.n), dtype=complex)
             place = 1 << np.arange(self.n - 1, -1, -1)
@@ -198,10 +197,6 @@ class SparseDecomposition:
             self._C = float(self.l1 * np.sum(self._mags * np.abs(overlaps) ** 2))
         return self._C
 
-    @property
-    def delta_c(self) -> float:
-        return 8.0 * (self.C - 1.0) / self.l1**2
-
 
 class SparseVector:
     """Random k-term approximation Omega = (||c||_1/k) sum_a |omega_a>.
@@ -280,12 +275,12 @@ def _equatorial_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _equatorial_etas(diag_table: np.ndarray, off_table: np.ndarray, vdense: np.ndarray) -> np.ndarray:
     """|sum_x (-i)^{x^T A x} v(x)|^2 for every equatorial A, at row d*no + o.
 
-    Built in blocks of diagonal rows, each block of at most 32768 entries.
+    Built in blocks of whole diagonal rows of about 2048 entries in all.
     """
     no = len(off_table)
     right = (_NEG_I_POW.take(off_table & 3) * vdense).T
     out = np.empty(len(diag_table) * no)
-    step = max(1, 32768 // no)
+    step = max(1, 2048 // no)
     for lo in range(0, len(diag_table), step):
         amps = _NEG_I_POW.take(diag_table[lo : lo + step] & 3) @ right
         out[lo * no : lo * no + amps.size] = (np.abs(amps) ** 2).ravel()
@@ -307,19 +302,20 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     means, each batch averaging ceil(4/eps_fn^2) draws of the unbiased
     single-state estimate eta_A = 2^n |<phi_A|v>|^2.
 
-    Draws come in blocks of up to 32768, and only the current batch's draws
-    are kept.  For n <= 6 a draw is one uniform integer a < nd*no, naming
-    row d = a // no of the nd-row diagonal and row o = a % no of the no-row
-    off-diagonal _equatorial_grid table.  A call that makes at least nd*no
-    draws, one per equatorial state, first tabulates every state's eta as
-    one product of the two phase tables, (-i)^diag times ((-i)^off * v)^T,
-    exact as (-i)^(a+b) = (-i)^a (-i)^b, and a draw reads entry a.  A call
-    with fewer draws sums each draw's exponents x^T A x from rows d and o
-    and multiplies the dense vector by row slices of at most 32768 phases,
-    so neither way does more work or holds more memory than the draws ask
-    for, and both draw the same integers.  Wider vectors draw A's digits and
-    bits and take one SparseVector.equatorial_overlap per draw, an
-    exponential sum per distinct drawn term.
+    For n <= 6 a draw is one uniform integer a < nd*no, naming row
+    d = a // no of the nd-row diagonal and row o = a % no of the no-row
+    off-diagonal _equatorial_grid table.  Each batch is drawn in one call
+    and only its draws are held; nd*no is a power of two, so numpy yields
+    the same integers however the draws are split into calls.  A call that
+    makes at least nd*no draws, one per equatorial state, first tabulates
+    every state's eta as one product of the two phase tables, (-i)^diag
+    times ((-i)^off * v)^T, exact as (-i)^(a+b) = (-i)^a (-i)^b, and a
+    batch mean averages the entries its draws name.  A call with fewer
+    draws sums each draw's exponents x^T A x from rows d and o and
+    multiplies the dense vector by row slices of at most 32768 phases.
+    Wider vectors draw A's digits and bits in blocks of up to 32768, keep
+    every draw's eta and take one SparseVector.equatorial_overlap per draw,
+    an exponential sum per distinct drawn term.
     """
     if not 0.0 < eps_fn <= 0.2:
         raise RankSimError("eps_fn must lie in (0, 1/5]")
@@ -329,57 +325,42 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     n = v.n
     batch, nbatches = _sketch_shape(eps_fn, p_fn)
     total = batch * nbatches
-    pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
-    narrow = n <= do.MAX_DENSE_QUBITS
-    table = None
-    if narrow:
+    if n <= MAX_DENSE_QUBITS:
         diag_table, off_table = _equatorial_grid(n)
         nd, no = len(diag_table), len(off_table)
         vdense = v.dense()
-        if total >= nd * no:
-            table = _equatorial_etas(diag_table, off_table, vdense)
-    # one batch of draws is kept at a time; its mean is the same pairwise sum
-    # as a row of the (nbatches, batch) array
-    batch_etas = np.empty(batch)
-    means = []
-    filled = done = 0
-    while done < total:
-        m = min(32768, total - done)
-        if table is not None:
-            etas = table.take(rng.integers(0, nd * no, m))
-        elif narrow:
+        table = _equatorial_etas(diag_table, off_table, vdense) if total >= nd * no else None
+        means = []
+        for _ in range(nbatches):
+            a = rng.integers(0, nd * no, batch)
+            if table is not None:
+                means.append(table.take(a).mean())
+                continue
             # eta_A = |sum_x (-i)^{x^T A x} v(x)|^2; the 2^n prefactor
             # cancels against the equatorial amplitude normalization.
-            d, o = np.divmod(rng.integers(0, nd * no, m), no)
-            etas = np.empty(m)
+            d, o = np.divmod(a, no)
+            etas = np.empty(batch)
             # rows per product, so that no complex temporary passes 32768 entries
             step = max(1, 32768 >> n)
-            for lo in range(0, m, step):
+            for lo in range(0, batch, step):
                 # take copies whole rows, several times faster than fancy indexing
                 expo = diag_table.take(d[lo : lo + step], axis=0)
                 expo += off_table.take(o[lo : lo + step], axis=0)
                 etas[lo : lo + step] = np.abs(_NEG_I_POW.take(expo & 3) @ vdense) ** 2
-        else:
-            diags = rng.integers(0, 4, size=(m, n))
-            offs = rng.integers(0, 2, size=(m, len(pairs)))
-            scale = float(2**n)
-            etas = np.empty(m)
-            for r in range(m):
-                A = np.diag(diags[r])
-                for idx, (j, l) in enumerate(pairs):
-                    A[j, l] = A[l, j] = offs[r, idx]
-                etas[r] = scale * abs(v.equatorial_overlap(A)) ** 2
-        done += m
-        pos = 0
-        while pos < m:
-            take = min(batch - filled, m - pos)
-            batch_etas[filled : filled + take] = etas[pos : pos + take]
-            filled += take
-            pos += take
-            if filled == batch:
-                means.append(batch_etas.mean())
-                filled = 0
-    return _median(means)
+            means.append(etas.mean())
+        return _median(means)
+    pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
+    etas = np.empty(total)
+    for lo in range(0, total, 32768):
+        m = min(32768, total - lo)
+        diags = rng.integers(0, 4, size=(m, n))
+        offs = rng.integers(0, 2, size=(m, len(pairs)))
+        for r in range(m):
+            A = np.diag(diags[r])
+            for idx, (j, l) in enumerate(pairs):
+                A[j, l] = A[l, j] = offs[r, idx]
+            etas[lo + r] = 2.0**n * abs(v.equatorial_overlap(A)) ** 2
+    return _median([row.mean() for row in etas.reshape(nbatches, batch)])
 
 
 def _sketch_shape(eps_fn: float, p_fn: float) -> tuple[int, int]:
@@ -434,7 +415,7 @@ def mixed_input_product(states) -> MixedInput:
         if not isinstance(rho, monotones.BlochState):
             rho = monotones.BlochState(*rho)
         per_qubit.append([(w, SparseDecomposition([c for c, _ in terms], [t for _, t in terms]))
-                          for w, _, terms in monotones.decompose_1q_state(rho)[1]])
+                          for w, _, terms in decompositions.decompose_1q_state(rho)[1]])
     ensemble = []
     for combo in itertools.product(*per_qubit):
         weight = math.prod(w for w, _ in combo)
@@ -482,11 +463,11 @@ def check_sample_cost(states, w: int, delta: float, p_fail: float, count: int,
     states = list(states)
     n, w = len(states), int(w)
     _check_run(n, w, delta, p_fail, count, norm_backend)
-    parts = [monotones.decompose_1q_state(
+    parts = [decompositions.decompose_1q_state(
         rho if isinstance(rho, monotones.BlochState) else monotones.BlochState(*rho))[1]
         for rho in states]
     work = math.prod(sum(len(terms) ** 2 for _, _, terms in qubit) for qubit in parts)
-    if norm_backend == "fastnorm" and n > do.MAX_DENSE_QUBITS:
+    if norm_backend == "fastnorm" and n > MAX_DENSE_QUBITS:
         l1 = math.prod(max(sum(abs(c) for c, _ in terms) for _, _, terms in qubit) for qubit in parts)
         batch, nbatches = _sketch_shape(*_norm_budget(w, delta, p_fail))
         work += count * (2 * w + 1) * batch * nbatches * math.ceil(12.0 * l1 * l1 / delta)

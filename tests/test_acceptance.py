@@ -13,6 +13,7 @@ import numpy as np
 
 from magicsim import channels as ch
 from magicsim import constrained_sim as cs
+from magicsim import decompositions as dc
 from magicsim import dense_oracle as do
 from magicsim import distill
 from magicsim import dyadic_sim as ds
@@ -164,7 +165,7 @@ def test_3_single_qubit_monotone_constants():
     d_h = mt.stab_norm_1q(h)
     assert abs(d_h - 1.2071) <= 1e-4
     assert abs(math.log2(d_h) - 0.271553) <= 5e-6
-    xi_f, _ = mt.extent_pure_1q(mt.BlochState.named("F"))
+    xi_f, _ = dc.extent_pure_1q(mt.BlochState.named("F"))
     assert abs(xi_f - (3.0 - math.sqrt(3.0))) <= 1e-9
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import magicsim.channels as ch
+import magicsim.decompositions as dc
 import magicsim.dense_oracle as do
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
@@ -445,12 +446,12 @@ class TestDyadicProduct:
     def test_factor_validated_at_any_width(self, monkeypatch):
         # a factor whose part weights sum to 2 has trace 2; the per-factor
         # check catches it above the six-qubit dense cap too
-        real = mono.decompose_1q_state
+        real = dc.decompose_1q_state
 
         def doubled(rho):
             xi, parts = real(rho)
             return xi, [(2.0 * w, ext, terms) for w, ext, terms in parts]
 
-        monkeypatch.setattr(mono, "decompose_1q_state", doubled)
+        monkeypatch.setattr(dc, "decompose_1q_state", doubled)
         with pytest.raises(ChannelError):
             ch.dyadic_decompose_product([mono.BlochState.named("H")] * 7)

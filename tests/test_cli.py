@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import json
 import math
 import pathlib
@@ -12,7 +13,9 @@ import pytest
 
 from magicsim import _schema
 from magicsim import _simplex
+from magicsim import channels
 from magicsim import cli
+from magicsim import distill
 from magicsim import dyadic_sim
 from magicsim import monotones
 
@@ -187,6 +190,106 @@ class TestSample:
         diag = json.loads(err)
         assert_schema(diag, "error")
         assert "Clifford" in diag["error"]["message"]
+
+    def test_depolarizing_prefix_message(self, capsys, tmp_path):
+        doc = {"state": {"product": ["H", "H"]},
+               "circuit": [{"unitary": [[1.0, [["CX", 0, 1]]]]},
+                           {"type": "depolarizing", "qubits": [1], "params": {"lambda": 0.2}}]}
+        rc, out, err = run_cli(capsys, "sample", "--input", write_doc(tmp_path, doc))
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "kind": "validation", "message": "'sample' supports only deterministic Clifford circuits"}
+
+
+def _channel_prefix(doc, n):
+    """The Clifford prefix as read through channels.channel_from_json."""
+    gates = []
+    for obj in doc.get("circuit", []):
+        chan = channels.channel_from_json(obj, n)
+        if chan.kraus_part or len(chan.unitary_part) != 1 or abs(chan.P_U - 1.0) > 1e-9:
+            raise cli.CLIError("'sample' supports only deterministic Clifford circuits")
+        gates.extend(chan.unitary_part[0][1])
+    return tuple(gates)
+
+
+def _prefix_outcome(read, layer, n=3):
+    try:
+        return read({"circuit": [layer]}, n)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _mix(terms, qubits=(2, 0), **extra):
+    return {"type": "clifford_mix", "qubits": list(qubits), "params": {"terms": terms}, **extra}
+
+
+def _depol(qubits=(1,), **params):
+    return {"type": "depolarizing", "qubits": list(qubits), "params": params}
+
+
+# circuit entries the `sample` prefix reader must take or refuse as channel_from_json does
+PREFIX_LAYERS = {
+    "unitary": {"unitary": [[1.0, [["CX", 0, 1], ["h", 2], ["SDG", 1]]]]},
+    "unitary-int-weight": {"unitary": [[1, [["SWAP", 0, 2]]]], "kraus": []},
+    "unitary-near-one": {"unitary": [[1.0 - 5e-10, [["S", 0]]]]},
+    "unitary-just-below": {"unitary": [[1.0 - 5e-9, [["S", 0]]]]},
+    "unitary-above-range": {"unitary": [[1.0 + 5e-10, [["S", 0]]]]},
+    "unitary-extra-keys": {"unitary": [[1.0, []]], "params": "x", "qubits": 7},
+    "unitary-two-branches": {"unitary": [[1.0, [["X", 0]]], [0.0, []]]},
+    "unitary-none": {"unitary": []},
+    "unitary-bool-weight": {"unitary": [[True, []]]},
+    "unitary-bool-target": {"unitary": [[1.0, [["X", True]]]]},
+    "unitary-arity": {"unitary": [[1.0, [["CX", 0]]]]},
+    "unitary-range": {"unitary": [[1.0, [["X", 3]]]]},
+    "unitary-empty-gate": {"unitary": [[1.0, [[]]]]},
+    "unitary-unknown-gate": {"unitary": [[1.0, [["T", 0]]]]},
+    "unitary-not-array": {"unitary": {"p": 1.0}},
+    "kraus-valid": {"kraus": [[0.5, 1, [["ZII", 1]], []], [0.5, 1, [["ZII", -1]], []]]},
+    "kraus-incomplete": {"kraus": [[0.5, 1, [["ZII", 1]], []]]},
+    "kraus-malformed": {"unitary": [[1.0, []]], "kraus": [[0.5, 1, [["Z"]], []]]},
+    "kraus-not-array": {"unitary": [[1.0, []]], "kraus": 5},
+    "mix": _mix([[1.0, [["CX", 0, 1], ["H", 1]]]]),
+    "mix-null-params": {"type": "clifford_mix", "qubits": [0], "params": None},
+    "mix-two-terms": _mix([[0.7, [["X", 0]]], [0.3, []]]),
+    "mix-local-range": _mix([[1.0, [["X", 2]]]]),
+    "mix-duplicate-qubits": _mix([[1.0, []]], qubits=(1, 1)),
+    "mix-qubit-range": _mix([[1.0, []]], qubits=(3,)),
+    "mix-bool-qubit": _mix([[1.0, []]], qubits=(True,)),
+    "mix-params-array": {"type": "clifford_mix", "qubits": [0], "params": []},
+    "depolarizing-zero": _depol(**{"lambda": 0.0}),
+    "depolarizing-default": {"type": "depolarizing", "qubits": [2]},
+    "depolarizing-p-zero": _depol(p=0),
+    "depolarizing-subnormal": _depol(**{"lambda": 5e-324}),
+    "depolarizing-noisy": _depol(**{"lambda": 0.2}),
+    "depolarizing-negative": _depol(**{"lambda": -0.0001}),
+    "depolarizing-two-qubits": _depol(qubits=(0, 1), **{"lambda": 0.0}),
+    "depolarizing-params-array": {"type": "depolarizing", "qubits": [0], "params": []},
+    "t-gadget": {"type": "t_gadget", "qubits": [0, 1]},
+    "t-gadget-arity": {"type": "t_gadget", "qubits": [0]},
+    "measure-identity": {"type": "pauli_measure_and_forward", "qubits": [], "params": {"pauli": ""}},
+    "measure": {"type": "pauli_measure_and_forward", "qubits": [0, 2], "params": {"pauli": "XZ"}},
+    "unknown-type": {"type": "reset", "qubits": [0]},
+    "null-type": {"type": None, "unitary": [[1.0, []]]},
+}
+
+
+class TestCliffordPrefix:
+    @pytest.mark.parametrize("case", sorted(PREFIX_LAYERS))
+    def test_same_gates_or_error_as_channel_from_json(self, case):
+        layer = PREFIX_LAYERS[case]
+        assert _prefix_outcome(cli._clifford_prefix, layer) == _prefix_outcome(_channel_prefix, layer)
+
+    def test_unitary_and_mix_read_their_gates(self):
+        for layer in (PREFIX_LAYERS["unitary"], PREFIX_LAYERS["mix"]):
+            want = channels.channel_from_json(layer, 3).unitary_part[0][1]
+            assert cli._clifford_prefix({"circuit": [layer]}, 3) == want
+        assert cli._clifford_prefix({"circuit": [PREFIX_LAYERS["mix"]]}, 3) == (("CX", 2, 0), ("H", 0))
+
+    def test_first_faulty_layer_reports(self):
+        doc = {"circuit": [PREFIX_LAYERS["unitary"], PREFIX_LAYERS["kraus-incomplete"],
+                           PREFIX_LAYERS["unitary-arity"]]}
+        with pytest.raises(channels.ChannelError, match="completeness"):
+            cli._clifford_prefix(doc, 3)
 
 
 class TestFaceFactor:
@@ -667,6 +770,14 @@ class TestMalformedInput:
         assert diag["error"] == {"kind": "internal", "message": "solver failed"}
 
 
+class TestParser:
+    def test_target_choices_are_the_distill_targets(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        target = next(a for a in sub.choices["distill"]._actions if a.dest == "target")
+        assert list(target.choices) == sorted(distill.TARGET_FIDELITY_INV)
+
+
 class TestSchemaValidator:
     def test_rejects_wrong_type(self):
         schema = {"type": "object", "properties": {"a": {"type": "integer"}},
@@ -688,16 +799,16 @@ class TestSchemaValidator:
             assert isinstance(schema, dict) and schema.get("type") == "object"
 
 
-# the names `magicsim` exported from its submodules before they were resolved lazily
+# the names `magicsim` exports, keyed by the submodule that owns each
 PACKAGE_EXPORTS = {
-    "stab_core": ("PauliOp", "StabProjector", "StabState", "apply_circuit", "apply_gate",
-                  "basis_state", "inner_product", "plus_state", "project_pauli",
-                  "project_stab", "tensor", "zero_state"),
+    "pauli": ("PauliOp", "StabProjector"),
+    "stab_core": ("StabState", "apply_circuit", "apply_gate", "basis_state", "inner_product",
+                  "plus_state", "project_pauli", "project_stab", "tensor", "zero_state"),
     "channels": ("DyadicDecomposition", "SimulableChannel", "builtin_channel",
                  "channel_from_json", "dyadic_decompose_product"),
     "dyadic_sim": ("estimate_born", "required_samples"),
-    "monotones": ("BlochState", "decompose_1q_state", "extent_pure_1q", "lambda_plus_1q",
-                  "robustness_lp"),
+    "monotones": ("BlochState", "lambda_plus_1q", "robustness_lp"),
+    "decompositions": ("decompose_1q_state", "extent_pure_1q"),
     "rank_sim": ("MixedInput", "SparseDecomposition", "fast_norm", "mixed_input_product",
                  "sample_bitstrings", "sparsify"),
     "constrained_sim": ("ConstrainedReport", "RobustnessPair", "constrained_estimate",
@@ -705,31 +816,61 @@ PACKAGE_EXPORTS = {
     "distill": ("DistillQuery", "asymptotic_rate_bound", "copies_lower_bound"),
 }
 
+SCOPE_DOCS = {
+    "estimate": {"state": {"product": ["H", "0"]},
+                 "circuit": [{"type": "depolarizing", "qubits": [0], "params": {"lambda": 0.1}}],
+                 "measurement": {"pauli": "ZZ"}},
+    "constrained": {"state": {"product": [{"named": "H", "alpha": 0.8}] * 2},
+                    "measurement": {"pauli": "ZZ"}},
+}
+
+
+def _loaded_by(argv: list[str]) -> tuple[list[str], list[str], list[str]]:
+    """Submodules loaded in a fresh process by `import magicsim`, then by
+    `import magicsim.cli`, then by cli.main(argv)."""
+    script = (
+        "import json, os, sys\n"
+        "def loaded():\n"
+        "    return sorted(m.split('.')[1] for m in sys.modules if m.startswith('magicsim.'))\n"
+        "import magicsim\n"
+        "package = loaded()\n"
+        "import magicsim.cli as cli\n"
+        "imported = loaded()\n"
+        f"rc = cli.main({argv!r} + ['--output', os.devnull])\n"
+        "print(json.dumps([rc, package, imported, loaded()]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    rc, package, imported, ran = json.loads(res.stdout.splitlines()[-1])
+    assert rc == 0
+    return package, imported, ran
+
 
 class TestScopedImports:
     def test_cli_and_monotone_load_only_their_layers(self):
-        script = (
-            "import json, os, sys\n"
-            "def loaded():\n"
-            "    return sorted(m.split('.')[1] for m in sys.modules if m.startswith('magicsim.'))\n"
-            "import magicsim\n"
-            "package = loaded()\n"
-            "import magicsim.cli as cli\n"
-            "imported = loaded()\n"
-            "rc = cli.main(['monotone', '--state', 'H', '--alpha', '0.9', '--copies', '3',\n"
-            "               '--output', os.devnull])\n"
-            "print(json.dumps([rc, package, imported, loaded()]))\n"
-        )
-        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        rc, package, imported, monotone = json.loads(res.stdout)
-        assert rc == 0
+        package, imported, monotone = _loaded_by(
+            ["monotone", "--state", "H", "--alpha", "0.9", "--copies", "3"])
         assert package == []
+        assert imported == ["cli"]
         assert not set(imported) & {"channels", "dyadic_sim", "rank_sim", "constrained_sim",
-                                    "monotones", "distill", "dense_oracle"}
-        assert "monotones" in monotone
-        assert not set(monotone) & {"dyadic_sim", "rank_sim", "channels", "constrained_sim",
-                                    "dense_oracle"}
+                                    "monotones", "distill", "dense_oracle", "_schema", "_simplex"}
+        assert {"monotones", "pauli", "_simplex"} <= set(monotone)
+        assert not set(monotone) & {"stab_core", "decompositions", "distill", "channels", "rank_sim",
+                                    "dyadic_sim", "constrained_sim", "dense_oracle"}
+
+    def test_sample_loads_no_channel_layer(self):
+        doc = str(pathlib.Path(__file__).parent / "data" / "sample_h4_cx.json")
+        _, _, sample = _loaded_by(["sample", "--input", doc])
+        assert {"rank_sim", "decompositions", "stab_core", "_schema"} <= set(sample)
+        assert not set(sample) & {"channels", "dense_oracle", "distill", "dyadic_sim",
+                                  "constrained_sim", "_simplex"}
+
+    @pytest.mark.parametrize("subcommand", sorted(SCOPE_DOCS))
+    def test_walks_load_neither_distill_nor_rank_sim(self, tmp_path, subcommand):
+        path = write_doc(tmp_path, SCOPE_DOCS[subcommand])
+        _, _, ran = _loaded_by([subcommand, "--input", path, "--epsilon", "0.3"])
+        assert {"channels", "dyadic_sim"} <= set(ran)
+        assert not set(ran) & {"distill", "rank_sim"}
 
     def test_package_exports_are_the_submodule_objects(self):
         import importlib

@@ -1,10 +1,12 @@
-"""Monotone layer: canonicalization, witnesses, extent, equimagical parts, LP."""
+"""Monotone layer and one-qubit decompositions: canonicalization, witnesses,
+extent, equimagical parts, LP."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+import magicsim.decompositions as dc
 import magicsim.dense_oracle as do
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
@@ -153,19 +155,19 @@ class TestLambdaPlus:
 
 class TestExtent:
     def test_zero_state_single_term(self):
-        xi, terms = mono.extent_pure_1q(BlochState(0.0, 0.0, 1.0))
+        xi, terms = dc.extent_pure_1q(BlochState(0.0, 0.0, 1.0))
         assert xi == 1.0
         assert len(terms) == 1
         assert terms[0][1].amplitude_of((0,)) == pytest.approx(1.0)
 
     def test_H_two_terms(self):
-        xi, terms = mono.extent_pure_1q(BlochState.named("H"))
+        xi, terms = dc.extent_pure_1q(BlochState.named("H"))
         assert xi == pytest.approx(4 - 2 * SQRT2, abs=1e-9)
         assert len(terms) == 2
         self._check_reconstruction(BlochState.named("H"), xi, terms)
 
     def test_F_three_terms(self):
-        xi, terms = mono.extent_pure_1q(BlochState.named("F"))
+        xi, terms = dc.extent_pure_1q(BlochState.named("F"))
         assert xi == pytest.approx(3 - SQRT3, abs=1e-9)
         assert len(terms) == 3
         self._check_reconstruction(BlochState.named("F"), xi, terms)
@@ -174,7 +176,7 @@ class TestExtent:
         rng = np.random.default_rng(21)
         for _ in range(60):
             psi = random_bloch(rng, pure=True)
-            xi, terms = mono.extent_pure_1q(psi)
+            xi, terms = dc.extent_pure_1q(psi)
             assert xi >= 1.0 - 1e-12
             self._check_reconstruction(psi, xi, terms)
 
@@ -185,7 +187,7 @@ class TestExtent:
             v = np.array(f.as_tuple()) + np.array([eps, 0.0, -eps])
             v = v / np.linalg.norm(v)
             psi = BlochState(*v)
-            xi, terms = mono.extent_pure_1q(psi)
+            xi, terms = dc.extent_pure_1q(psi)
             self._check_reconstruction(psi, xi, terms)
 
     # a pure face state on which an iterative l1 minimizer misses the 1e-8
@@ -194,7 +196,7 @@ class TestExtent:
 
     def test_face_factor_certificate(self):
         psi = BlochState(*self.FACE_FACTOR)
-        xi, terms = mono.extent_pure_1q(psi)
+        xi, terms = dc.extent_pure_1q(psi)
         assert len(terms) == 3
         self._check_reconstruction(psi, xi, terms)
 
@@ -207,7 +209,7 @@ class TestExtent:
             _, wit = mono.lambda_plus_1q(psi)
             if wit.q > mono.Q_MIN + 1e-9:
                 continue
-            xi, terms = mono.extent_pure_1q(psi)
+            xi, terms = dc.extent_pure_1q(psi)
             errors.append(abs(sum(abs(c) for c, _ in terms) ** 2 - xi))
         assert max(errors) <= 1e-12
 
@@ -221,7 +223,7 @@ class TestExtent:
     def test_fermat_point_beats_grid(self, anchors):
         null_dir = np.array([-(1.0 - 1j) / SQRT2, -1j, 1.0 + 0j])
         z = np.array(anchors, dtype=complex)
-        l1 = np.sum(np.abs(mono._fermat_l1(-z * null_dir, null_dir)))
+        l1 = np.sum(np.abs(dc._fermat_l1(-z * null_dir, null_dir)))
         axis = np.linspace(-2.5, 2.5, 501)
         grid = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
         best = np.sum(np.abs(grid[:, None] - z[None, :]), axis=1).min()
@@ -234,7 +236,7 @@ class TestExtent:
     def test_named_state_term_count(self, name, count):
         psi = BlochState.named(name)
         _, wit = mono.lambda_plus_1q(psi)
-        _, terms = mono.extent_pure_1q(psi)
+        _, terms = dc.extent_pure_1q(psi)
         assert len(terms) == count
         if count > 1:
             assert (wit.q > mono.Q_MIN + 1e-9) == (count == 2)
@@ -254,7 +256,7 @@ class TestExtent:
 class TestEquimagical:
     def test_special_states_share_extent(self):
         for f in (0.65, 0.8, 0.95):
-            sx, sy, sz = mono.special_states(f)
+            sx, sy, sz = dc.special_states(f)
             vals = [mono.lambda_plus_1q(s)[0] for s in (sx, sy, sz)]
             assert vals[0] == pytest.approx(vals[1], abs=1e-10)
             assert vals[0] == pytest.approx(vals[2], abs=1e-10)
@@ -263,13 +265,13 @@ class TestEquimagical:
     def test_triangle_center(self):
         # center of the special triangle at level f mixes all three equally
         f = 0.8
-        sx, sy, sz = mono.special_states(f)
+        sx, sy, sz = dc.special_states(f)
         center = BlochState(
             (sx.bx + sy.bx + sz.bx) / 3,
             (sx.by + sy.by + sz.by) / 3,
             (sx.bz + sy.bz + sz.bz) / 3,
         )
-        eq = mono.equimagical_decompose(center)
+        eq = dc.equimagical_decompose(center)
         assert len(eq.parts) == 3
         for w, _ in eq.parts:
             assert w == pytest.approx(1 / 3, abs=1e-9)
@@ -277,13 +279,13 @@ class TestEquimagical:
 
     def test_pure_state_single_part(self):
         psi = BlochState.named("F")
-        eq = mono.equimagical_decompose(psi)
+        eq = dc.equimagical_decompose(psi)
         assert len(eq.parts) == 1
         assert eq.common_extent == pytest.approx(3 - SQRT3, abs=1e-9)
 
     def test_noisy_H_two_parts(self):
         word, canon = mono.canonicalize_PY(BlochState.named("H").scaled(0.9))
-        eq = mono.equimagical_decompose(canon)
+        eq = dc.equimagical_decompose(canon)
         assert len(eq.parts) == 2
         lam, _ = mono.lambda_plus_1q(canon)
         assert eq.common_extent == pytest.approx(lam, abs=1e-9)
@@ -297,7 +299,7 @@ class TestEquimagical:
             if rho.in_octahedron() or rho.is_pure():
                 continue
             _, canon = mono.canonicalize_PY(rho)
-            eq = mono.equimagical_decompose(canon)
+            eq = dc.equimagical_decompose(canon)
             for _, part in eq.parts:
                 assert part.is_pure(1e-7)
                 val, _ = mono.lambda_plus_1q(part)
@@ -307,7 +309,7 @@ class TestEquimagical:
 
     def test_rejects_polytope_state(self):
         with pytest.raises(ValueError):
-            mono.equimagical_decompose(BlochState(0.3, 0.1, 0.2))
+            dc.equimagical_decompose(BlochState(0.3, 0.1, 0.2))
 
     @staticmethod
     def _check_mixture(rho, eq):
@@ -327,12 +329,12 @@ class TestDecompose1Q:
             v = rng.normal(size=3)
             v = v / np.sum(np.abs(v)) * rng.uniform(0, 1)
             rho = BlochState(*v)
-            lam, parts = mono.decompose_1q_state(rho)
+            lam, parts = dc.decompose_1q_state(rho)
             assert lam == 1.0
             self._check_density(rho, parts)
 
     def test_pure_magic(self):
-        lam, parts = mono.decompose_1q_state(BlochState.named("H"))
+        lam, parts = dc.decompose_1q_state(BlochState.named("H"))
         assert lam == pytest.approx(4 - 2 * SQRT2, abs=1e-9)
         assert len(parts) == 1
         self._check_density(BlochState.named("H"), parts)
@@ -344,7 +346,7 @@ class TestDecompose1Q:
             rho = random_bloch(rng)
             if rho.in_octahedron() or rho.is_pure():
                 continue
-            lam, parts = mono.decompose_1q_state(rho)
+            lam, parts = dc.decompose_1q_state(rho)
             assert lam > 1.0
             for _, xi, _ in parts:
                 assert xi == pytest.approx(lam, abs=1e-8)
@@ -360,9 +362,24 @@ class TestDecompose1Q:
         assert mat == pytest.approx(mono.density_matrix(rho), abs=1e-7)
 
 
+def monotone_ladder_check(rho: BlochState) -> dict:
+    """Slack report for the single-qubit monotone inequalities."""
+    lam, _ = mono.lambda_plus_1q(rho)
+    R = mono.robustness_1q(rho)
+    D = mono.stab_norm_1q(rho)
+    return {
+        "lambda_plus": lam,
+        "robustness": R,
+        "stab_norm": D,
+        "slack_general": R - (2.0 * lam - 1.0),
+        "slack_1q": R - ((1.0 + SQRT2) * lam - SQRT2),
+        "slack_2d": R - (2.0 * D - 1.0),
+    }
+
+
 class TestLadder:
     def test_H_saturates_1q_bound(self):
-        rep = mono.monotone_ladder_check(BlochState.named("H"))
+        rep = monotone_ladder_check(BlochState.named("H"))
         assert rep["robustness"] == pytest.approx(SQRT2, abs=1e-9)
         assert rep["slack_1q"] == pytest.approx(0.0, abs=1e-9)
 
@@ -370,7 +387,7 @@ class TestLadder:
         rng = np.random.default_rng(55)
         for _ in range(200):
             rho = random_bloch(rng)
-            rep = mono.monotone_ladder_check(rho)
+            rep = monotone_ladder_check(rho)
             assert rep["slack_general"] >= -1e-9
             assert rep["slack_1q"] >= -1e-9
             assert rep["slack_2d"] >= -1e-9
@@ -550,6 +567,25 @@ class TestRobustnessReduction:
         assert np.abs(want.imag).max() <= 1e-12
         assert np.abs(want.real - np.rint(want.real)).max() <= 1e-12
         assert np.array_equal(mono._stabilizer_coords(n), np.rint(want.real))
+
+    # (image, sign) per letter word, as read off stab_core's conjugation rules
+    # before the Pauli algebra had a module of its own
+    LETTER_ACTIONS = {
+        ("H", 1): ([0, 3, 2, 1], [1, 1, -1, 1]),
+        ("S", 1): ([0, 2, 1, 3], [1, -1, 1, 1]),
+        ("CX", 2): ([0, 1, 14, 15, 5, 4, 11, 10, 9, 8, 7, 6, 12, 13, 2, 3],
+                    [1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1]),
+    }
+
+    @pytest.mark.parametrize("name,width", sorted(LETTER_ACTIONS))
+    def test_letter_action_tables(self, name, width):
+        image, sign = mono._letter_action(name, width)
+        assert (image.tolist(), sign.tolist()) == self.LETTER_ACTIONS[name, width]
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=width)]
+        U = do.GATE_MATRICES[name]
+        for w, (i, s) in enumerate(zip(image, sign)):
+            got = U.conj().T @ do.pauli_matrix(sc.PauliOp.from_letters(words[w])) @ U
+            assert np.allclose(got, s * do.pauli_matrix(sc.PauliOp.from_letters(words[i])), atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_coords_match_pauli_matrix_traces(self, n):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import magicsim.decompositions as dc
 import magicsim.dense_oracle as do
 import magicsim.monotones as mono
 import magicsim.rank_sim as rs
@@ -27,6 +28,10 @@ def pure_decomp(state):
 
 def h_decomp():
     return pure_decomp(mono.BlochState.named("H"))
+
+
+def delta_c_of(d: rs.SparseDecomposition) -> float:
+    return 8.0 * (d.C - 1.0) / d.l1**2
 
 
 def variance_exact(C, l1, k):
@@ -65,13 +70,13 @@ class TestSparseDecomposition:
 
     def test_clifford_magic_C_is_one(self):
         d = h_decomp()
-        C, delta_c = d.C, d.delta_c
+        C, delta_c = d.C, delta_c_of(d)
         assert C == pytest.approx(1.0, abs=1e-9)
         assert delta_c == pytest.approx(0.0, abs=1e-9)
 
     def test_single_term_C(self):
         d = rs.SparseDecomposition([1.0], [sc.zero_state(1)])
-        C, delta_c = d.C, d.delta_c
+        C, delta_c = d.C, delta_c_of(d)
         assert C == pytest.approx(1.0, abs=1e-12)
         assert delta_c == pytest.approx(0.0, abs=1e-12)
 
@@ -80,7 +85,7 @@ class TestSparseDecomposition:
         for _ in range(10):
             d = random_product_decomposition(rng, 2)
             assert d.C >= 1.0 - 1e-9
-            assert d.delta_c >= -1e-9
+            assert delta_c_of(d) >= -1e-9
 
     def test_C_multiplicative(self):
         dh = h_decomp()
@@ -201,6 +206,51 @@ def fast_norm_int64(v, eps_fn, p_fn, rng):
     return float(np.median(etas.reshape(nbatches, batch).mean(axis=1)))
 
 
+def fast_norm_blocks(v, eps_fn, p_fn, rng):
+    """fast_norm for n <= 6 with draws taken in blocks of 32,768 and copied
+    into a batch buffer, and the eta table built in 32,768-entry blocks."""
+    n = v.n
+    batch, nbatches = rs._sketch_shape(eps_fn, p_fn)
+    total = batch * nbatches
+    diag_table, off_table = rs._equatorial_grid(n)
+    nd, no = len(diag_table), len(off_table)
+    vdense = v.dense()
+    table = None
+    if total >= nd * no:
+        right = (rs._NEG_I_POW.take(off_table & 3) * vdense).T
+        table = np.empty(nd * no)
+        step = max(1, 32768 // no)
+        for lo in range(0, nd, step):
+            amps = rs._NEG_I_POW.take(diag_table[lo : lo + step] & 3) @ right
+            table[lo * no : lo * no + amps.size] = (np.abs(amps) ** 2).ravel()
+    batch_etas = np.empty(batch)
+    means = []
+    filled = done = 0
+    while done < total:
+        m = min(32768, total - done)
+        a = rng.integers(0, nd * no, m)
+        if table is not None:
+            etas = table.take(a)
+        else:
+            d, o = np.divmod(a, no)
+            etas = np.empty(m)
+            step = max(1, 32768 >> n)
+            for lo in range(0, m, step):
+                expo = diag_table.take(d[lo : lo + step], axis=0)
+                expo += off_table.take(o[lo : lo + step], axis=0)
+                etas[lo : lo + step] = np.abs(rs._NEG_I_POW.take(expo & 3) @ vdense) ** 2
+        done += m
+        pos = 0
+        while pos < m:
+            take = min(batch - filled, m - pos)
+            batch_etas[filled : filled + take] = etas[pos : pos + take]
+            filled, pos = filled + take, pos + take
+            if filled == batch:
+                means.append(batch_etas.mean())
+                filled = 0
+    return rs._median(means)
+
+
 class TestDenseMatrix:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_rows_equal_oracle_expand(self, n):
@@ -252,6 +302,19 @@ class TestFastNorm:
             assert paths[-1] == ("table" if draws >= states else "per-draw")
         # the table runs at n = 1-4, the per-draw product at n = 4-6
         assert set(paths) == ({"table"} if n < 4 else {"per-draw"} if n > 4 else {"table", "per-draw"})
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_block_draws_bit_for_bit(self, n):
+        # batches of 100, 111, 1,600, 4,445 and 13,841 draws; the last case's
+        # 415,230 draws span many 32,768-draw blocks, and n = 1-4 reach the table
+        rng = np.random.default_rng(500 + n)
+        blochs = [random_pure_bloch(rng) for _ in range(min(n, 2))]
+        blochs += [mono.BlochState.named("H").scaled(0.9)] * (n - len(blochs))
+        om = rs.sparsify(rs.mixed_input_product(blochs).ensemble[0][1], 37, seed=n)
+        for eps, p_fn in ((0.2, 0.3), (0.19, 0.5), (0.05, 0.2), (0.03, 0.9), (0.017, 0.05)):
+            for seed in (1, 2):
+                want = fast_norm_blocks(om, eps, p_fn, sample_rng(seed, 0))
+                assert rs.fast_norm(om, eps, p_fn, sample_rng(seed, 0)) == want
 
     def test_matches_int64_exponent_partly_null(self):
         # qubit 0 of the second term is |1>, so the projection drops it
@@ -383,7 +446,7 @@ class TestProductGram:
         states = [mono.BlochState.named("F").scaled(0.85), mono.BlochState.named("H").scaled(0.9),
                   mono.BlochState(0.3, -0.2, 0.1), mono.BlochState.named("T")][:count]
         parts = [[rs.SparseDecomposition([c for c, _ in terms], [t for _, t in terms])
-                  for _, _, terms in mono.decompose_1q_state(rho)[1]] for rho in states]
+                  for _, _, terms in dc.decompose_1q_state(rho)[1]] for rho in states]
         for combo in itertools.product(*parts):
             d = rs.SparseDecomposition.product(combo)
             # a product builds no Gram matrix; the first read fills it from overlaps
@@ -499,7 +562,7 @@ class TestSampleBitstrings:
         d = rs.mixed_input_product(
             [mono.BlochState.named("H"), mono.BlochState.named("T")]
         ).ensemble[0][1]
-        delta_s = max(0.2, d.delta_c)
+        delta_s = max(0.2, delta_c_of(d))
         k = math.ceil(4 * d.l1**2 / delta_s)
         psi = d.dense()
         target = np.outer(psi, np.conj(psi))
@@ -515,7 +578,7 @@ class TestSampleBitstrings:
 
     def test_ensemble_sparsification_bound_face_state(self):
         d = pure_decomp(mono.BlochState.named("F"))
-        delta_s = max(0.25, d.delta_c)
+        delta_s = max(0.25, delta_c_of(d))
         k = math.ceil(4 * d.l1**2 / delta_s)
         psi = d.dense()
         target = np.outer(psi, np.conj(psi))
