@@ -52,6 +52,9 @@ MAX_SAMPLES = 10**9
 MAX_CACHED_ROOTS = 1024
 # a projector of h generators costs 2^h leaf products per sample; more are refused
 MAX_PROJECTOR_GENERATORS = 8
+# (sample, term) values walked at once: a run's samples are walked in slices
+# of at most this many, so a projector's 2^h terms hold little memory
+_SLICE_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -328,8 +331,9 @@ class _Tree:
         keys[key_ids[s, t]] its (key, operator) for measurement term t on
         this block; the values have key_ids' shape.  Per depth, a node is
         expanded and a child built only for the distinct nodes that samples
-        first reach; a leaf value, phase * <R_b|P_b|L_b>, is computed once
-        per leaf and key.
+        first reach.  The leaves are read once per distinct (leaf, key row)
+        pair, a projector's samples sharing a few key rows, and a leaf
+        value, phase * <R_b|P_b|L_b>, is computed once per leaf and key.
         """
         start, ids = ids, ids.copy()
         live = np.ones(len(ids), dtype=bool)
@@ -364,20 +368,27 @@ class _Tree:
         at = np.flatnonzero(live)
         if at.size:
             terms = key_ids.shape[1]
-            pairs = np.stack([np.repeat(ids[at], terms), key_ids[at].ravel()], axis=1)
+            sel, of_sample = at, slice(None)
+            if terms > 1:
+                # a projector's samples share a few key rows: read each distinct (leaf, row) once
+                rows = np.ascontiguousarray(key_ids[at])
+                _, row_of = np.unique(rows.view(f"V{rows.itemsize * terms}")[:, 0], return_inverse=True)
+                first, of_sample = _distinct_rows(np.stack([ids[at], row_of], axis=1))
+                sel = at[first]
+            pairs = np.stack([np.repeat(ids[sel], terms), key_ids[sel].ravel()], axis=1)
             first, pair = _distinct_rows(pairs)
             leaves = self.levels[-1]
             found = []
-            # row f of pairs belongs to sample at[f // terms]
-            sel = at[first // terms]
-            for i, k, r in zip(ids[sel].tolist(), pairs[first, 1].tolist(), start[sel].tolist()):
+            # row f of pairs belongs to sample sel[f // terms]
+            sel = sel[first // terms]
+            for i, k, r in zip(pairs[first, 0].tolist(), pairs[first, 1].tolist(), start[sel].tolist()):
                 key, op = keys[k]
                 value = leaves.values.get((i, key))
                 if value is None:
                     # a leaf lies under one root only, so its phase is fixed with it
                     value = leaves.values[i, key] = self.phases[r] * _leaf_value(leaves.dyads[i], op)
                 found.append(value)
-            values[at] = np.array(found, dtype=complex)[pair].reshape(at.size, terms)
+            values[at] = np.array(found, dtype=complex)[pair].reshape(-1, terms)[of_sample]
         return values, live
 
 
@@ -443,11 +454,12 @@ def _chunk_worker(payload, lo: int, hi: int) -> list:
     Each chunk draws its own rows from its own stream: column f picks the
     term of factor f, and column F + l the branch at channel l, F being the
     factor count.  The run's samples are then walked together, block by
-    block.  A tail channel's branches do not depend on the dyad, so its
-    columns are read for the whole run at once, and each measurement term
-    is pulled back once per distinct tail path.  A sample's value is
-    l1 Re(sum_t w_t i^k_t prod_b v_b,t) over the terms t and blocks b, and
-    each chunk's values are summed in sample order.
+    block, in slices of at most _SLICE_VALUES (sample, term) values.  A
+    tail channel's branches do not depend on the dyad, so its columns are
+    read for the whole run at once, and each measurement term is pulled
+    back once per distinct tail path.  A sample's value is l1 Re(sum_t w_t
+    i^k_t prod_b v_b,t) over the terms t and blocks b, and each chunk's
+    values are summed in sample order.
     """
     decomp, chans, terms, seed, blocks = payload
     cut = _tail_start(chans)
@@ -472,16 +484,21 @@ def _chunk_worker(payload, lo: int, hi: int) -> list:
              for path in picks[at[first]].tolist()]
     pulled = [sc._conjugate_pauli_unchecked(op, gates) for gates in paths for _, op in terms]
     picked, draws = picked[at], draws[at]
-    acc = np.ones((at.size, len(terms)), dtype=complex)
-    for block, (key_of_pulled, keys) in zip(blocks, _block_keys(blocks, pulled)):
-        values, reached = _block_values(block, picked[:, block.factors], draws[:, block.cols],
-                                        key_of_pulled.reshape(-1, len(terms))[path_ids], keys)
-        acc *= values
-        live[at[~reached]] = False
-    coefs = np.array([w * _I_POW[p.k] for p, (w, _) in zip(pulled, terms * len(paths))])
+    keyed = _block_keys(blocks, pulled)
+    coefs = np.array([w * _I_POW[p.k] for p, (w, _) in zip(pulled, terms * len(paths))]).reshape(-1, len(terms))
     bound = decomp.l1
     mu = np.zeros(hi - lo)
-    mu[at] = bound * np.real((coefs.reshape(-1, len(terms))[path_ids] * acc).sum(axis=1))
+    step = max(1, _SLICE_VALUES // len(terms))
+    for s in range(0, at.size, step):
+        sel, paths_here = at[s : s + step], path_ids[s : s + step]
+        acc = np.ones((sel.size, len(terms)), dtype=complex)
+        for block, (key_of_pulled, keys) in zip(blocks, keyed):
+            values, reached = _block_values(
+                block, picked[s : s + step, block.factors], draws[s : s + step, block.cols],
+                key_of_pulled.reshape(-1, len(terms))[paths_here], keys)
+            acc *= values
+            live[sel[~reached]] = False
+        mu[sel] = bound * np.real((coefs[paths_here] * acc).sum(axis=1))
     mu[~live] = 0.0
     over = np.flatnonzero(np.abs(mu) > bound + 1e-9)
     if over.size:

@@ -14,7 +14,7 @@ import magicsim.dense_oracle as do
 import magicsim.dyadic_sim as dy
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
-from magicsim._util import CHUNK, kahan_sum, sample_rng
+from magicsim._util import CHUNK, RUN, kahan_sum, sample_rng
 
 from conftest import random_gate, random_pauli, random_stab_state
 
@@ -634,6 +634,30 @@ class TestProjectorDocument:
         assert abs(rep.mu_hat - (ident.mu_hat + x0.mu_hat) / 2) <= 1e-12
         # the value of the joint projector walk this expansion replaced
         assert abs(rep.mu_hat - 0.7468657057349855) <= 1e-12
+
+    def test_eight_generators_walk_in_slices(self, monkeypatch):
+        # X_0..X_7 expand into 256 terms; a run's 2,048 samples are walked in
+        # slices that hold at most _SLICE_VALUES (sample, term) values, and
+        # the chunk sums equal those of a run walked in one slice
+        doc = json.loads((DATA / "estimate_projector_n20.json").read_text(encoding="utf-8"))
+        doc["measurement"] = {"projector": [["I" * q + "X" + "I" * (19 - q), 1] for q in range(8)]}
+        dec = cli._decomp_from_state(doc["state"])
+        proj = cli._measurement(doc, dec.n)
+        payload = dy._payload(dec, cli._circuit(doc, dec.n), proj, 1)
+        shapes = []
+        block_values = dy._block_values
+
+        def recorded(block, rows, draws, key_ids, keys):
+            shapes.append(key_ids.shape)
+            return block_values(block, rows, draws, key_ids, keys)
+
+        monkeypatch.setattr(dy, "_block_values", recorded)
+        got = dy._chunk_worker(payload, 0, RUN * CHUNK)
+        assert {cols for _, cols in shapes} == {256}
+        assert max(rows * cols for rows, cols in shapes) <= dy._SLICE_VALUES < RUN * CHUNK * 256
+        monkeypatch.setattr(dy, "_SLICE_VALUES", RUN * CHUNK * 256)
+        fresh = dy._payload(dec, cli._circuit(doc, dec.n), proj, 1)
+        assert dy._chunk_worker(fresh, 0, RUN * CHUNK) == got
 
 
 class TestEstimateBorn:
