@@ -381,6 +381,8 @@ def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> Si
         return SimulableChannel(n, [], kraus)
     if name == "pauli_measure_and_forward":
         qs = _check_targets(qubits, n)
+        if not qs:
+            raise ChannelError("pauli_measure_and_forward needs at least one target qubit")
         letters = _json_value(params.get("pauli", "Z" * len(qs)), "string", "pauli")
         if len(letters) != len(qs) or any(c not in "XYZ" for c in letters):
             raise ChannelError("pauli string must give X, Y or Z per target")

@@ -534,43 +534,49 @@ def _run_bench(args) -> tuple[str, int]:
     return _dump_json(payload), 0
 
 
-def _random_gate(rng: np.random.Generator, n: int) -> tuple:
+def _pick(rng, m: int) -> int:
+    """A uniform integer below m, from one double of the stream."""
+    return int(rng.random() * m)
+
+
+def _random_gate(rng, n: int) -> tuple:
     from . import stab_core as sc
 
-    name = sc.GATE_NAMES[int(rng.integers(len(sc.GATE_NAMES)))]
+    name = sc.GATE_NAMES[_pick(rng, len(sc.GATE_NAMES))]
     if name in ("CX", "CZ", "SWAP"):
         if n < 2:
             name = "H"
         else:
-            a, b = rng.choice(n, size=2, replace=False)
-            return (name, int(a), int(b))
-    return (name, int(rng.integers(n)))
+            a = _pick(rng, n)
+            return (name, a, (a + 1 + _pick(rng, n - 1)) % n)
+    return (name, _pick(rng, n))
 
 
-def _random_pauli_word(rng: np.random.Generator, n: int) -> str:
-    letters = ["IXYZ"[int(rng.integers(4))] for _ in range(n)]
-    letters[int(rng.integers(n))] = "XYZ"[int(rng.integers(3))]
+def _random_pauli_word(rng, n: int) -> str:
+    letters = ["IXYZ"[_pick(rng, 4)] for _ in range(n)]
+    letters[_pick(rng, n)] = "XYZ"[_pick(rng, 3)]
     return "".join(letters)
 
 
 def _run_selftest(args) -> tuple[str, int]:
     """Random stabilizer programs replayed against the dense oracle."""
     from . import dense_oracle as do, monotones as mt, stab_core as sc
+    from ._util import sample_rng
 
     if args.format == "csv":
         raise CLIError("selftest emits JSON only")
     programs = args.samples if args.samples is not None else 200
     if programs < 1:
         raise CLIError("selftest needs at least one program")
-    rng = np.random.default_rng(args.seed)
+    rng = sample_rng(args.seed, 0)
     failures = 0
     max_error = 0.0
     for _ in range(programs):
-        n = int(rng.integers(1, 5))
+        n = 1 + _pick(rng, 4)
         state = sc.zero_state(n)
         vec = np.zeros(2**n, dtype=complex)
         vec[0] = 1.0
-        for _ in range(int(rng.integers(5, 25))):
+        for _ in range(5 + _pick(rng, 20)):
             if rng.random() < 0.25:
                 op = sc.PauliOp.from_letters(_random_pauli_word(rng, n))
                 sign = 1 if rng.random() < 0.5 else -1

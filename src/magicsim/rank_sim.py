@@ -24,7 +24,7 @@ import numpy as np
 
 from . import decompositions, monotones
 from . import stab_core as sc
-from ._util import MAX_DENSE_QUBITS, sample_rng
+from ._util import MAX_DENSE_QUBITS, Stream, sample_rng
 
 _ATOL = 1e-8
 
@@ -39,10 +39,11 @@ class RankSimError(ValueError):
     pass
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return sample_rng(int(seed), 0)
+def _as_generator(seed) -> Stream:
+    """sample_rng(seed, 0) for an integer seed; any other object is the generator."""
+    if isinstance(seed, (int, np.integer)):
+        return sample_rng(int(seed), 0)
+    return seed
 
 
 class _TermSet:
@@ -305,12 +306,12 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     For n <= 6 a draw is one uniform integer a < nd*no, naming row
     d = a // no of the nd-row diagonal and row o = a % no of the no-row
     off-diagonal _equatorial_grid table.  Each batch is drawn in one call
-    and only its draws are held; nd*no is a power of two, so numpy yields
-    the same integers however the draws are split into calls.  A call that
-    makes at least nd*no draws, one per equatorial state, first tabulates
-    every state's eta as one product of the two phase tables, (-i)^diag
-    times ((-i)^off * v)^T, exact as (-i)^(a+b) = (-i)^a (-i)^b, and a
-    batch mean averages the entries its draws name.  A call with fewer
+    and only its draws are held; nd*no is a power of two, so a draw is the
+    stream's next quarter- or half-word, however the draws are split.  A
+    call that makes at least nd*no draws, one per equatorial state, first
+    tabulates every state's eta as one product of the two phase tables,
+    (-i)^diag times ((-i)^off * v)^T, exact as (-i)^(a+b) = (-i)^a (-i)^b,
+    and a batch mean averages the entries its draws name.  A call with fewer
     draws sums each draw's exponents x^T A x from rows d and o and
     multiplies the dense vector by row slices of at most 32768 phases.
     Wider vectors draw A's digits and bits in blocks of up to 32768, keep
@@ -554,7 +555,7 @@ def sample_bitstrings(
     eps_fn, p_fn = _norm_budget(w, delta, p_fail)
     calls = 0
 
-    def norm(v: SparseVector, rng: np.random.Generator) -> float:
+    def norm(v: SparseVector, rng: Stream) -> float:
         nonlocal calls
         if norm_backend == "exact":
             return v.norm_sq()

@@ -10,6 +10,15 @@ GATES_1Q = ("S", "SDG", "H", "X", "Y", "Z")
 GATES_2Q = ("CX", "CZ", "SWAP")
 
 
+def philox_rng(seed: int, index: int) -> np.random.Generator:
+    """numpy's Philox generator keyed by (seed, index), the stream sample_rng
+    drew from before it became SplitMix64; values pinned under that stream
+    are checked by patching it in."""
+    mask = (1 << 64) - 1
+    key = np.array([seed & mask, index & mask], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def random_gate(rng: np.random.Generator, n: int) -> tuple:
     if n >= 2 and rng.random() < 0.4:
         name = GATES_2Q[rng.integers(len(GATES_2Q))]

@@ -609,6 +609,16 @@ class TestMalformedInput:
         assert diag["error"]["kind"] == "validation"
         assert "entry" in diag["error"]["message"] or "arrays" in diag["error"]["message"]
 
+    @pytest.mark.parametrize("params", [{"pauli": ""}, {}])
+    def test_measure_without_targets_names_the_channel(self, capsys, tmp_path, params):
+        _, doc = _channel_doc({"type": "pauli_measure_and_forward", "qubits": [], "params": params})
+        rc, out, err = run_cli(capsys, "estimate", "--input", write_doc(tmp_path, doc))
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert diag["error"]["message"] == "pauli_measure_and_forward needs at least one target qubit"
+
     @pytest.mark.parametrize("subcommand", ["estimate", "constrained"])
     def test_over_budget_sample_count_refused(self, capsys, tmp_path, subcommand):
         # about 1e19 samples: refused before a single chunk is laid out
@@ -825,9 +835,15 @@ SCOPE_DOCS = {
 }
 
 
+# modules no run may load: numpy's generators, and through them secrets,
+# hashlib and OpenSSL; every sample is drawn from _util's SplitMix64 stream
+RNG_MODULES = ("numpy.random", "secrets", "_hashlib")
+
+
 def _loaded_by(argv: list[str]) -> tuple[list[str], list[str], list[str]]:
     """Submodules loaded in a fresh process by `import magicsim`, then by
-    `import magicsim.cli`, then by cli.main(argv)."""
+    `import magicsim.cli`, then by cli.main(argv), which must load none of
+    RNG_MODULES."""
     script = (
         "import json, os, sys\n"
         "def loaded():\n"
@@ -837,12 +853,14 @@ def _loaded_by(argv: list[str]) -> tuple[list[str], list[str], list[str]]:
         "import magicsim.cli as cli\n"
         "imported = loaded()\n"
         f"rc = cli.main({argv!r} + ['--output', os.devnull])\n"
-        "print(json.dumps([rc, package, imported, loaded()]))\n"
+        f"rng = [m for m in {RNG_MODULES!r} if m in sys.modules]\n"
+        "print(json.dumps([rc, package, imported, loaded(), rng]))\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    rc, package, imported, ran = json.loads(res.stdout.splitlines()[-1])
+    rc, package, imported, ran, rng = json.loads(res.stdout.splitlines()[-1])
     assert rc == 0
+    assert rng == []
     return package, imported, ran
 
 
@@ -871,6 +889,10 @@ class TestScopedImports:
         _, _, ran = _loaded_by([subcommand, "--input", path, "--epsilon", "0.3"])
         assert {"channels", "dyadic_sim"} <= set(ran)
         assert not set(ran) & {"distill", "rank_sim"}
+
+    def test_selftest_draws_from_the_stream(self):
+        _, _, ran = _loaded_by(["selftest", "--samples", "5", "--seed", "3"])
+        assert {"_util", "dense_oracle", "stab_core"} <= set(ran)
 
     def test_package_exports_are_the_submodule_objects(self):
         import importlib

@@ -16,7 +16,7 @@ import magicsim.monotones as mono
 import magicsim.stab_core as sc
 from magicsim._util import CHUNK, RUN, kahan_sum, sample_rng
 
-from conftest import random_gate, random_pauli, random_stab_state
+from conftest import philox_rng, random_gate, random_pauli, random_stab_state
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -611,7 +611,9 @@ class TestProjectorDocument:
     def test_projector_is_mean_of_identity_and_pauli(self, monkeypatch):
         # (1 + X_0)/2 on the committed n=20 gadget document walks the ten
         # gadget pairs as blocks, and the three runs share every draw, so
-        # mu_hat(Pi) = (mu_hat(I) + mu_hat(X_0)) / 2 holds sample by sample
+        # mu_hat(Pi) = (mu_hat(I) + mu_hat(X_0)) / 2 holds sample by sample;
+        # the pinned value was drawn from the Philox stream, patched in here
+        monkeypatch.setattr(dy, "sample_rng", philox_rng)
         doc = json.loads((DATA / "estimate_projector_n20.json").read_text(encoding="utf-8"))
         dec = cli._decomp_from_state(doc["state"])
         chans = cli._circuit(doc, dec.n)
@@ -634,6 +636,21 @@ class TestProjectorDocument:
         assert abs(rep.mu_hat - (ident.mu_hat + x0.mu_hat) / 2) <= 1e-12
         # the value of the joint projector walk this expansion replaced
         assert abs(rep.mu_hat - 0.7468657057349855) <= 1e-12
+
+    def test_benchmark_estimate_under_philox_stream(self, monkeypatch):
+        # the benchmark's estimate document (three T gadgets, n=6, M=33,123)
+        # walked from the Philox stream gives the value recorded before the
+        # stream became SplitMix64, bit for bit, so a change to the walk
+        # cannot hide behind the change of stream
+        monkeypatch.setattr(dy, "sample_rng", philox_rng)
+        dec = ch.dyadic_decompose_product([mono.BlochState.named(s) for s in ["+"] * 3 + ["T"] * 3])
+        chans = [ch.builtin_channel("t_gadget", [d, d + 3], 6) for d in range(3)]
+        chans.append(ch.builtin_channel("clifford_mix", [0, 1, 2], 6, {"terms": [
+            [1.0, [["CX", 0, 1], ["CX", 1, 2]]]]}))
+        chans.append(ch.builtin_channel("depolarizing", [0], 6, {"lambda": 0.05}))
+        rep = dy.estimate_born(dec, chans, sc.PauliOp.from_letters("XXXIII"), 0.024, 0.05, seed=1)
+        assert (rep.M, rep.aborted) == (33123, 0)
+        assert rep.mu_hat == 0.6734165471256561
 
     def test_eight_generators_walk_in_slices(self, monkeypatch):
         # X_0..X_7 expand into 256 terms; a run's 2,048 samples are walked in
