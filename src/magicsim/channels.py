@@ -6,7 +6,8 @@ and Pi a stabilizer projector of h generators.  That shape keeps trace-norm
 transition probabilities exactly computable during sampling.  All types are
 immutable after construction and validated when built, at every width:
 dyadic decompositions from stabilizer overlaps, and a channel's Kraus
-completeness exactly from stabilizer projections of a Bell state.
+completeness exactly from stabilizer projections of a Bell state.  A circuit
+entry of a run document is read by circuits, which builds no channel.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import decompositions, monotones
-from . import dense_oracle as do
 from . import stab_core as sc
+from .circuits import ChannelError, builtin_branches, check_circuit, read_entry
 
 DEFAULT_MAX_TERMS = 64
 
@@ -28,10 +29,6 @@ _ATOL = 1e-8
 # bound on ||rho - rho^dag||^2 / (2 ||rho||^2): about 1e-5 in the HS norm, far
 # above the rounding of the overlap sums
 _HERMITIAN_RTOL = 1e-10
-
-
-class ChannelError(ValueError):
-    pass
 
 
 class Dyad:
@@ -51,9 +48,6 @@ class Dyad:
     def n(self) -> int:
         return self.L.n
 
-    def dense(self) -> np.ndarray:
-        return np.outer(do.expand(self.L), np.conj(do.expand(self.R)))
-
 
 class DyadicDecomposition:
     """Weighted dyad expansion rho = sum_j alpha_j |L_j><R_j|, kept as a
@@ -61,8 +55,8 @@ class DyadicDecomposition:
 
     DyadicDecomposition(terms) is a one-factor expansion; product() joins
     decompositions without expanding them.  l1, the unit phases and the
-    sampling weights multiply over the factors, dense() is the Kronecker
-    product of the factors' matrices, and terms is the lazy sequence of joint
+    sampling weights multiply over the factors, dense() is dense_oracle's
+    matrix, for the tests, and terms is the lazy sequence of joint
     terms, each tensored when it is read.  With validate set, unit trace and
     Hermiticity are checked from overlaps, at every width (_check_density).  Builders whose factors were
     validated already, such as products of 1-qubit decompositions, pass
@@ -106,9 +100,9 @@ class DyadicDecomposition:
         self._sampling = None
 
     def dense(self) -> np.ndarray:
-        if self.n > do.MAX_DENSE_QUBITS:
-            raise ChannelError("dense expansion capped")
-        return functools.reduce(np.kron, [sum(a * d.dense() for a, d in f) for f in self.factors])
+        from .dense_oracle import dyadic_matrix
+
+        return dyadic_matrix(self)
 
     def sampling_arrays(self) -> list:
         """Per factor: cumulative |alpha| distribution and unit phases, cached.
@@ -213,7 +207,7 @@ class StabKraus:
         if h != len(proj.generators):
             raise ChannelError("h must match the generator count")
         circuit = tuple(tuple(g) for g in circuit)
-        _check_circuit(circuit, proj.n)
+        check_circuit(circuit, proj.n)
         self.h = int(h)
         self.proj = proj
         self.circuit = circuit
@@ -221,9 +215,6 @@ class StabKraus:
     @property
     def n(self) -> int:
         return self.proj.n
-
-    def dense(self) -> np.ndarray:
-        return do.kraus_matrix(self)
 
 
 class SimulableChannel:
@@ -249,7 +240,7 @@ class SimulableChannel:
         if any(p < 0 for p, _ in unitary_part) or any(q < 0 for q, _ in kraus_part):
             raise ChannelError("negative channel weights")
         for _, gates in unitary_part:
-            _check_circuit(gates, n)
+            check_circuit(gates, n)
         for _, k in kraus_part:
             if k.n != n:
                 raise ChannelError("Kraus width differs from channel width")
@@ -309,150 +300,20 @@ def _completeness_defect(n: int, unitary_part, kraus_part) -> float:
     return math.sqrt(D)
 
 
-def _check_circuit(gates, n: int) -> None:
-    for g in gates:
-        try:
-            sc.check_gate(g, n)
-        except ValueError as exc:
-            raise ChannelError(str(exc)) from None
-
-
-def _letters_at(n: int, positions: dict[int, str]) -> sc.PauliOp:
-    word = "".join(positions.get(q, "I") for q in range(n))
-    return sc.PauliOp.from_letters(word)
-
-
-def _check_targets(qubits, n: int, expect: int | None = None) -> list[int]:
-    if (not isinstance(qubits, (list, tuple))
-            or any(isinstance(q, bool) or not isinstance(q, (int, np.integer)) for q in qubits)):
-        raise ChannelError(f"bad channel entry qubits={qubits!r}; expected array of integers")
-    qs = [int(q) for q in qubits]
-    if expect is not None and len(qs) != expect:
-        raise ChannelError(f"channel needs exactly {expect} target qubit(s)")
-    if len(set(qs)) != len(qs):
-        raise ChannelError("duplicate target qubits")
-    if any(not (0 <= q < n) for q in qs):
-        raise ChannelError("target qubit out of range")
-    return qs
+def _kraus(n: int, branches) -> list:
+    return [(q, StabKraus(h, sc.StabProjector(n, gens), gates)) for q, h, gens, gates in branches]
 
 
 def builtin_channel(name: str, qubits, n: int, params: dict | None = None) -> SimulableChannel:
-    """Built-in channel library, embedded at global width n.
-
-    clifford_mix: params {"terms": [[p, gates], ...]} with local qubit
-    indices into `qubits`.  depolarizing: params {"lambda": l} on one qubit.
-    t_gadget: qubits = [data, ancilla].  pauli_measure_and_forward: params
-    {"pauli": letters} over `qubits`.
-    """
-    params = _json_value({} if params is None else params, "object", "params")
-    if name == "depolarizing":
-        (q,) = _check_targets(qubits, n, expect=1)
-        key = "lambda" if "lambda" in params else "p"
-        lam = float(_json_value(params.get(key, 0.0), "number", key))
-        if not 0.0 <= lam <= 1.0:
-            raise ChannelError("depolarizing strength must lie in [0, 1]")
-        raw = [
-            (1.0 - 0.75 * lam, ()),
-            (0.25 * lam, (("X", q),)),
-            (0.25 * lam, (("Y", q),)),
-            (0.25 * lam, (("Z", q),)),
-        ]
-        unitary = [(p, gates) for p, gates in raw if p > 0.0]
-        return SimulableChannel(n, unitary, [])
-    if name == "clifford_mix":
-        qs = _check_targets(qubits, n)
-        terms = _json_value(params.get("terms", []), "array", "terms")
-        if not terms:
-            raise ChannelError("clifford_mix needs a nonempty terms list")
-        unitary = []
-        for entry in terms:
-            p, gates = _json_entry(entry, "number", "array")
-            local = gates_from_json(gates)
-            _check_circuit(local, len(qs))
-            unitary.append((float(p), tuple((g[0], *(qs[t] for t in g[1:])) for g in local)))
-        return SimulableChannel(n, unitary, [])
-    if name == "t_gadget":
-        d, a = _check_targets(qubits, n, expect=2)
-        zz = _letters_at(n, {d: "Z", a: "Z"})
-        kraus = []
-        for sign, circuit in ((+1, (("CX", d, a),)), (-1, (("CX", d, a), ("S", d)))):
-            proj = sc.StabProjector(n, [(zz, sign)])
-            kraus.append((0.5, StabKraus(1, proj, circuit)))
-        return SimulableChannel(n, [], kraus)
-    if name == "pauli_measure_and_forward":
-        qs = _check_targets(qubits, n)
-        if not qs:
-            raise ChannelError("pauli_measure_and_forward needs at least one target qubit")
-        letters = _json_value(params.get("pauli", "Z" * len(qs)), "string", "pauli")
-        if len(letters) != len(qs) or any(c not in "XYZ" for c in letters):
-            raise ChannelError("pauli string must give X, Y or Z per target")
-        op = _letters_at(n, dict(zip(qs, letters)))
-        kraus = [
-            (0.5, StabKraus(1, sc.StabProjector(n, [(op, +1)]), ())),
-            (0.5, StabKraus(1, sc.StabProjector(n, [(op, -1)]), ())),
-        ]
-        return SimulableChannel(n, [], kraus)
-    raise ChannelError(f"unknown channel {name!r}")
-
-
-def gates_from_json(spec) -> tuple:
-    """Gate list [[name, targets...], ...] as (NAME, targets...) tuples.
-
-    Checks the shape only; sc.check_gate checks names, arities and targets.
-    """
-    if not isinstance(spec, (list, tuple)):
-        raise ChannelError(f"gate list must be an array, got {spec!r}")
-    for g in spec:
-        if (not isinstance(g, (list, tuple)) or not g or not isinstance(g[0], str)
-                or any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in g[1:])):
-            raise ChannelError(f"bad gate spec {g!r}; expected [name, integer targets...]")
-    return tuple((g[0].upper(), *(int(t) for t in g[1:])) for g in spec)
-
-
-_JSON_KINDS = {"number": (int, float), "integer": (int,), "string": (str,), "array": (list, tuple),
-               "object": (dict,)}
-
-
-def _json_value(value, kind: str, what: str):
-    """value as a JSON value of that kind, else ChannelError naming it."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
-        raise ChannelError(f"bad channel entry {what}={value!r}; expected {kind}")
-    return value
-
-
-def _json_entry(entry, *kinds: str):
-    """entry as a JSON array of len(kinds) values of those kinds, else ChannelError."""
-    if (not isinstance(entry, (list, tuple)) or len(entry) != len(kinds)
-            or any(isinstance(v, bool) or not isinstance(v, _JSON_KINDS[k])
-                   for v, k in zip(entry, kinds))):
-        raise ChannelError(f"bad channel entry {entry!r}; expected [{', '.join(kinds)}]")
-    return entry
+    """A builtin channel at global width n, as circuits.builtin_branches reads it."""
+    unitary, kraus = builtin_branches(name, qubits, n, params)
+    return SimulableChannel(n, unitary, _kraus(n, kraus))
 
 
 def channel_from_json(obj: dict, n: int) -> SimulableChannel:
-    """Channel spec: {"type", "qubits", "params"} or explicit unitary/kraus.
-
-    An explicit unitary entry is [p, gates] and a Kraus entry is
-    [q, h, generators, gates] with generators [[word, sign], ...].
-    """
-    if "type" in obj:
-        return builtin_channel(obj["type"], obj.get("qubits", []), n, obj.get("params"))
-    unitary_spec, kraus_spec = obj.get("unitary", []), obj.get("kraus", [])
-    if not isinstance(unitary_spec, (list, tuple)) or not isinstance(kraus_spec, (list, tuple)):
-        raise ChannelError("explicit 'unitary' and 'kraus' parts must be arrays")
-    unitary = []
-    for entry in unitary_spec:
-        p, gates = _json_entry(entry, "number", "array")
-        unitary.append((float(p), gates_from_json(gates)))
-    kraus = []
-    for entry in kraus_spec:
-        q, h, generators, gates = _json_entry(entry, "number", "integer", "array", "array")
-        ops = []
-        for generator in generators:
-            word, sign = _json_entry(generator, "string", "integer")
-            ops.append((sc.PauliOp.from_letters(word), sign))
-        kraus.append((float(q), StabKraus(h, sc.StabProjector(n, ops), gates_from_json(gates))))
-    return SimulableChannel(n, unitary, kraus)
+    """The channel of one circuit entry, as circuits.read_entry reads it."""
+    unitary, kraus = read_entry(obj, n)
+    return SimulableChannel(n, unitary, _kraus(n, kraus))
 
 
 def dyadic_decompose_product(states) -> DyadicDecomposition:

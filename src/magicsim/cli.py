@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -23,7 +22,7 @@ MAX_COPIES = 10**5
 # this caps the list near 1 GiB
 MAX_JOINT_TERMS = 2**18
 
-SUBCOMMANDS = ("estimate", "sample", "constrained", "monotone", "distill", "bench", "selftest")
+SUBCOMMANDS = ("estimate", "sample", "constrained", "monotone", "distill", "selftest")
 
 _PARAM_KEYS = {
     "estimate": {"epsilon", "p_fail"},
@@ -145,6 +144,7 @@ def _complex_weight(x) -> complex:
 def _decomp_from_state(state) -> ch.DyadicDecomposition:
     """Build the dyadic input from a product, dyad list, or ensemble spec."""
     from . import channels as ch, stab_core as sc
+    from .circuits import gates_from_json
 
     if not isinstance(state, dict):
         raise CLIError("the input document needs a 'state' object")
@@ -164,8 +164,8 @@ def _decomp_from_state(state) -> ch.DyadicDecomposition:
             raise CLIError("n must be positive")
         terms = []
         for d in state["dyads"]:
-            left = sc.apply_circuit(sc.zero_state(n), ch.gates_from_json(d["left"]))
-            right = sc.apply_circuit(sc.zero_state(n), ch.gates_from_json(d.get("right", d["left"])))
+            left = sc.apply_circuit(sc.zero_state(n), gates_from_json(d["left"]))
+            right = sc.apply_circuit(sc.zero_state(n), gates_from_json(d.get("right", d["left"])))
             terms.append((_complex_weight(d.get("alpha", 1.0)), ch.Dyad(left, right)))
         return ch.DyadicDecomposition(terms)
     terms = []
@@ -195,54 +195,20 @@ def _circuit(doc: dict, n: int) -> list[ch.SimulableChannel]:
 
 
 def _clifford_prefix(doc: dict, n: int) -> tuple:
-    """Flatten a circuit of deterministic Clifford layers into a gate list; any
-    other layer is refused once channel_from_json has reported its faults."""
+    """Flatten a circuit of deterministic Clifford layers, each read as one unitary
+    branch of weight within 1e-9 of 1, into a gate list; any other layer is
+    refused once channel_from_json has reported its faults."""
+    from .circuits import read_entry
+
     gates: list[tuple] = []
     for obj in doc.get("circuit", []):
-        layer = _clifford_layer(obj, n)
-        if layer is None:
+        unitary, kraus = read_entry(obj, n)
+        if kraus or len(unitary) != 1 or not 1.0 - 1e-9 <= unitary[0][0] <= 1.0 + 1e-12:
             from . import channels as ch
 
             ch.channel_from_json(obj, n)
             raise CLIError("'sample' supports only deterministic Clifford circuits")
-        gates.extend(layer)
-    return tuple(gates)
-
-
-def _clifford_layer(obj: dict, n: int) -> tuple | None:
-    """Global gates of the circuit entries channel_from_json builds as one
-    unitary branch of weight within 1e-9 of 1, else None: {"unitary": [[p,
-    gates]]}, a one-term clifford_mix, and depolarizing with lambda/4 == 0."""
-    from .pauli import check_gate
-
-    # an explicit entry reads neither params nor qubits; its gates act on all n qubits
-    params = {} if "type" not in obj or obj.get("params") is None else obj["params"]
-    qubits = obj.get("qubits", []) if "type" in obj else list(range(n))
-    if not (isinstance(params, dict) and isinstance(qubits, list) and all(_is_number(q, int) for q in qubits)
-            and len(set(qubits)) == len(qubits) and all(0 <= q < n for q in qubits)):
-        return None
-    if "type" not in obj:
-        terms = obj.get("unitary", []) if obj.get("kraus", []) == [] else None
-    elif obj["type"] == "depolarizing":
-        lam = params.get("lambda" if "lambda" in params else "p", 0.0)
-        zero = len(qubits) == 1 and _is_number(lam) and lam >= 0.0 and 0.25 * lam == 0.0
-        terms = [[1.0, []]] if zero else None
-    else:
-        terms = params.get("terms", []) if obj["type"] == "clifford_mix" else None
-    if not (isinstance(terms, list) and len(terms) == 1 and isinstance(terms[0], list) and len(terms[0]) == 2):
-        return None
-    p, spec = terms[0]
-    if not (_is_number(p) and abs(p - 1.0) <= 1e-9 and p <= 1.0 + 1e-12 and isinstance(spec, list)):
-        return None
-    gates = []
-    for g in spec:
-        if not (isinstance(g, list) and g and isinstance(g[0], str) and all(_is_number(t, int) for t in g[1:])):
-            return None
-        try:
-            check_gate((g[0].upper(), *g[1:]), len(qubits))
-        except ValueError:
-            return None
-        gates.append((g[0].upper(), *(qubits[t] for t in g[1:])))
+        gates.extend(unitary[0][1])
     return tuple(gates)
 
 
@@ -354,8 +320,6 @@ def _run_sample(args) -> tuple[str, int]:
     p_fail = _as_float(_opt(args.pfail, params, "p_fail", 0.05), "p_fail")
     count = _as_int(_opt(args.samples, params, "samples", 100), "samples")
     backend = params.get("norm_backend", "fastnorm")
-    if backend not in rs.NORM_BACKENDS:
-        raise CLIError(f"norm_backend must be one of {rs.NORM_BACKENDS}")
     rs.check_sample_cost(factors, w, delta, p_fail, count, backend)
     inp = rs.mixed_input_product(factors)
     strings, rep = rs.sample_bitstrings(inp, w, delta, p_fail, count, args.seed,
@@ -500,40 +464,6 @@ def _run_distill(args) -> tuple[str, int]:
     return _emit(args, payload, tuple(payload), [tuple(payload.values())]), 0
 
 
-def _run_bench(args) -> tuple[str, int]:
-    from . import channels as ch, dyadic_sim as ds, monotones as mt, rank_sim as rs, stab_core as sc
-
-    if args.format == "csv":
-        raise CLIError("bench emits JSON only")
-    epsilon = args.epsilon if args.epsilon is not None else 0.05
-    delta = args.delta if args.delta is not None else 0.15
-    count = args.samples if args.samples is not None else 100
-    workloads = []
-
-    start = time.perf_counter()
-    decomp = ch.dyadic_decompose_product(
-        [mt.BlochState.named("H"), mt.BlochState.named("0")])
-    rep = ds.estimate_born(decomp, [], sc.PauliOp.from_letters("ZI"),
-                           epsilon=epsilon, p_fail=0.05, seed=args.seed,
-                           workers=args.workers)
-    sys.stderr.write(f"bench estimate: {time.perf_counter() - start:.3f}s\n")
-    workloads.append({"name": "estimate", "l1": decomp.l1, "samples": rep.M,
-                      "mu_hat": rep.mu_hat, "aborted": rep.aborted})
-
-    start = time.perf_counter()
-    inp = rs.mixed_input_product([mt.BlochState.named("H").scaled(0.9)] * 2)
-    _, srep = rs.sample_bitstrings(inp, 2, delta, 0.05, count, args.seed)
-    sys.stderr.write(f"bench sample: {time.perf_counter() - start:.3f}s\n")
-    stats = srep.to_dict()
-    workloads.append({"name": "sample", "count": count, "regime": stats["regime"],
-                      "k_min": stats["k_min"], "k_max": stats["k_max"],
-                      "fastnorm_calls": stats["fastnorm_calls"]})
-
-    payload = {"subcommand": "bench", "seed": args.seed, "epsilon": epsilon,
-               "delta": delta, "samples": count, "workloads": workloads}
-    return _dump_json(payload), 0
-
-
 def _pick(rng, m: int) -> int:
     """A uniform integer below m, from one double of the stream."""
     return int(rng.random() * m)
@@ -612,7 +542,6 @@ _DISPATCH = {
     "constrained": _run_constrained,
     "monotone": _run_monotone,
     "distill": _run_distill,
-    "bench": _run_bench,
     "selftest": _run_selftest,
 }
 
@@ -622,7 +551,6 @@ _HELP = {
     "constrained": "constant-cost interval estimate through a robustness pair",
     "monotone": "per-copy monotone table with LP robustness points and bounds",
     "distill": "distillation copy-count lower bounds and asymptotic rate",
-    "bench": "fixed workloads with deterministic outputs; timings on stderr",
     "selftest": "random-program oracle equivalence plus monotone constants",
 }
 
@@ -636,7 +564,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pfail", type=float, help="allowed failure probability")
     p.add_argument("--samples", type=int, help="sample/program count where applicable")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for estimate, constrained and bench, each walking "
+                   help="worker processes for estimate and constrained, each walking "
                         "one contiguous span of chunks; other subcommands ignore it")
     p.add_argument("--format", choices=("json", "csv"), help="primary output format")
 

@@ -18,17 +18,6 @@ from .monotones import (Q_MIN, SQRT2, SQRT3, SQRT6, BlochState, canonicalize_PY,
 
 # -- pure-state extent --------------------------------------------------------
 
-_CANON_TERM_GATES = {
-    "zero": (),
-    "plus": (("H", 0),),
-    "plus_i": (("H", 0), ("S", 0)),
-}
-
-
-def _canonical_term_state(kind: str) -> sc.StabState:
-    return sc.apply_circuit(sc.zero_state(1), _CANON_TERM_GATES[kind])
-
-
 def axis_state(bloch: BlochState) -> sc.StabState:
     """StabState for a Bloch vector sitting exactly on a coordinate axis."""
     key = tuple(int(round(c)) for c in bloch.as_tuple())
@@ -90,20 +79,20 @@ def extent_pure_1q(psi: BlochState) -> tuple[float, list[tuple[complex, sc.StabS
     b = SQRT2 * vec[1]
     if witness.q > Q_MIN + 1e-9:
         coeffs = np.array([a, b])
-        kinds = ("zero", "plus")
+        axes = ((0, 0, 1), (1, 0, 0))
     else:
         particular = np.array([a, b, 0.0 + 0j])
         null_dir = np.array([-(1.0 - 1j) / SQRT2, -1j, 1.0 + 0j])
         coeffs = _fermat_l1(particular, null_dir)
-        kinds = ("zero", "plus", "plus_i")
+        axes = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
     l1 = float(np.sum(np.abs(coeffs)))
     if abs(l1 * l1 - xi) > 1e-8:
         raise RuntimeError(f"extent certificate failed: primal {l1 * l1}, dual {xi}")
     terms = []
-    for c, kind in zip(coeffs, kinds):
+    for c, axis in zip(coeffs, axes):
         if abs(c) < 1e-12:
             continue
-        terms.append((complex(c), sc.apply_circuit(_canonical_term_state(kind), inverse)))
+        terms.append((complex(c), sc.apply_circuit(axis_state(BlochState(*axis)), inverse)))
     return xi, terms
 
 

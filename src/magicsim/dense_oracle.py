@@ -9,7 +9,7 @@ the basis index.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -122,6 +122,28 @@ def kraus_matrix(k) -> np.ndarray:
     n = k.proj.n
     _check_n(n)
     return (2.0 ** (0.5 * k.h)) * circuit_unitary(n, k.circuit) @ projector_matrix(k.proj)
+
+
+def dyad_matrix(d) -> np.ndarray:
+    """Dense |L><R| for a Dyad-shaped object."""
+    return np.outer(expand(d.L), np.conj(expand(d.R)))
+
+
+def dyadic_matrix(decomp) -> np.ndarray:
+    """Dense rho for a DyadicDecomposition: the Kronecker product of its factors' sums."""
+    _check_n(decomp.n)
+    return reduce(np.kron, [sum(a * dyad_matrix(d) for a, d in f) for f in decomp.factors])
+
+
+def expansion_vector(d) -> np.ndarray:
+    """Dense sum_j c_j |phi_j> for a SparseDecomposition-shaped object."""
+    return sum(c * expand(t) for c, t in zip(d.coeffs, d.terms))
+
+
+def mixed_matrix(inp) -> np.ndarray:
+    """Dense sum_j p_j |psi_j><psi_j| for a MixedInput-shaped object."""
+    vecs = [(p, expansion_vector(d)) for p, d in inp.ensemble]
+    return sum(p * np.outer(v, np.conj(v)) for p, v in vecs)
 
 
 def apply_channel_dense(rho: np.ndarray, ch) -> np.ndarray:

@@ -123,7 +123,7 @@ class _TermSet:
 class SparseDecomposition:
     """Stabilizer expansion psi = sum_j c_j |phi_j> of a normalized state.
 
-    Norms, C, the dense vector and sparsification all read one term set,
+    Norms, C and sparsification all read one term set,
     the phase-absorbed terms (c_j/|c_j|)|phi_j>, weighted by |c_j|.
     """
 
@@ -186,9 +186,6 @@ class SparseDecomposition:
 
     def norm_sq(self) -> float:
         return self._norm_sq
-
-    def dense(self) -> np.ndarray:
-        return self._mags @ self._termset.dense_matrix()
 
     @property
     def C(self) -> float:
@@ -393,11 +390,9 @@ class MixedInput:
         self.equimagical = max(l1sq) - min(l1sq) <= _ATOL
 
     def dense(self) -> np.ndarray:
-        rho = np.zeros((2**self.n, 2**self.n), dtype=complex)
-        for p, d in self.ensemble:
-            vec = d.dense()
-            rho += p * np.outer(vec, np.conj(vec))
-        return rho
+        from .dense_oracle import mixed_matrix
+
+        return mixed_matrix(self)
 
 
 def mixed_input_product(states) -> MixedInput:

@@ -37,7 +37,7 @@ class TestDyad:
     def test_dense(self):
         d = ch.Dyad(sc.plus_state(1), sc.zero_state(1))
         expect = np.outer([2**-0.5, 2**-0.5], [1, 0])
-        assert d.dense() == pytest.approx(expect)
+        assert do.dyad_matrix(d) == pytest.approx(expect)
 
 
 class TestDyadicDecomposition:
@@ -82,7 +82,7 @@ class TestHermiticity:
         verdicts = []
         for trial in range(80):
             terms = _random_dyads(rng, int(rng.integers(1, 7)), hermitian=bool(trial % 2))
-            rho = sum(a * d.dense() for a, d in terms)
+            rho = sum(a * do.dyad_matrix(d) for a, d in terms)
             trace = np.trace(rho)
             if abs(trace) < 0.1:
                 continue
@@ -118,7 +118,7 @@ class TestStabKraus:
         proj = sc.StabProjector.from_strings([("Z", 1)])
         k = ch.StabKraus(1, proj, (("H", 0),))
         expect = np.sqrt(2) * do.GATE_MATRICES["H"] @ np.diag([1.0, 0.0])
-        assert k.dense() == pytest.approx(expect)
+        assert do.kraus_matrix(k) == pytest.approx(expect)
 
     def test_maps_stabilizers_to_stabilizer_multiples(self):
         # every builtin Kraus output has a rank-one stabilizer projector
@@ -426,8 +426,8 @@ class TestDyadicProduct:
         assert len(dec.terms) == len(fold) == math.prod(len(f) for f in dec.factors)
         for (a, d), combo in zip(dec.terms, fold, strict=True):
             assert a == functools.reduce(operator.mul, (w for w, _ in combo))
-            kron = functools.reduce(np.kron, (e.dense() for _, e in combo))
-            assert d.dense() == pytest.approx(kron, abs=1e-12)
+            kron = functools.reduce(np.kron, (do.dyad_matrix(e) for _, e in combo))
+            assert do.dyad_matrix(d) == pytest.approx(kron, abs=1e-12)
         a, d = dec.terms[-1]
         assert a == functools.reduce(operator.mul, (w for w, _ in fold[-1]))
         with pytest.raises(IndexError):

@@ -200,6 +200,15 @@ class TestSample:
         assert json.loads(err)["error"] == {
             "kind": "validation", "message": "'sample' supports only deterministic Clifford circuits"}
 
+    def test_unknown_norm_backend_refused(self, capsys, tmp_path):
+        doc = {**self.DOC, "params": {**self.DOC["params"], "norm_backend": "dense"}}
+        rc, out, err = run_cli(capsys, "sample", "--input", write_doc(tmp_path, doc))
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+        assert "'dense'" in diag["error"]["message"]
+
 
 def _channel_prefix(doc, n):
     """The Clifford prefix as read through channels.channel_from_json."""
@@ -403,20 +412,6 @@ class TestDistill:
 
 
 class TestBenchAndSelftest:
-    def test_bench_deterministic(self, capsys):
-        a = run_cli(capsys, "bench", "--samples", "10")[1]
-        b = run_cli(capsys, "bench", "--samples", "10")[1]
-        assert a == b
-        payload = json.loads(a)
-        assert_schema(payload, "bench")
-        assert [w["name"] for w in payload["workloads"]] == ["estimate", "sample"]
-
-    def test_bench_timings_on_stderr_only(self, capsys):
-        rc, out, err = run_cli(capsys, "bench", "--samples", "10")
-        assert rc == 0
-        assert "s\n" in err
-        assert "wall" not in out
-
     def test_selftest_passes(self, capsys):
         rc, out, _ = run_cli(capsys, "selftest", "--samples", "60", "--seed", "4")
         assert rc == 0
@@ -643,7 +638,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("subcommand,workers", [
         ("monotone", "0"), ("sample", "-3"), ("estimate", "0"), ("constrained", "-1"),
-        ("distill", "0"), ("bench", "0"), ("selftest", "-2"),
+        ("distill", "0"), ("selftest", "-2"),
     ])
     def test_workers_below_one_refused_before_input(self, capsys, tmp_path, monkeypatch,
                                                     subcommand, workers):
@@ -804,7 +799,7 @@ class TestSchemaValidator:
 
     def test_all_shipped_schemas_load(self):
         for name in ("estimate", "sample", "constrained", "sweep", "distill",
-                     "bench", "selftest", "error", "input"):
+                     "selftest", "error", "input"):
             schema = _schema.load_schema(name)
             assert isinstance(schema, dict) and schema.get("type") == "object"
 
@@ -888,7 +883,7 @@ class TestScopedImports:
         path = write_doc(tmp_path, SCOPE_DOCS[subcommand])
         _, _, ran = _loaded_by([subcommand, "--input", path, "--epsilon", "0.3"])
         assert {"channels", "dyadic_sim"} <= set(ran)
-        assert not set(ran) & {"distill", "rank_sim"}
+        assert not set(ran) & {"distill", "rank_sim", "dense_oracle"}
 
     def test_selftest_draws_from_the_stream(self):
         _, _, ran = _loaded_by(["selftest", "--samples", "5", "--seed", "3"])
