@@ -136,8 +136,12 @@ def read_entry(obj: dict, n: int) -> tuple[list, list]:
     """(unitary, kraus) branches of one circuit entry at width n.
 
     An explicit unitary entry is [p, gates] and a Kraus entry is
-    [q, h, generators, gates] with generators [[word, sign], ...].
+    [q, h, generators, gates] with generators [[word, sign], ...]; a key
+    outside type/qubits/params or unitary/kraus is refused, not ignored.
     """
+    unknown = set(obj) - ({"type", "qubits", "params"} if "type" in obj else {"unitary", "kraus"})
+    if unknown:
+        raise ChannelError(f"unknown circuit entry keys: {sorted(unknown)}")
     if "type" in obj:
         return builtin_branches(obj["type"], obj.get("qubits", []), n, obj.get("params"))
     unitary_spec, kraus_spec = obj.get("unitary", []), obj.get("kraus", [])

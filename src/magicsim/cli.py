@@ -9,12 +9,9 @@ timings go to stderr only.  Each subcommand imports the layers it uses.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
-
-import numpy as np
 
 # rows of the `monotone` table; 10^5 rows already take about 2 s and 2 MB
 MAX_COPIES = 10**5
@@ -236,12 +233,15 @@ def _measurement(doc: dict, n: int):
     return proj
 
 
+def _plain(x):
+    """A numpy scalar as the Python value it holds, without importing numpy."""
+    np = sys.modules.get("numpy")
+    return x.item() if np is not None and isinstance(x, np.generic) else x
+
+
 def _json_safe(x):
     """Replace non-finite floats so the output stays strict JSON."""
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        x = float(x)
+    x = _plain(x)
     if isinstance(x, float):
         return x if math.isfinite(x) else repr(x)
     if isinstance(x, dict):
@@ -258,10 +258,7 @@ def _dump_json(payload: dict) -> str:
 def _cell(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, np.integer):
-        x = int(x)
-    if isinstance(x, np.floating):
-        x = float(x)
+    x = _plain(x)
     if isinstance(x, float):
         return repr(x)
     return str(x)
@@ -383,14 +380,12 @@ def _run_monotone(args) -> tuple[str, int]:
     if copies * math.log(top) > math.log(sys.float_info.max):
         limit = math.floor(math.log(sys.float_info.max) / math.log(top))
         raise CLIError(f"copies above {limit} overflow a float for this state")
-    base = functools.reduce(np.kron, [b.density() for b in factors]) if q <= 3 else None
     rows = []
     for n_cop in range(1, copies + 1):
         width = q * n_cop
         r_lp = None
-        if base is not None and width <= 3:
-            rho = functools.reduce(np.kron, [base] * n_cop)
-            r_lp = float(mt.robustness_lp(rho)[0])
+        if width <= 3:
+            r_lp = float(mt.robustness_lp(mt.product_density_rows(factors * n_cop))[0])
         scale = 2.0 ** (-width)
         rows.append((
             n_cop,
@@ -490,6 +485,8 @@ def _random_pauli_word(rng, n: int) -> str:
 
 def _run_selftest(args) -> tuple[str, int]:
     """Random stabilizer programs replayed against the dense oracle."""
+    import numpy as np
+
     from . import dense_oracle as do, monotones as mt, stab_core as sc
     from ._util import sample_rng
 

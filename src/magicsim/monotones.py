@@ -6,29 +6,30 @@ of dyadic negativity, generalized robustness and extent.  The witness
 maximum is a closed form, the best of the two endpoints and the at most two
 stationary points, where a line meets the unit circle.  Products multiply.
 The robustness of magic is computed as an l1-minimizing linear program over
-enumerated stabilizer states for up to three qubits, solved over the orbits
-of the qubit permutations that fix the state.  Nothing here builds a
-stabilizer state: the expansions that do live in decompositions.
+enumerated stabilizer states for up to three qubits, solved in pure Python
+over the orbits of the Clifford symmetries that fix the state.  Nothing
+here builds a stabilizer state, and only the dense views density and
+pure_vector import numpy: the expansions live in decompositions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+import math
+from collections import Counter
+from functools import lru_cache
+from typing import NamedTuple
 
-import numpy as np
+from .gate_rules import conjugate_bits
 
-from . import pauli as pa
-
-SQRT2 = float(np.sqrt(2.0))
-SQRT3 = float(np.sqrt(3.0))
-SQRT6 = float(np.sqrt(6.0))
-Q_MIN = float(np.sqrt(2.0 / 3.0))
+SQRT2 = math.sqrt(2.0)
+SQRT3 = math.sqrt(3.0)
+SQRT6 = math.sqrt(6.0)
+Q_MIN = math.sqrt(2.0 / 3.0)
 
 _NORM_TOL = 1e-12
 _PURE_TOL = 1e-9
-_SYM_TOL = 1e-12  # entrywise match of rho and a qubit permutation of it
+_SYM_TOL = 1e-12  # entrywise match of rho's Pauli coordinates and a symmetry's image of them
 
 _NAMED_BLOCH = {
     "0": (0.0, 0.0, 1.0),
@@ -122,6 +123,8 @@ class BlochState:
         return density_matrix(self)
 
     def pure_vector(self) -> np.ndarray:
+        import numpy as np
+
         if not self.is_pure():
             raise ValueError("state is not pure")
         theta = np.arccos(np.clip(self.bz, -1.0, 1.0))
@@ -136,6 +139,8 @@ class BlochState:
 
 
 def density_matrix(rho: BlochState) -> np.ndarray:
+    import numpy as np
+
     x, y, z = rho.bx, rho.by, rho.bz
     return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
@@ -174,8 +179,7 @@ def invert_word(gates: list[tuple]) -> list[tuple]:
 # -- witness family -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness1Q:
+class Witness1Q(NamedTuple):
     """Dual witness for the single-qubit monotones.
 
     The witness operator is (1 + q*Ht + sqrt(1-q^2)*Y) / (1 + q/sqrt(2)) with
@@ -189,7 +193,7 @@ class Witness1Q:
 
 
 def _witness_eval(q: float, rho: BlochState) -> float:
-    root = float(np.sqrt(max(0.0, 1.0 - q * q)))
+    root = math.sqrt(max(0.0, 1.0 - q * q))
     return (1.0 + q * (rho.bx + rho.bz) / SQRT2 + root * rho.by) / (1.0 + q / SQRT2)
 
 
@@ -209,7 +213,7 @@ def _maximize_witness(rho: BlochState) -> tuple[float, float]:
     r2 = A * A + b * b
     qs = [Q_MIN, 1.0]
     if r2 > 0.0 and C * C <= r2:
-        half = float(np.sqrt(r2 - C * C))
+        half = math.sqrt(r2 - C * C)
         for sgn in (1.0, -1.0):
             sin_t, q = (A * C - sgn * b * half) / r2, (b * C + sgn * A * half) / r2
             if sin_t >= 0.0 and Q_MIN < q < 1.0:
@@ -250,133 +254,179 @@ def robustness_1q(rho: BlochState) -> float:
 # -- robustness LP ------------------------------------------------------------
 
 
-_LETTER_MATRICES = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                             [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])  # I, X, Y, Z
+_LETTER_XZ = ((0, 0), (1, 0), (1, 1), (0, 1))  # I, X, Y, Z as (x, z) bits
 
 
-def pauli_coords(op: np.ndarray) -> np.ndarray:
-    """Real coordinates Tr[P_a · op] over all Pauli strings P_a, with
-    a = sum_q l_q 4^(n-1-q) for letters l_q of I, X, Y, Z = 0..3; op is
-    contracted one qubit at a time, so no 2^n x 2^n Pauli matrix is built."""
-    t = op.reshape(1, *op.shape)
-    while t.shape[1] > 1:
-        half = t.shape[1] // 2
-        # sum_ij P_l[j, i] t[a, (i, b), (j, c)] over the leading qubit's i, j
-        t = np.einsum("lji,aibjc->albc", _LETTER_MATRICES,
-                      t.reshape(len(t), 2, half, 2, half)).reshape(-1, half, half)
-    return np.real(t.ravel())
+def product_density_rows(states: list[BlochState]) -> list[list[complex]]:
+    """Density matrix of a product of single-qubit states as lists of rows, qubit 0 first."""
+    out = [[1.0]]
+    for s in states:
+        one = [[0.5 * (1.0 + s.bz), 0.5 * complex(s.bx, -s.by)],
+               [0.5 * complex(s.bx, s.by), 0.5 * (1.0 - s.bz)]]
+        out = [[u * v for u in ra for v in rb] for ra in out for rb in one]
+    return out
+
+
+def _letters(a: int, n: int) -> list[int]:
+    """Letters (I, X, Y, Z = 0..3) of Pauli index a = sum_q l_q 4^(n-1-q)."""
+    return [a >> 2 * (n - 1 - q) & 3 for q in range(n)]
+
+
+def pauli_coords(op) -> list[float]:
+    """Real coordinates Tr[P_a · op] of a 2^n x 2^n matrix given by its rows,
+    over the Pauli strings a = sum_q l_q 4^(n-1-q) of letters I, X, Y, Z = 0..3.
+    P_a = i^#Y X^x Z^z has one entry i^#Y (-1)^(z.r) per column r, at row r ^ x."""
+    rows = [[complex(v) for v in row] for row in op]
+    n = len(rows).bit_length() - 1
+    out = []
+    for a in range(4**n):
+        xm = zm = ny = 0
+        for l in _letters(a, n):
+            x, z = _LETTER_XZ[l]
+            xm, zm, ny = 2 * xm + x, 2 * zm + z, ny + (x & z)
+        t = sum(-rows[r][r ^ xm] if (zm & r).bit_count() & 1 else rows[r][r ^ xm]
+                for r in range(len(rows)))
+        out.append((t.real, -t.imag, -t.real, t.imag)[ny % 4])
+    return out
+
+
+def _pauli_action(gate: tuple, n: int) -> tuple[list[int], list[int]]:
+    """(image, sign) with U^dag P_a U = sign[a] P_image[a] over the n-qubit
+    Paulis a, for the gate U, read off gate_rules."""
+    image, sign = [], []
+    for a in range(4**n):
+        x, z = (list(bits) for bits in zip(*(_LETTER_XZ[l] for l in _letters(a, n))))
+        # each letter Y = i X Z carries one power of i, before and after
+        k = conjugate_bits(x, z, sum(map(min, x, z)), [gate]) - sum(map(min, x, z))
+        image.append(sum(_LETTER_XZ.index(xz) << 2 * (n - 1 - q) for q, xz in enumerate(zip(x, z))))
+        sign.append(1 if k % 4 == 0 else -1)
+    return image, sign
 
 
 @lru_cache(maxsize=None)
-def _letter_action(name: str, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(image, sign) with U^dag P_w U = sign[w] P_image[w] over the letter
-    words w of the gate's own `width` qubits, read off pa.conjugate_pauli."""
-    words = ["".join(w) for w in itertools.product("IXYZ", repeat=width)]
-    images = [pa.conjugate_pauli(pa.PauliOp.from_letters(w), [(name, *range(width))]) for w in words]
-    return (np.array([words.index(p.letters()) for p in images]),
-            np.array([round(p.phase.real) for p in images], np.int8))
+def _stabilizer_coords(n: int) -> tuple[frozenset, ...]:
+    """The 2^n nonzero Pauli coordinates Tr[P_a |v><v|] = +-1 of every n-qubit
+    stabilizer state v, n <= 3, as a frozenset of codes 2a + (1 if it is -1).
 
-
-def _pauli_action(gate: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(image, sign) with U^dag P_a U = sign[a] P_image[a] for every n-qubit
-    Pauli row a: the gate's letter action on those letters of the row."""
-    qubits = np.array(gate[1:])
-    image, sign = _letter_action(gate[0], len(qubits))
-    local_place = 4 ** np.arange(len(qubits) - 1, -1, -1)
-    old = np.arange(4**n)[:, None] // 4 ** (n - 1 - qubits) % 4
-    local = old @ local_place
-    new = image[local][:, None] // local_place % 4
-    return np.arange(4**n) + (new - old) @ 4 ** (n - 1 - qubits), sign[local]
-
-
-@lru_cache(maxsize=None)
-def _stabilizer_coords(n: int) -> np.ndarray:
-    """Pauli coordinates Tr[P_a |v><v|], 0 or +-1, of every n-qubit
-    stabilizer state v, n <= 3, one int8 column each.
-
-    Breadth-first closure of |0..0> under H, S and CX on the columns, each
-    gate a signed row permutation (_pauli_action).  Candidates are
-    deduplicated exactly on packed support and sign bits in (frontier, gate)
-    order, so the columns keep the order of the dense oracle's
-    enumerate_stabilizer_states; the counts 6 / 60 / 1080 are asserted.
+    Breadth-first closure of |0..0> under H, S and CX, each gate a signed
+    permutation of the codes, deduplicated in (frontier, gate) order as the
+    dense oracle's enumerate_stabilizer_states; the counts 6 / 60 / 1080 are asserted.
     """
     if n > 3:
         raise ValueError("enumeration capped at n=3")
     gates = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
     gates += [("CX", a, b) for a in range(n) for b in range(n) if a != b]
-    image, sign = (np.stack(x) for x in zip(*(_pauli_action(g, n) for g in gates)))
-    cands = reduce(np.kron, [np.array([1, 0, 0, 1], np.int8)] * n)[None]  # |0..0>: I, Z rows
-    found, keys = [], np.empty(0, dtype=f"V{4**n // 4}")
-    while len(cands):
-        cand_keys = np.packbits(np.hstack([cands != 0, cands < 0]), axis=1).view(keys.dtype).ravel()
-        # a key already found sorts first, so only a new key's first index passes
-        _, first = np.unique(np.concatenate([keys, cand_keys]), return_index=True)
-        fresh = np.sort(first[first >= len(keys)]) - len(keys)
-        keys = np.concatenate([keys, cand_keys[fresh]])
-        found.append(cands[fresh])
-        # row i, gate g of the next candidates is sign_g * v_i[image_g]
-        cands = (found[-1][:, image] * sign).reshape(-1, 4**n)
-    coords = np.concatenate(found).T
-    expected = 2**n * np.prod([2**k + 1 for k in range(1, n + 1)])
-    if coords.shape[1] != expected:
-        raise RuntimeError(f"stabilizer enumeration found {coords.shape[1]}, expected {expected}")
-    coords.flags.writeable = False  # one cached array serves every caller
-    return coords
+    maps = []
+    for gate in gates:
+        # U v, at Pauli a, is sign[a] times v at image[a]
+        act = [0] * (2 * 4**n)
+        for a, (m, s) in enumerate(zip(*_pauli_action(gate, n))):
+            act[2 * m], act[2 * m + 1] = 2 * a + (s < 0), 2 * a + (s > 0)
+        maps.append(act.__getitem__)
+    # |0..0>: +1 on every Pauli of letters I and Z only
+    found = [frozenset(2 * a for a in range(4**n) if all(l in (0, 3) for l in _letters(a, n)))]
+    seen = set(found)
+    for codes in found:  # grows while it is walked: level after level
+        for act in maps:
+            image = frozenset(map(act, codes))
+            if image not in seen:
+                seen.add(image)
+                found.append(image)
+    expected = 2**n * math.prod(2**k + 1 for k in range(1, n + 1))
+    if len(found) != expected:
+        raise RuntimeError(f"stabilizer enumeration found {len(found)}, expected {expected}")
+    return tuple(found)
 
 
-def _fixing_permutations(rho: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """The qubit permutations p with rho unchanged when qubit k moves to p[k]."""
-    tensor = rho.reshape((2,) * (2 * n))
-    return [p for p in itertools.permutations(range(n))
-            if np.abs(tensor.transpose(p + tuple(k + n for k in p)) - tensor).max() <= _SYM_TOL]
+def _fixing_permutations(b: list[float], n: int) -> list[tuple[list[int], list[int]]]:
+    """The symmetries of rho among "the same single-qubit Clifford on every
+    qubit, then a qubit permutation", 24 n! candidates, as (image, sign)
+    with b[image[a]] = sign[a] b[a] on its Pauli coordinates b.  The 24 are
+    the signed permutations of the Bloch axes whose signs multiply to its parity."""
+    group = []
+    for axes, signs, perm in itertools.product(itertools.permutations((1, 2, 3)),
+                                               itertools.product((1, -1), repeat=3),
+                                               itertools.permutations(range(n))):
+        if math.prod(signs) != (1 if axes in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1):
+            continue
+        letter, sign_of = (0, *axes), (1, *signs)
+        image, sign = [], []
+        for a in range(4**n):
+            img, sgn = 0, 1
+            for q, l in enumerate(_letters(a, n)):
+                img += letter[l] << 2 * (n - 1 - perm[q])
+                sgn *= sign_of[l]
+            if abs(b[img] - sgn * b[a]) > _SYM_TOL:
+                break
+            image.append(img)
+            sign.append(sgn)
+        else:
+            group.append((image, sign))
+    return group
 
 
-def robustness_lp(rho: np.ndarray) -> tuple[float, np.ndarray, dict]:
+def robustness_lp(rho) -> tuple[float, list[float], dict]:
     """Robustness of magic by l1-minimizing LP over stabilizer projectors.
 
-    Returns (R, signed weights q over the enumerated states, certificate)
-    where the certificate carries the dual witness in Pauli coordinates,
-    its feasibility defect and the duality gap.
+    rho is a 2^n x 2^n matrix for n <= 3, given by its rows.  Returns
+    (R, signed weights q over the enumerated states, certificate) where the
+    certificate carries the dual witness in Pauli coordinates, its
+    feasibility defect and the duality gap.
 
-    The LP is solved over the group G of qubit permutations that fix rho:
-    averaging an optimal q over G keeps it optimal, so the weights may be
-    taken constant on G's orbits.  The integer columns are summed over the
-    row permutations of G; one row is kept per Pauli orbit (its rows are
-    equal) and one column per distinct summed column, scaled by 1/|G|.
-    For rho^(x)3 that is 20 rows and 234 columns in place of 64 and 1,080
-    (468 and 2,160 with the negated copies); the trivial group keeps every
-    row and column in enumeration order.  A reduced weight is spread evenly
-    over the states sharing its column and a reduced dual value over the
-    Paulis of its orbit.  The defect and gap are measured on that lifted,
-    full-width certificate against every stabilizer state.
+    The LP is solved over the Clifford symmetries G of rho found by
+    _fixing_permutations (Heinrich and Gross, arXiv:1807.10296), which
+    permute the stabilizer states, so an optimal q may be averaged over G.
+    One row is kept per Pauli orbit of G, signed relative to its smallest
+    member, and dropped if it holds both +P and -P (then 0 = 0); each state's
+    column is averaged over the orbits, and equal columns merge: 10 rows and
+    114 columns (each next to its negation) for three copies of H or T, 8
+    and 76 for F, and the full LP in order for the trivial group.  Weights
+    and dual values are spread back over the merged states and the orbits,
+    and the defect and gap are measured on that lifted certificate.
     """
     from . import _simplex
 
-    dim = rho.shape[0]
-    n = int(np.log2(dim))
-    if 2**n != dim or n > 3:
+    rows = [[complex(v) for v in row] for row in rho]
+    dim = len(rows)
+    n = dim.bit_length() - 1
+    if dim != 2**n or not 1 <= n <= 3 or any(len(row) != dim for row in rows):
         raise ValueError("robustness LP supports 1 to 3 qubits")
-    if np.abs(rho - rho.conj().T).max() > 1e-9:
+    if any(abs(rows[i][j] - rows[j][i].conjugate()) > 1e-9 for i in range(dim) for j in range(i, dim)):
         raise ValueError("input must be Hermitian")
-    cols = _stabilizer_coords(n)
-    b = pauli_coords(rho)
-    perms = _fixing_permutations(rho, n)
-    letters = np.arange(4**n).reshape((4,) * n)
-    moved = np.array([letters.transpose(p).reshape(-1) for p in perms])
-    # the orbit of Pauli a is moved[:, a]; its smallest index names it
-    reps, orbit, orbit_size = np.unique(moved.min(axis=0), return_inverse=True, return_counts=True)
-    summed = cols[moved].sum(axis=0, dtype=np.int8)[reps]  # |G| <= 6 terms of 0, +-1
-    _, first, inverse = np.unique(summed, axis=1, return_index=True, return_inverse=True)
-    keep = np.sort(first)
-    column = np.searchsorted(keep, first[inverse.ravel()])  # state j -> reduced column
-    A = summed[:, keep] / len(perms)
-    M = len(keep)
-    x, y, obj = _simplex.solve_lp(np.hstack([A, -A]), b[reps], np.ones(2 * M))
-    q = (x[:M] - x[M:])[column] / np.bincount(column)[column]
-    witness = y[orbit] / orbit_size[orbit]
+    states = _stabilizer_coords(n)
+    b = pauli_coords(rows)
+    group = _fixing_permutations(b, n)
+    orbits = []  # (representative, {member: sign relative to it})
+    row_of = [None] * (2 * 4**n)  # code -> (its orbit's row, signed entry), () if dropped
+    for a in range(4**n):
+        if row_of[2 * a] is None:
+            pairs = {(image[a], sign[a]) for image, sign in group}
+            members = dict(pairs)
+            kept = len(members) == len(pairs)
+            for m, s in members.items():
+                row_of[2 * m], row_of[2 * m + 1] = ((len(orbits), s), (len(orbits), -s)) if kept else ((), ())
+            if kept:
+                orbits.append((a, members))
+    index: dict[tuple, int] = {}
+    column = []  # state -> reduced column
+    for codes in states:
+        summed = [0] * len(orbits)
+        for r, s in filter(None, map(row_of.__getitem__, codes)):
+            summed[r] += s
+        column.append(index.setdefault(tuple(summed), len(index)))
+    A = [[key[r] / len(members) for key in index] for r, (_, members) in enumerate(orbits)]
+    M = len(index)
+    x, y, obj = _simplex.solve_lp([row + [-v for v in row] for row in A],
+                                  [b[a] for a, _ in orbits], [1.0] * (2 * M))
+    shared = Counter(column)
+    q = [(x[k] - x[M + k]) / shared[k] for k in column]
+    witness = [0.0] * 4**n
+    for r, (_, members) in enumerate(orbits):
+        for m, s in members.items():
+            witness[m] = s * y[r] / len(members)
     # dual feasibility: |<W, P_j>| <= 1 for the R-witness W = sum y_a sigma_a
-    witness_vals = cols.T @ witness
-    defect = float(max(0.0, np.abs(witness_vals).max() - 1.0))
-    gap = float(obj - b @ witness)
-    cert = {"witness_coords": witness, "feasibility_defect": defect, "duality_gap": gap}
-    return float(obj), q, cert
+    by_code = [v for w in witness for v in (w, -w)]
+    top = max(abs(sum(map(by_code.__getitem__, codes))) for codes in states)
+    cert = {"witness_coords": witness, "feasibility_defect": max(0.0, top - 1.0),
+            "duality_gap": obj - sum(u * v for u, v in zip(b, witness))}
+    return obj, q, cert

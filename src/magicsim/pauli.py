@@ -1,17 +1,18 @@
 """Pauli operators, stabilizer projectors and their conjugation by Clifford gates.
 
-The forms stab_core projects with and monotones reads its letter actions
-from; nothing here builds a state, so a process that only conjugates Paulis
-compiles none of the CH-form engine.
+The forms stab_core projects with, over the rules of gate_rules; nothing
+here builds a state, so a process that only conjugates Paulis compiles none
+of the CH-form engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .gate_rules import _GATE_ARITY, check_gate, conjugate_bits
+
 _I_POW = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
 
-_GATE_ARITY = {"S": 1, "SDG": 1, "H": 1, "X": 1, "Y": 1, "Z": 1, "CX": 2, "CZ": 2, "SWAP": 2}
 GATE_NAMES = tuple(_GATE_ARITY)
 
 _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -156,20 +157,6 @@ class StabProjector:
         return f"StabProjector[{body}]"
 
 
-def check_gate(gate: tuple, n: int) -> None:
-    """Raise ValueError unless gate is (name, targets...) with a known name,
-    that name's target count, and distinct targets in range(n)."""
-    arity = _GATE_ARITY.get(gate[0])
-    if arity is None:
-        raise ValueError(f"unknown gate {gate[0]!r}")
-    if len(gate) != arity + 1:
-        raise ValueError(f"gate {gate[0]} needs {arity} target(s), got {len(gate) - 1}")
-    a = gate[1]
-    if not 0 <= a < n or (arity == 2 and (gate[2] == a or not 0 <= gate[2] < n)):
-        raise ValueError(f"gate {tuple(gate)!r} needs distinct targets in 0..{n - 1}")
-
-
-
 def conjugate_pauli(p: PauliOp, gates) -> PauliOp:
     """U^dag p U for the circuit U that applies gates in order.
 
@@ -185,40 +172,9 @@ def conjugate_pauli(p: PauliOp, gates) -> PauliOp:
 
 def _conjugate_pauli_unchecked(p: PauliOp, gates) -> PauliOp:
     """conjugate_pauli for gates already checked, as a channel's are."""
-    x, z, k = p.x.tolist(), p.z.tolist(), p.k
-    for gate in reversed(gates):
-        name, a = gate[0], gate[1]
-        if name == "H":
-            # H X^x Z^z H = Z^x X^z = (-1)^{xz} X^z Z^x
-            k += 2 * (x[a] & z[a])
-            x[a], z[a] = z[a], x[a]
-        elif name == "S":
-            # S^dag X S = -i X Z
-            k += 3 * x[a]
-            z[a] ^= x[a]
-        elif name == "SDG":
-            k += x[a]
-            z[a] ^= x[a]
-        elif name == "X":
-            k += 2 * z[a]
-        elif name == "Y":
-            k += 2 * (x[a] ^ z[a])
-        elif name == "Z":
-            k += 2 * x[a]
-        else:
-            b = gate[2]
-            if name == "CX":
-                x[b] ^= x[a]
-                z[a] ^= z[b]
-            elif name == "CZ":
-                # CZ X_a CZ = X_a Z_b, and X_a Z_b X_b Z_a = -X_a X_b Z_a Z_b
-                k += 2 * (x[a] & x[b])
-                z[a] ^= x[b]
-                z[b] ^= x[a]
-            else:
-                x[a], x[b], z[a], z[b] = x[b], x[a], z[b], z[a]
+    x, z = p.x.tolist(), p.z.tolist()
+    k = conjugate_bits(x, z, p.k, gates)
     return PauliOp(np.array(x, dtype=bool), np.array(z, dtype=bool), k)
-
 
 
 def _bit_rows(mat: np.ndarray) -> list[int]:

@@ -273,7 +273,7 @@ class StabState:
         return -val if sign else val
 
     def _apply_named(self, gate: tuple) -> None:
-        # gate names are the keys of pauli._GATE_ARITY, each with its _<name>_gate method
+        # gate names are the keys of gate_rules._GATE_ARITY, each with its _<name>_gate method
         getattr(self, f"_{gate[0].lower()}_gate")(*gate[1:])
 
     def __repr__(self) -> str:

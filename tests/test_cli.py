@@ -589,6 +589,9 @@ MALFORMED_CHANNEL_DOCS = {
     "builtin-params-string": _channel_doc({"type": "depolarizing", "qubits": [0], "params": "x"}),
     "builtin-term-arity": _channel_doc({"type": "clifford_mix", "qubits": [0],
                                         "params": {"terms": [[0.5]]}}),
+    "builtin-misspelt-params": _channel_doc({"type": "depolarizing", "qubits": [0],
+                                             "param": {"lambda": 1.0}}),
+    "unitary-extra-key": _channel_doc({"unitary": [[1.0, []]], "qubits": [0]}),
 }
 
 
@@ -603,6 +606,14 @@ class TestMalformedInput:
         assert_schema(diag, "error")
         assert diag["error"]["kind"] == "validation"
         assert "entry" in diag["error"]["message"] or "arrays" in diag["error"]["message"]
+
+    def test_unknown_entry_key_is_named(self, capsys, tmp_path):
+        # read as absent, the misspelt params would run the channel at lambda = 0
+        _, doc = MALFORMED_CHANNEL_DOCS["builtin-misspelt-params"]
+        rc, out, err = run_cli(capsys, "estimate", "--input", write_doc(tmp_path, doc))
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "kind": "validation", "message": "unknown circuit entry keys: ['param']"}
 
     @pytest.mark.parametrize("params", [{"pauli": ""}, {}])
     def test_measure_without_targets_names_the_channel(self, capsys, tmp_path, params):
@@ -835,10 +846,11 @@ SCOPE_DOCS = {
 RNG_MODULES = ("numpy.random", "secrets", "_hashlib")
 
 
-def _loaded_by(argv: list[str]) -> tuple[list[str], list[str], list[str]]:
+def _loaded_by(argv: list[str], numpy: bool = True) -> tuple[list[str], list[str], list[str]]:
     """Submodules loaded in a fresh process by `import magicsim`, then by
     `import magicsim.cli`, then by cli.main(argv), which must load none of
-    RNG_MODULES."""
+    RNG_MODULES.  Neither import loads numpy, and with numpy=False the run
+    must not either."""
     script = (
         "import json, os, sys\n"
         "def loaded():\n"
@@ -847,29 +859,39 @@ def _loaded_by(argv: list[str]) -> tuple[list[str], list[str], list[str]]:
         "package = loaded()\n"
         "import magicsim.cli as cli\n"
         "imported = loaded()\n"
+        "numpy_at_import = 'numpy' in sys.modules\n"
         f"rc = cli.main({argv!r} + ['--output', os.devnull])\n"
         f"rng = [m for m in {RNG_MODULES!r} if m in sys.modules]\n"
-        "print(json.dumps([rc, package, imported, loaded(), rng]))\n"
+        "print(json.dumps([rc, package, imported, loaded(), rng,\n"
+        "                  [numpy_at_import, 'numpy' in sys.modules]]))\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    rc, package, imported, ran, rng = json.loads(res.stdout.splitlines()[-1])
+    rc, package, imported, ran, rng, (numpy_at_import, numpy_at_run) = json.loads(
+        res.stdout.splitlines()[-1])
     assert rc == 0
     assert rng == []
+    assert not numpy_at_import
+    assert numpy or not numpy_at_run
     return package, imported, ran
 
 
 class TestScopedImports:
     def test_cli_and_monotone_load_only_their_layers(self):
         package, imported, monotone = _loaded_by(
-            ["monotone", "--state", "H", "--alpha", "0.9", "--copies", "3"])
+            ["monotone", "--state", "H", "--alpha", "0.9", "--copies", "3"], numpy=False)
         assert package == []
         assert imported == ["cli"]
         assert not set(imported) & {"channels", "dyadic_sim", "rank_sim", "constrained_sim",
                                     "monotones", "distill", "dense_oracle", "_schema", "_simplex"}
-        assert {"monotones", "pauli", "_simplex"} <= set(monotone)
-        assert not set(monotone) & {"stab_core", "decompositions", "distill", "channels", "rank_sim",
-                                    "dyadic_sim", "constrained_sim", "dense_oracle"}
+        assert {"monotones", "gate_rules", "_simplex"} <= set(monotone)
+        assert not set(monotone) & {"pauli", "stab_core", "decompositions", "distill", "channels",
+                                    "rank_sim", "dyadic_sim", "constrained_sim", "dense_oracle"}
+
+    def test_distill_loads_no_numpy(self):
+        _, _, ran = _loaded_by(["distill", "--state", "H", "--alpha", "0.8", "--target", "H"],
+                               numpy=False)
+        assert {"distill", "monotones"} <= set(ran)
 
     def test_sample_loads_no_channel_layer(self):
         doc = str(pathlib.Path(__file__).parent / "data" / "sample_h4_cx.json")

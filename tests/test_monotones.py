@@ -2,6 +2,7 @@
 extent, equimagical parts, LP."""
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -455,7 +456,7 @@ class TestRobustnessLP:
         np.fill_diagonal(overlaps, 0.0)
         assert overlaps.max() <= 0.5 + 1e-9
         for v in states:
-            coords = mono.pauli_coords(np.outer(v, v.conj()))
+            coords = np.asarray(mono.pauli_coords(np.outer(v, v.conj())))
             signs = np.abs(np.abs(coords) - 1.0) <= 1e-9
             assert signs.sum() == 2**n
             assert np.abs(coords[~signs]).max() <= 1e-9
@@ -506,15 +507,37 @@ class TestRobustnessLP:
         assert np.sum(np.abs(q)) == pytest.approx(R2, abs=1e-7)
 
 
-def symmetry_cases():
-    """(rho, shape of the LP reaching the simplex): copies, a pair with a third, three factors.
+def coords_matrix(n):
+    """mono._stabilizer_coords(n) as a dense 4^n x N array, one column per state."""
+    states = mono._stabilizer_coords(n)
+    out = np.zeros((4**n, len(states)))
+    for j, codes in enumerate(states):
+        for code in codes:
+            out[code >> 1, j] = -1.0 if code & 1 else 1.0
+    return out
 
-    The reduced matrix depends only on the group, so both three-copy cases
-    share 20 rows and 234 columns, each with its negation.
+
+def named_copies(name, alpha, n):
+    return reduce(np.kron, [BlochState.named(name).scaled(alpha).density()] * n)
+
+
+def symmetry_cases():
+    """(rho, shape of the LP reaching the simplex): copies, a pair with a third,
+    three factors, and three copies of the benchmark's named states.
+
+    A random state is fixed by no single-qubit Clifford but the identity, so
+    its group is the qubit permutations that fix rho: the reduced matrix
+    depends only on that group, and both random three-copy cases share 20
+    rows and 234 columns, each with its negation.  H and T copies are also
+    fixed by the Clifford that swaps two Bloch axes and flips the third, and
+    F copies by the two cyclic axis permutations.
     """
     rng = np.random.default_rng(91)
     r, s, t = (random_bloch(rng, radius=0.9).density() for _ in range(3))
     return [
+        pytest.param(named_copies("H", 0.9, 3), (10, 228), id="H^3"),
+        pytest.param(named_copies("T", 0.85, 3), (10, 228), id="T^3"),
+        pytest.param(named_copies("F", 0.95, 3), (8, 152), id="F^3"),
         pytest.param(np.kron(r, r), (10, 70), id="rho^2"),
         pytest.param(np.kron(np.kron(r, r), r), (20, 468), id="rho^3"),
         pytest.param(np.kron(np.kron(s, s), s), (20, 468), id="sigma^3"),
@@ -531,12 +554,13 @@ class TestRobustnessReduction:
         b = mono.pauli_coords(rho)
         _, _, want = _simplex.solve_lp(np.hstack([cols, -cols]), b, np.ones(2 * cols.shape[1]))
         R, q, cert = mono.robustness_lp(rho)
+        q, witness = np.asarray(q), np.asarray(cert["witness_coords"])
         assert R == pytest.approx(want, rel=1e-9, abs=1e-9)
         # the lifted weights reproduce rho on every coordinate from all the states
         assert q.shape == (cols.shape[1],)
         assert cols @ q == pytest.approx(b, abs=1e-7)
         assert np.sum(np.abs(q)) == pytest.approx(R, abs=1e-7)
-        assert cert["witness_coords"].shape == (4**n,)
+        assert witness.shape == (4**n,)
         assert abs(cert["duality_gap"]) <= 1e-7
         assert cert["feasibility_defect"] <= 1e-7
 
@@ -547,6 +571,7 @@ class TestRobustnessReduction:
         monkeypatch.setattr(_simplex, "solve_lp", lambda A, b, c: seen.append(A) or solve(A, b, c))
         mono.robustness_lp(rho)
         (A,) = seen
+        A = np.asarray(A)
         assert A.shape == shape
         n = int(np.log2(rho.shape[0]))
         if shape[0] == 4**n:
@@ -554,10 +579,30 @@ class TestRobustnessReduction:
             cols = np.rint(unreduced_columns(n))
             assert np.array_equal(A, np.hstack([cols, -cols]))
 
+    @pytest.mark.parametrize("name,alpha,orders", [("H", 0.9, (2, 4, 12)), ("T", 0.85, (2, 4, 12)),
+                                                   ("F", 0.95, (3, 6, 18))])
+    def test_symmetry_group_orders(self, name, alpha, orders):
+        # the Bloch-axis symmetries of the state times the qubit permutations
+        for n, order in zip((1, 2, 3), orders):
+            b = mono.pauli_coords(named_copies(name, alpha, n))
+            assert len(mono._fixing_permutations(b, n)) == order
+
+    @pytest.mark.parametrize("name,alpha", [("H", 0.9), ("F", 0.95)])
+    def test_symmetries_fix_rho_and_permute_the_stabilizer_states(self, name, alpha):
+        n = 3
+        b = np.asarray(mono.pauli_coords(named_copies(name, alpha, n)))
+        cols = coords_matrix(n)
+        states = {c.tobytes() for c in cols.T}
+        for image, sign in mono._fixing_permutations(list(b), n):
+            image, sign = list(image), np.asarray(sign)
+            assert np.abs(b[image] - sign * b).max() <= 1e-12
+            moved = np.zeros_like(cols)
+            moved[image] = sign[:, None] * cols + 0.0  # no -0.0 in the keys
+            assert {c.tobytes() for c in moved.T} == states
+
     def test_batched_columns_match_one_state_at_a_time(self):
         for n in (1, 2, 3):
-            got = mono._stabilizer_coords(n)
-            assert got.dtype == np.int8
+            got = coords_matrix(n)
             assert np.array_equal(got, np.rint(unreduced_columns(n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -566,7 +611,7 @@ class TestRobustnessReduction:
                          for v in do.enumerate_stabilizer_states(n)], axis=1)
         assert np.abs(want.imag).max() <= 1e-12
         assert np.abs(want.real - np.rint(want.real)).max() <= 1e-12
-        assert np.array_equal(mono._stabilizer_coords(n), np.rint(want.real))
+        assert np.array_equal(coords_matrix(n), np.rint(want.real))
 
     # (image, sign) per letter word, as read off stab_core's conjugation rules
     # before the Pauli algebra had a module of its own
@@ -579,7 +624,7 @@ class TestRobustnessReduction:
 
     @pytest.mark.parametrize("name,width", sorted(LETTER_ACTIONS))
     def test_letter_action_tables(self, name, width):
-        image, sign = mono._letter_action(name, width)
+        image, sign = (np.asarray(x) for x in mono._pauli_action((name, *range(width)), width))
         assert (image.tolist(), sign.tolist()) == self.LETTER_ACTIONS[name, width]
         words = ["".join(w) for w in itertools.product("IXYZ", repeat=width)]
         U = do.GATE_MATRICES[name]

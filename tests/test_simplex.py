@@ -1,4 +1,4 @@
-"""Direct checks of the dense simplex against scipy's HiGHS."""
+"""Direct checks of the pure-Python simplex against scipy's HiGHS."""
 
 import functools
 
@@ -24,23 +24,28 @@ def random_lp(seed):
     return A, b, c
 
 
-def robustness_lp_3q():
-    """The unreduced equality form of the robustness LP for three T(0.85) copies.
-
-    monotones.robustness_lp solves this LP over the qubit permutations that
-    fix rho, with 20 rows; the full 64 x 2160 form stays here as a problem
-    large enough to cross the simplex's refactorizations.
-    """
-    t = mt.BlochState.named("T")
-    rho1 = mt.BlochState(0.85 * t.bx, 0.85 * t.by, 0.85 * t.bz).density()
-    states = do.enumerate_stabilizer_states(3)
+def unreduced_robustness_lp(blochs):
+    """The unreduced equality form of the robustness LP for a product state:
+    one row per Pauli and one column per stabilizer state, next to its negation."""
+    states = do.enumerate_stabilizer_states(len(blochs))
     cols = np.stack([mt.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1)
-    b = mt.pauli_coords(functools.reduce(np.kron, [rho1] * 3))
+    b = mt.pauli_coords(functools.reduce(np.kron, [s.density() for s in blochs]))
     return np.hstack([cols, -cols]), b, np.ones(2 * cols.shape[1])
 
 
+def robustness_lp_3q():
+    """The unreduced robustness LP for three T(0.85) copies.
+
+    monotones.robustness_lp solves this LP over the Clifford symmetries that
+    fix rho, with 10 rows; the full 64 x 2160 form stays here as a problem
+    large enough to cross the simplex's refactorizations.
+    """
+    t = mt.BlochState.named("T")
+    return unreduced_robustness_lp([mt.BlochState(0.85 * t.bx, 0.85 * t.by, 0.85 * t.bz)] * 3)
+
+
 def assert_optimal(A, b, c):
-    x, y, obj = _simplex.solve_lp(A, b, c)
+    x, y, obj = (np.asarray(v) for v in _simplex.solve_lp(A, b, c))
     ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert obj == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
@@ -85,3 +90,27 @@ def test_unbounded_raises():
     A = np.array([[1.0, -1.0]])
     with pytest.raises(_simplex.LPError, match="unbounded"):
         _simplex.solve_lp(A, np.array([1.0]), np.array([0.0, -1.0]))
+
+
+def random_product_3q():
+    rng = np.random.default_rng(95)
+    blochs = []
+    for _ in range(3):
+        v = rng.normal(size=3)
+        blochs.append(mt.BlochState(*(0.9 * v / np.linalg.norm(v))))
+    return blochs
+
+
+@pytest.mark.parametrize("blochs", [
+    *(pytest.param([mt.BlochState.named(name).scaled(alpha)] * n, id=f"{name}({alpha})^{n}")
+      for name, alpha in (("H", 0.9), ("T", 0.85), ("F", 0.95)) for n in (1, 2, 3)),
+    pytest.param(random_product_3q(), id="random-3q"),
+])
+def test_robustness_lp_matches_highs_on_the_unreduced_lp(blochs):
+    A, b, c = unreduced_robustness_lp(blochs)
+    ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    R, _, cert = mt.robustness_lp(functools.reduce(np.kron, [s.density() for s in blochs]))
+    assert R == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+    assert abs(cert["duality_gap"]) <= 1e-9
+    assert cert["feasibility_defect"] <= 1e-9
