@@ -338,7 +338,7 @@ def _stabilizer_coords(n: int) -> tuple[frozenset, ...]:
     return tuple(found)
 
 
-def _fixing_permutations(b: list[float], n: int) -> list[tuple[list[int], list[int]]]:
+def _clifford_symmetries(b: list[float], n: int) -> list[tuple[list[int], list[int]]]:
     """The symmetries of rho among "the same single-qubit Clifford on every
     qubit, then a qubit permutation", 24 n! candidates, as (image, sign)
     with b[image[a]] = sign[a] b[a] on its Pauli coordinates b.  The 24 are
@@ -374,7 +374,7 @@ def robustness_lp(rho) -> tuple[float, list[float], dict]:
     feasibility defect and the duality gap.
 
     The LP is solved over the Clifford symmetries G of rho found by
-    _fixing_permutations (Heinrich and Gross, arXiv:1807.10296), which
+    _clifford_symmetries (Heinrich and Gross, arXiv:1807.10296), which
     permute the stabilizer states, so an optimal q may be averaged over G.
     One row is kept per Pauli orbit of G, signed relative to its smallest
     member, and dropped if it holds both +P and -P (then 0 = 0); each state's
@@ -395,7 +395,7 @@ def robustness_lp(rho) -> tuple[float, list[float], dict]:
         raise ValueError("input must be Hermitian")
     states = _stabilizer_coords(n)
     b = pauli_coords(rows)
-    group = _fixing_permutations(b, n)
+    group = _clifford_symmetries(b, n)
     orbits = []  # (representative, {member: sign relative to it})
     row_of = [None] * (2 * 4**n)  # code -> (its orbit's row, signed entry), () if dropped
     for a in range(4**n):

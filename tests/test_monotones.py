@@ -2,7 +2,7 @@
 extent, equimagical parts, LP."""
 
 import itertools
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -427,8 +427,10 @@ def pauli_traces(op):
                      for word in itertools.product("IXYZ", repeat=n)])
 
 
+@lru_cache(maxsize=None)
 def unreduced_columns(n):
-    """Pauli coordinates of every enumerated stabilizer state, one state at a time."""
+    """Pauli coordinates of every enumerated stabilizer state, one state at a time
+    (cached: callers read it and never write to it)."""
     states = do.enumerate_stabilizer_states(n)
     return np.stack([mono.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1)
 
@@ -549,10 +551,16 @@ def symmetry_cases():
 class TestRobustnessReduction:
     @pytest.mark.parametrize("rho,shape", symmetry_cases())
     def test_reduced_matches_unreduced(self, rho, shape):
+        # the reference is HiGHS on the unreduced LP: the pure-Python solver
+        # takes seconds on 64 x 2160, and test_simplex already checks it there
+        optimize = pytest.importorskip("scipy.optimize")
         n = int(np.log2(rho.shape[0]))
-        cols = unreduced_columns(n)
+        cols = np.rint(unreduced_columns(n))
         b = mono.pauli_coords(rho)
-        _, _, want = _simplex.solve_lp(np.hstack([cols, -cols]), b, np.ones(2 * cols.shape[1]))
+        ref = optimize.linprog(np.ones(2 * cols.shape[1]), A_eq=np.hstack([cols, -cols]), b_eq=b,
+                               bounds=(0, None), method="highs")
+        assert ref.status == 0
+        want = ref.fun
         R, q, cert = mono.robustness_lp(rho)
         q, witness = np.asarray(q), np.asarray(cert["witness_coords"])
         assert R == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -585,7 +593,7 @@ class TestRobustnessReduction:
         # the Bloch-axis symmetries of the state times the qubit permutations
         for n, order in zip((1, 2, 3), orders):
             b = mono.pauli_coords(named_copies(name, alpha, n))
-            assert len(mono._fixing_permutations(b, n)) == order
+            assert len(mono._clifford_symmetries(b, n)) == order
 
     @pytest.mark.parametrize("name,alpha", [("H", 0.9), ("F", 0.95)])
     def test_symmetries_fix_rho_and_permute_the_stabilizer_states(self, name, alpha):
@@ -593,7 +601,7 @@ class TestRobustnessReduction:
         b = np.asarray(mono.pauli_coords(named_copies(name, alpha, n)))
         cols = coords_matrix(n)
         states = {c.tobytes() for c in cols.T}
-        for image, sign in mono._fixing_permutations(list(b), n):
+        for image, sign in mono._clifford_symmetries(list(b), n):
             image, sign = list(image), np.asarray(sign)
             assert np.abs(b[image] - sign * b).max() <= 1e-12
             moved = np.zeros_like(cols)
@@ -602,6 +610,10 @@ class TestRobustnessReduction:
 
     def test_batched_columns_match_one_state_at_a_time(self):
         for n in (1, 2, 3):
+            for codes in mono._stabilizer_coords(n):
+                # 2^n integer codes on 2^n distinct Paulis: none overwrites another below
+                assert all(isinstance(c, int) for c in codes)
+                assert len({c >> 1 for c in codes}) == len(codes) == 2**n
             got = coords_matrix(n)
             assert np.array_equal(got, np.rint(unreduced_columns(n)))
 

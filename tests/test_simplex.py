@@ -28,7 +28,8 @@ def unreduced_robustness_lp(blochs):
     """The unreduced equality form of the robustness LP for a product state:
     one row per Pauli and one column per stabilizer state, next to its negation."""
     states = do.enumerate_stabilizer_states(len(blochs))
-    cols = np.stack([mt.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1)
+    # rounded: the oracle's ~1e-17 noise would make every column dense for the solver
+    cols = np.rint(np.stack([mt.pauli_coords(np.outer(v, v.conj())) for v in states], axis=1))
     b = mt.pauli_coords(functools.reduce(np.kron, [s.density() for s in blochs]))
     return np.hstack([cols, -cols]), b, np.ones(2 * cols.shape[1])
 
