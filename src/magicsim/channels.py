@@ -277,11 +277,9 @@ def _completeness_defect(n: int, unitary_part, kraus_part) -> float:
         lo = n if transpose else 0
         gens = []
         for op, sign in proj.generators:
-            x, z = np.zeros(2 * n, dtype=bool), np.zeros(2 * n, dtype=bool)
-            x[lo:lo + n], z[lo:lo + n] = op.x, op.z
-            if transpose and np.count_nonzero(op.x & op.z) & 1:
+            if transpose and (op.x & op.z).bit_count() & 1:
                 sign = -sign
-            gens.append((sc.PauliOp(x, z, op.k), sign))
+            gens.append((sc.PauliOp(2 * n, op.x << lo, op.z << lo, op.k), sign))
         return sc.StabProjector(2 * n, gens)
 
     bell = sc.apply_circuit(sc.zero_state(2 * n), [g for q in range(n) for g in (("H", q), ("CX", q, q + n))])

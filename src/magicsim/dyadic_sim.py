@@ -41,9 +41,9 @@ import numpy as np
 from . import stab_core as sc
 from ._util import CHUNK, kahan_sum, run_chunked, sample_rng
 from .channels import ChannelError, Dyad, DyadicDecomposition, StabKraus, _JointTerms
+from .pauli import _I_POW, _set_bits
 
 _P0_TOL = 1e-12
-_I_POW = (1, 1j, -1, -1j)
 # refused before any sampling: at ~16 us per sample this is still over four hours
 MAX_SAMPLES = 10**9
 # roots kept per block and process with their trees; a root drawn past this
@@ -112,7 +112,7 @@ def _pauli_terms(measurement) -> list[tuple[float, sc.PauliOp]]:
         return [(1.0, measurement)]
     terms = [sc.PauliOp.identity(measurement.n)]
     for op, sign in measurement.generators:
-        signed = sc.PauliOp(op.x, op.z, op.k + 1 - sign)
+        signed = sc.PauliOp(op.n, op.x, op.z, op.k + 1 - sign)
         terms += [t.mul(signed) for t in terms]
     return [(2.0**-measurement.h, t) for t in terms]
 
@@ -137,7 +137,7 @@ def _support(chan) -> set[int]:
     for _, k in chan.kraus_part:
         qubits.update(t for g in k.circuit for t in g[1:])
         for op, _ in k.proj.generators:
-            qubits.update(np.flatnonzero(op.x | op.z).tolist())
+            qubits.update(_set_bits(op.x | op.z))
     return qubits
 
 
@@ -157,10 +157,15 @@ def _restrict(chan, qubits: list[int]):
 
     kraus = []
     for q, k in chan.kraus_part:
-        gens = [(sc.PauliOp(op.x[qubits], op.z[qubits], op.k), sign)
+        gens = [(sc.PauliOp(len(qubits), _gather(op.x, qubits), _gather(op.z, qubits), op.k), sign)
                 for op, sign in k.proj.generators]
         kraus.append((q, StabKraus(k.h, sc.StabProjector(len(qubits), gens), relabel(k.circuit))))
     return _Local(tuple((p, relabel(gates)) for p, gates in chan.unitary_part), tuple(kraus))
+
+
+def _gather(mask: int, qubits: list[int]) -> int:
+    """The bits of mask at the listed qubits, bit i taken from qubit qubits[i]."""
+    return sum((mask >> q & 1) << i for i, q in enumerate(qubits))
 
 
 class _Block:
@@ -430,15 +435,15 @@ def _block_keys(blocks: list[_Block], pulled: list) -> list:
     """Per block: each pulled-back Pauli's key number, and the distinct (key, operator) pairs.
 
     A pulled-back Pauli i^k X^x Z^z gives block b the part X^x_b Z^z_b,
-    keyed by content; i^k multiplies the product of the block values.
+    keyed by its masks (x_b, z_b); i^k multiplies the product of the block
+    values.  Keys are numbered in order of first appearance.
     """
-    n = sum(len(block.qubits) for block in blocks)
-    codes = np.array([2 * p.x + p.z for p in pulled], dtype=np.uint8).reshape(len(pulled), n)
     out = []
     for block in blocks:
-        part = codes[:, block.qubits]
-        first, of_pulled = _distinct_rows(part)
-        keys = [(row.tobytes(), sc.PauliOp(row >> 1, row & 1)) for row in part[first]]
+        number: dict[tuple[int, int], int] = {}
+        of_pulled = np.array([number.setdefault((_gather(p.x, block.qubits), _gather(p.z, block.qubits)),
+                                                len(number)) for p in pulled], dtype=np.int64)
+        keys = [(key, sc.PauliOp(len(block.qubits), *key)) for key in number]
         out.append((of_pulled, keys))
     return out
 

@@ -1,6 +1,7 @@
 """Clifford gate names, target checks and the one rule set for U^dag P U on
-the i^k X^x Z^z form of a Pauli, on plain bit lists: pauli wraps it for
-PauliOp, and monotones reads it without loading numpy.
+the i^k X^x Z^z form of a Pauli, with x and z as bit-mask ints, bit q for
+qubit q: pauli wraps it for PauliOp, and monotones reads it without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -21,39 +22,41 @@ def check_gate(gate: tuple, n: int) -> None:
         raise ValueError(f"gate {tuple(gate)!r} needs distinct targets in 0..{n - 1}")
 
 
-def conjugate_bits(x: list, z: list, k: int, gates) -> int:
-    """Conjugate i^k X^x Z^z by the circuit U applying checked gates in order,
-    undoing them last first by symplectic rules (Aaronson and Gottesman,
-    arXiv:quant-ph/0406196): x and z change in place, the new k is returned."""
+def conjugate_bits(x: int, z: int, k: int, gates) -> tuple[int, int, int]:
+    """(x, z, k) of U^dag i^k X^x Z^z U for the circuit U applying checked
+    gates in order, undoing them last first by symplectic rules (Aaronson and
+    Gottesman, arXiv:quant-ph/0406196); k is not reduced mod 4."""
     for gate in reversed(gates):
-        name, a = gate[0], gate[1]
+        name, a = gate[0], int(gate[1])
+        xa, za = x >> a & 1, z >> a & 1
         if name == "H":
             # H X^x Z^z H = Z^x X^z = (-1)^{xz} X^z Z^x
-            k += 2 * (x[a] & z[a])
-            x[a], z[a] = z[a], x[a]
+            k += 2 * (xa & za)
+            x, z = x ^ (xa ^ za) << a, z ^ (xa ^ za) << a
         elif name == "S":
             # S^dag X S = -i X Z
-            k += 3 * x[a]
-            z[a] ^= x[a]
+            k += 3 * xa
+            z ^= xa << a
         elif name == "SDG":
-            k += x[a]
-            z[a] ^= x[a]
+            k += xa
+            z ^= xa << a
         elif name == "X":
-            k += 2 * z[a]
+            k += 2 * za
         elif name == "Y":
-            k += 2 * (x[a] ^ z[a])
+            k += 2 * (xa ^ za)
         elif name == "Z":
-            k += 2 * x[a]
+            k += 2 * xa
         else:
-            b = gate[2]
+            b = int(gate[2])
+            xb, zb = x >> b & 1, z >> b & 1
             if name == "CX":
-                x[b] ^= x[a]
-                z[a] ^= z[b]
+                x ^= xa << b
+                z ^= zb << a
             elif name == "CZ":
                 # CZ X_a CZ = X_a Z_b, and X_a Z_b X_b Z_a = -X_a X_b Z_a Z_b
-                k += 2 * (x[a] & x[b])
-                z[a] ^= x[b]
-                z[b] ^= x[a]
+                k += 2 * (xa & xb)
+                z ^= xb << a | xa << b
             else:
-                x[a], x[b], z[a], z[b] = x[b], x[a], z[b], z[a]
-    return k
+                both = 1 << a | 1 << b
+                x, z = x ^ (xa ^ xb) * both, z ^ (za ^ zb) * both
+    return x, z, k

@@ -65,11 +65,17 @@ class BlochState:
         self.bx = float(bx)
         self.by = float(by)
         self.bz = float(bz)
+        # checked before squaring, so an overflow or a NaN cannot slip past; NaN fails <=
+        if not (abs(self.bx) <= 1.0 + _NORM_TOL and abs(self.by) <= 1.0 + _NORM_TOL
+                and abs(self.bz) <= 1.0 + _NORM_TOL):
+            raise ValueError("Bloch components must be finite and at most 1 in magnitude")
         if self.norm_sq() > 1.0 + _NORM_TOL:
             raise ValueError("Bloch vector lies outside the unit ball")
 
     @classmethod
     def named(cls, name: str) -> "BlochState":
+        if not isinstance(name, str):
+            raise ValueError(f"state name must be a string, got {name!r}")
         try:
             return cls(*_NAMED_BLOCH[name])
         except KeyError:
@@ -295,11 +301,11 @@ def _pauli_action(gate: tuple, n: int) -> tuple[list[int], list[int]]:
     Paulis a, for the gate U, read off gate_rules."""
     image, sign = [], []
     for a in range(4**n):
-        x, z = (list(bits) for bits in zip(*(_LETTER_XZ[l] for l in _letters(a, n))))
+        x, z = (sum(_LETTER_XZ[l][i] << q for q, l in enumerate(_letters(a, n))) for i in (0, 1))
         # each letter Y = i X Z carries one power of i, before and after
-        k = conjugate_bits(x, z, sum(map(min, x, z)), [gate]) - sum(map(min, x, z))
-        image.append(sum(_LETTER_XZ.index(xz) << 2 * (n - 1 - q) for q, xz in enumerate(zip(x, z))))
-        sign.append(1 if k % 4 == 0 else -1)
+        x, z, k = conjugate_bits(x, z, (x & z).bit_count(), [gate])
+        image.append(sum(_LETTER_XZ.index((x >> q & 1, z >> q & 1)) << 2 * (n - 1 - q) for q in range(n)))
+        sign.append(1 if (k - (x & z).bit_count()) % 4 == 0 else -1)
     return image, sign
 
 

@@ -1,17 +1,16 @@
 """Pauli operators, stabilizer projectors and their conjugation by Clifford gates.
 
-The forms stab_core projects with, over the rules of gate_rules; nothing
-here builds a state, so a process that only conjugates Paulis compiles none
-of the CH-form engine.
+A Pauli is held as i^k X^x Z^z with x and z bit-mask ints, bit q for qubit
+q, the form gate_rules conjugates.  The forms stab_core projects with; nothing
+here builds a state or loads numpy, so a process that only conjugates Paulis
+compiles none of the CH-form engine.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .gate_rules import _GATE_ARITY, check_gate, conjugate_bits
 
-_I_POW = np.array([1.0 + 0j, 1j, -1.0 + 0j, -1j])
+_I_POW = (1, 1j, -1, -1j)
 
 GATE_NAMES = tuple(_GATE_ARITY)
 
@@ -19,8 +18,9 @@ _LETTER_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
 
-def _parity(bits: np.ndarray) -> int:
-    return int(np.count_nonzero(bits)) & 1
+def _set_bits(mask: int) -> list[int]:
+    """The positions of mask's set bits, lowest first."""
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
 
 
 class PauliOp:
@@ -28,39 +28,32 @@ class PauliOp:
 
     The operator equals phase * (tensor product of letters), with letter Y
     understood as the usual Hermitian Y.  Internally the operator is held as
-    i^k X^x Z^z, which composes with a plain symplectic phase rule.
+    i^k X^x Z^z, x and z being non-negative ints with bit q for qubit q, which
+    composes with a plain symplectic phase rule.
     """
 
-    __slots__ = ("x", "z", "k")
+    __slots__ = ("n", "x", "z", "k")
 
-    def __init__(self, x: np.ndarray, z: np.ndarray, k: int = 0):
-        self.x = np.asarray(x, dtype=bool)
-        self.z = np.asarray(z, dtype=bool)
-        if self.x.shape != self.z.shape or self.x.ndim != 1:
-            raise ValueError("x and z must be equal-length 1-d bit arrays")
-        self.k = k % 4
-
-    @property
-    def n(self) -> int:
-        return self.x.size
+    def __init__(self, n: int, x: int, z: int, k: int = 0):
+        if x < 0 or z < 0 or (x | z) >> n:
+            raise ValueError(f"x and z must be bit masks of {n} qubits")
+        self.n, self.x, self.z, self.k = n, x, z, k % 4
 
     @classmethod
     def identity(cls, n: int) -> "PauliOp":
-        return cls(np.zeros(n, bool), np.zeros(n, bool), 0)
+        return cls(n, 0, 0, 0)
 
     @classmethod
     def from_letters(cls, letters: str, phase: complex = 1) -> "PauliOp":
-        x = np.zeros(len(letters), bool)
-        z = np.zeros(len(letters), bool)
+        x = z = 0
         for j, ch in enumerate(letters.upper()):
             try:
-                x[j], z[j] = _LETTER_TO_XZ[ch]
+                xj, zj = _LETTER_TO_XZ[ch]
             except KeyError:
                 raise ValueError(f"unknown Pauli letter {ch!r}") from None
-        kp = _phase_to_pow(phase)
+            x, z = x | xj << j, z | zj << j
         # letters convention: Y = i X Z, so each Y contributes one factor of i
-        y_count = int(np.count_nonzero(x & z))
-        return cls(x, z, kp + y_count)
+        return cls(len(letters), x, z, _phase_to_pow(phase) + (x & z).bit_count())
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str, phase: complex = 1) -> "PauliOp":
@@ -70,33 +63,27 @@ class PauliOp:
 
     @property
     def phase(self) -> complex:
-        y_count = int(np.count_nonzero(self.x & self.z))
-        return complex(_I_POW[(self.k - y_count) % 4])
+        return complex(_I_POW[(self.k - (self.x & self.z).bit_count()) % 4])
 
     def is_hermitian(self) -> bool:
-        y_count = int(np.count_nonzero(self.x & self.z))
-        return (self.k - y_count) % 2 == 0
+        return (self.k - (self.x & self.z).bit_count()) % 2 == 0
 
     def mul(self, other: "PauliOp") -> "PauliOp":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
         # Z^z1 X^x2 = (-1)^{z1.x2} X^x2 Z^z1
-        k = self.k + other.k + 2 * _parity(self.z & other.x)
-        return PauliOp(self.x ^ other.x, self.z ^ other.z, k)
+        k = self.k + other.k + 2 * (self.z & other.x).bit_count()
+        return PauliOp(self.n, self.x ^ other.x, self.z ^ other.z, k)
 
     def commutes(self, other: "PauliOp") -> bool:
-        return (_parity(self.x & other.z) + _parity(self.z & other.x)) % 2 == 0
+        return ((self.x & other.z).bit_count() + (self.z & other.x).bit_count()) % 2 == 0
 
     def letters(self) -> str:
-        return "".join(_XZ_TO_LETTER[(int(a), int(b))] for a, b in zip(self.x, self.z))
+        return "".join(_XZ_TO_LETTER[self.x >> q & 1, self.z >> q & 1] for q in range(self.n))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PauliOp)
-            and self.k == other.k
-            and bool(np.array_equal(self.x, other.x))
-            and bool(np.array_equal(self.z, other.z))
-        )
+        return (isinstance(other, PauliOp)
+                and (self.n, self.x, self.z, self.k) == (other.n, other.x, other.z, other.k))
 
     def __repr__(self) -> str:
         ph = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[complex(self.phase)]
@@ -135,10 +122,8 @@ class StabProjector:
             for j in range(i + 1, len(gens)):
                 if not gens[i][0].commutes(gens[j][0]):
                     raise ValueError("projector generators must commute")
-        if gens:
-            rows = np.array([np.concatenate([op.x, op.z]) for op, _ in gens])
-            if len(_echelon(_bit_rows(rows))) != len(gens):
-                raise ValueError("projector generators must be independent")
+        if len(_echelon([op.x | op.z << n for op, _ in gens])) != len(gens):
+            raise ValueError("projector generators must be independent")
         self.generators = tuple(gens)
 
     @property
@@ -172,16 +157,7 @@ def conjugate_pauli(p: PauliOp, gates) -> PauliOp:
 
 def _conjugate_pauli_unchecked(p: PauliOp, gates) -> PauliOp:
     """conjugate_pauli for gates already checked, as a channel's are."""
-    x, z = p.x.tolist(), p.z.tolist()
-    k = conjugate_bits(x, z, p.k, gates)
-    return PauliOp(np.array(x, dtype=bool), np.array(z, dtype=bool), k)
-
-
-def _bit_rows(mat: np.ndarray) -> list[int]:
-    """Rows of a 0/1 matrix as ints, column j at bit j."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+    return PauliOp(p.n, *conjugate_bits(p.x, p.z, p.k, gates))
 
 
 def _echelon(rows: list[int]) -> list[tuple[int, int]]:

@@ -115,7 +115,7 @@ class _TermSet:
                     w1 = np.arange(2 ** (k - 1), 2**k)[:, None] >> np.arange(k) & 1
                     y = (w1 @ f.Y.T) & 1
                     expo = y @ f.L + 2 * np.sum((y @ f.T) * y, axis=1)
-                    rows[j, y @ place] = f.c * sc._I_POW[expo & 3]
+                    rows[j, y @ place] = f.c * np.take(sc._I_POW, expo & 3)
             self._dense = rows
         return self._dense
 

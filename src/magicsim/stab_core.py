@@ -11,6 +11,9 @@ tracked through three n x n binary matrices G, F, M and a mod-4 vector g:
     U_C^dag Z_p U_C = Z^{G[p,:]}
     U_C^dag X_p U_C = i^{g[p]} X^{F[p,:]} Z^{M[p,:]}
 
+The tableau rows are bool arrays.  A Pauli comes as pauli's i^k X^x Z^z with
+bit-mask ints x and z, and its image is the XOR of the rows at its set bits.
+
 The scalar is exact for every Clifford operation and Pauli projection: it is
 stored as an integer power of sqrt(2), an eighth root of unity, and a residual
 complex factor that only changes when a caller explicitly multiplies a phase
@@ -34,11 +37,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import (GATE_NAMES, PauliOp, StabProjector, _bit_rows, _conjugate_pauli_unchecked,
-                    _echelon, _I_POW, _parity, check_gate, conjugate_pauli)
+from .pauli import (GATE_NAMES, PauliOp, StabProjector, _conjugate_pauli_unchecked, _echelon, _I_POW,
+                    _set_bits, check_gate, conjugate_pauli)
 
 # exp(i*pi/4*k) for k = 0..7; even entries are exact in floating point
 _W8 = np.array([np.exp(1j * np.pi / 4 * k) for k in range(8)])
+
+
+def _parity(bits: np.ndarray) -> int:
+    return int(np.count_nonzero(bits)) & 1
+
+
+def _bit_rows(mat: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as ints, column j at bit j."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
 
 
 class StabState:
@@ -327,10 +341,10 @@ def apply_pauli(state: StabState, p: PauliOp) -> StabState:
     if p.n != state.n:
         raise ValueError("dimension mismatch")
     out = state.copy()
-    for q in np.flatnonzero(p.z):
-        out._z_gate(int(q))
-    for q in np.flatnonzero(p.x):
-        out._x_gate(int(q))
+    for q in _set_bits(p.z):
+        out._z_gate(q)
+    for q in _set_bits(p.x):
+        out._x_gate(q)
     out._mul_i_pow(p.k)
     return out
 
@@ -363,11 +377,11 @@ def _pauli_image(state: StabState, p: PauliOp) -> tuple[np.ndarray, np.ndarray, 
     rx = np.zeros(state.n, dtype=bool)
     rz = np.zeros(state.n, dtype=bool)
     rk = p.k
-    for q in np.flatnonzero(p.x):
+    for q in _set_bits(p.x):
         rk = (rk + 2 * _parity(rz & state.F[q]) + int(state.g[q])) % 4
         rx ^= state.F[q]
         rz ^= state.M[q]
-    for q in np.flatnonzero(p.z):
+    for q in _set_bits(p.z):
         rz ^= state.G[q]
     # commute through the Hadamard layer: swap x/z on v qubits
     rk = (rk + 2 * _parity(rx & rz & state.v)) % 4

@@ -595,7 +595,33 @@ MALFORMED_CHANNEL_DOCS = {
 }
 
 
+# product factors that once ended in a traceback or an internal error
+MALFORMED_STATE_DOCS = {
+    "named-not-string": ("estimate", {"state": {"product": [{"named": [0]}]},
+                                      "measurement": {"pauli": "Z"}}),
+    "alpha-overflow": ("monotone", {"state": {"product": [{"named": "H", "alpha": 1e308}]}}),
+    "alpha-nan": ("monotone", {"state": {"product": [{"named": "T", "alpha": math.nan}]}}),
+    "bloch-overflow": ("sample", {"state": {"product": [[1e308, 0.0, 0.0]]}}),
+}
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STATE_DOCS))
+    def test_malformed_state_is_validation_error(self, capsys, tmp_path, case):
+        subcommand, doc = MALFORMED_STATE_DOCS[case]
+        rc, out, err = run_cli(capsys, subcommand, "--input", write_doc(tmp_path, doc))
+        assert (rc, out) == (2, "")
+        diag = json.loads(err)
+        assert_schema(diag, "error")
+        assert diag["error"]["kind"] == "validation"
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+    def test_out_of_range_alpha_flag_is_validation_error(self, capsys, alpha):
+        rc, out, err = run_cli(capsys, "monotone", "--state", "H", f"--alpha={alpha}")
+        assert (rc, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "kind": "validation", "message": "Bloch components must be finite and at most 1 in magnitude"}
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHANNEL_DOCS))
     def test_malformed_channel_entry_is_validation_error(self, capsys, tmp_path, case):
         subcommand, doc = MALFORMED_CHANNEL_DOCS[case]

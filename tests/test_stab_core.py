@@ -252,16 +252,16 @@ def test_conjugate_pauli_matches_dense(name):
 
 
 def test_conjugate_pauli_round_trip_wide():
-    # conjugating by U and then by U^dag returns the Pauli with its phase
-    rng = np.random.default_rng(41)
-    n = 40
-    gates = [random_gate(rng, n) for _ in range(400)]
-    inverse = [({"S": "SDG", "SDG": "S"}.get(g[0], g[0]), *g[1:]) for g in reversed(gates)]
-    for _ in range(10):
-        p = random_pauli(rng, n, hermitian=False)
-        there = sc.conjugate_pauli(p, gates)
-        assert there != p
-        assert sc.conjugate_pauli(there, inverse) == p
+    # conjugating by U and then by U^dag returns the Pauli with its phase; n=100 needs masks past 64 bits
+    for n in (40, 100):
+        rng = np.random.default_rng(41)
+        gates = [random_gate(rng, n) for _ in range(400)]
+        inverse = [({"S": "SDG", "SDG": "S"}.get(g[0], g[0]), *g[1:]) for g in reversed(gates)]
+        for _ in range(10):
+            p = random_pauli(rng, n, hermitian=False)
+            there = sc.conjugate_pauli(p, gates)
+            assert there != p
+            assert sc.conjugate_pauli(there, inverse) == p
 
 
 def test_pauli_expectation_matches_dense():
@@ -302,6 +302,14 @@ def test_projector_validation():
         sc.StabProjector.from_strings([("XI", 1), ("ZI", 1)])  # anticommuting
     with pytest.raises(ValueError):
         sc.project_pauli(sc.zero_state(1), sc.PauliOp.from_letters("X", 1j), 1)
+
+
+def test_pauli_mask_validation():
+    # x and z hold bit q for qubit q, q < n: negative masks and bits at or above n are refused
+    assert sc.PauliOp(3, 0b011, 0b110).letters() == "XYZ"
+    for x, z in [(-1, 0), (0, -2), (0b100, 0), (0, 1 << 70)]:
+        with pytest.raises(ValueError):
+            sc.PauliOp(2, x, z)
 
 
 def test_project_stab_matches_dense():
