@@ -562,7 +562,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, help="sample/program count where applicable")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for estimate and constrained, each walking "
-                        "one contiguous span of chunks; other subcommands ignore it")
+                        "one contiguous span of chunks; the other subcommands run in "
+                        "one process and accept only 1")
     p.add_argument("--format", choices=("json", "csv"), help="primary output format")
 
 
@@ -606,6 +607,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.workers < 1:
             raise CLIError(f"workers must be at least 1, got {args.workers}")
+        if args.workers != 1 and args.subcommand not in ("estimate", "constrained"):
+            raise CLIError(f"{args.subcommand} runs in one process, so workers must be 1, got {args.workers}")
         text, code = _DISPATCH[args.subcommand](args)
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:

@@ -46,12 +46,9 @@ def _input_lambda(states) -> float:
 
 
 def _fidelity_inv(target: str) -> float:
-    try:
-        return TARGET_FIDELITY_INV[target]
-    except KeyError:
-        raise DistillError(
-            f"unknown target {target!r}; expected one of {sorted(TARGET_FIDELITY_INV)}"
-        ) from None
+    if not isinstance(target, str) or target not in TARGET_FIDELITY_INV:
+        raise DistillError(f"unknown target {target!r}; expected one of {sorted(TARGET_FIDELITY_INV)}")
+    return TARGET_FIDELITY_INV[target]
 
 
 @dataclasses.dataclass(frozen=True)

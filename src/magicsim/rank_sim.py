@@ -5,10 +5,11 @@ k-term vector whose terms are drawn from the expansion's l1 distribution.
 Bit strings are then sampled through a chain of conditional probabilities,
 each estimated either by a randomized norm sketch over equatorial stabilizer
 states (Bravyi et al., arXiv:1808.00128) or, with norm_backend="exact", by
-exact Gram-matrix norms.  Up to six qubits the sketch reads dense amplitudes
-filled from the terms' amplitude forms, and a draw is one integer naming an
-equatorial state.  Mixed inputs are ensembles of pure decompositions sampled
-per string.
+exact Gram-matrix norms.  The sketch reads dense amplitudes filled from the
+terms' amplitude forms, and a draw is one integer naming an equatorial state,
+so it runs up to MAX_DENSE_QUBITS qubits and wider runs are refused in favour
+of the exact backend.  Mixed inputs are ensembles of pure decompositions
+sampled per string.
 """
 
 from __future__ import annotations
@@ -111,13 +112,18 @@ class _TermSet:
             for j, t in enumerate(self.terms):
                 if t is not None:
                     f = sc.amplitude_form(t)
-                    k = f.Y.shape[1]  # the rows of w1 are (w, 1) over all w
+                    k = f.r + 1  # the rows of w1 are (w, 1) over all w
                     w1 = np.arange(2 ** (k - 1), 2**k)[:, None] >> np.arange(k) & 1
-                    y = (w1 @ f.Y.T) & 1
-                    expo = y @ f.L + 2 * np.sum((y @ f.T) * y, axis=1)
+                    y = (w1 @ _unpack(f.Y, k).T) & 1
+                    expo = y @ np.array(f.L) + 2 * np.sum((y @ _unpack(f.T, self.n)) * y, axis=1)
                     rows[j, y @ place] = f.c * np.take(sc._I_POW, expo & 3)
             self._dense = rows
         return self._dense
+
+
+def _unpack(rows: list[int], width: int) -> np.ndarray:
+    """0/1 matrix of bit-mask rows, column j from bit j."""
+    return np.array(rows, dtype=np.int64)[:, None] >> np.arange(width) & 1
 
 
 class SparseDecomposition:
@@ -201,9 +207,8 @@ class SparseVector:
 
     Internally the k draws are collapsed to multiplicity counts over the
     decomposition's term set (coefficient phases absorbed), so norms reduce
-    to a quadratic form in the shared Gram matrix, and an equatorial
-    overlap is a count-weighted sum of one stab_core.overlap per distinct
-    drawn term.
+    to a quadratic form in the shared Gram matrix, and dense amplitudes to
+    a count-weighted sum of the terms' rows.
     """
 
     __slots__ = ("k", "prefactor", "counts", "_termset")
@@ -229,12 +234,6 @@ class SparseVector:
 
     def project_basis_bit(self, qubit: int, bit: int) -> "SparseVector":
         return SparseVector(self._termset.child(qubit, bit), self.counts, self.k, self.prefactor)
-
-    def equatorial_overlap(self, A: np.ndarray) -> complex:
-        """<phi_A|Omega> for the equatorial state indexed by A."""
-        phi = sc.equatorial_form(A)
-        drawn = [(t, m) for t, m in zip(self._termset.terms, self.counts) if t is not None and m]
-        return self.prefactor * sum((m * sc.overlap(phi, sc.amplitude_form(t)) for t, m in drawn), 0j)
 
 
 def sparsify(d: SparseDecomposition, k: int, seed) -> SparseVector:
@@ -300,7 +299,7 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     means, each batch averaging ceil(4/eps_fn^2) draws of the unbiased
     single-state estimate eta_A = 2^n |<phi_A|v>|^2.
 
-    For n <= 6 a draw is one uniform integer a < nd*no, naming row
+    A draw is one uniform integer a < nd*no, naming row
     d = a // no of the nd-row diagonal and row o = a % no of the no-row
     off-diagonal _equatorial_grid table.  Each batch is drawn in one call
     and only its draws are held; nd*no is a power of two, so a draw is the
@@ -311,9 +310,8 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     and a batch mean averages the entries its draws name.  A call with fewer
     draws sums each draw's exponents x^T A x from rows d and o and
     multiplies the dense vector by row slices of at most 32768 phases.
-    Wider vectors draw A's digits and bits in blocks of up to 32768, keep
-    every draw's eta and take one SparseVector.equatorial_overlap per draw,
-    an exponential sum per distinct drawn term.
+    The dense vector caps n at MAX_DENSE_QUBITS; a wider one raises
+    RankSimError before any table is built.
     """
     if not 0.0 < eps_fn <= 0.2:
         raise RankSimError("eps_fn must lie in (0, 1/5]")
@@ -323,42 +321,29 @@ def fast_norm(v: SparseVector, eps_fn: float, p_fn: float, seed) -> float:
     n = v.n
     batch, nbatches = _sketch_shape(eps_fn, p_fn)
     total = batch * nbatches
-    if n <= MAX_DENSE_QUBITS:
-        diag_table, off_table = _equatorial_grid(n)
-        nd, no = len(diag_table), len(off_table)
-        vdense = v.dense()
-        table = _equatorial_etas(diag_table, off_table, vdense) if total >= nd * no else None
-        means = []
-        for _ in range(nbatches):
-            a = rng.integers(0, nd * no, batch)
-            if table is not None:
-                means.append(table.take(a).mean())
-                continue
-            # eta_A = |sum_x (-i)^{x^T A x} v(x)|^2; the 2^n prefactor
-            # cancels against the equatorial amplitude normalization.
-            d, o = np.divmod(a, no)
-            etas = np.empty(batch)
-            # rows per product, so that no complex temporary passes 32768 entries
-            step = max(1, 32768 >> n)
-            for lo in range(0, batch, step):
-                # take copies whole rows, several times faster than fancy indexing
-                expo = diag_table.take(d[lo : lo + step], axis=0)
-                expo += off_table.take(o[lo : lo + step], axis=0)
-                etas[lo : lo + step] = np.abs(_NEG_I_POW.take(expo & 3) @ vdense) ** 2
-            means.append(etas.mean())
-        return _median(means)
-    pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
-    etas = np.empty(total)
-    for lo in range(0, total, 32768):
-        m = min(32768, total - lo)
-        diags = rng.integers(0, 4, size=(m, n))
-        offs = rng.integers(0, 2, size=(m, len(pairs)))
-        for r in range(m):
-            A = np.diag(diags[r])
-            for idx, (j, l) in enumerate(pairs):
-                A[j, l] = A[l, j] = offs[r, idx]
-            etas[lo + r] = 2.0**n * abs(v.equatorial_overlap(A)) ** 2
-    return _median([row.mean() for row in etas.reshape(nbatches, batch)])
+    vdense = v.dense()
+    diag_table, off_table = _equatorial_grid(n)
+    nd, no = len(diag_table), len(off_table)
+    table = _equatorial_etas(diag_table, off_table, vdense) if total >= nd * no else None
+    means = []
+    for _ in range(nbatches):
+        a = rng.integers(0, nd * no, batch)
+        if table is not None:
+            means.append(table.take(a).mean())
+            continue
+        # eta_A = |sum_x (-i)^{x^T A x} v(x)|^2; the 2^n prefactor
+        # cancels against the equatorial amplitude normalization.
+        d, o = np.divmod(a, no)
+        etas = np.empty(batch)
+        # rows per product, so that no complex temporary passes 32768 entries
+        step = max(1, 32768 >> n)
+        for lo in range(0, batch, step):
+            # take copies whole rows, several times faster than fancy indexing
+            expo = diag_table.take(d[lo : lo + step], axis=0)
+            expo += off_table.take(o[lo : lo + step], axis=0)
+            etas[lo : lo + step] = np.abs(_NEG_I_POW.take(expo & 3) @ vdense) ** 2
+        means.append(etas.mean())
+    return _median(means)
 
 
 def _sketch_shape(eps_fn: float, p_fn: float) -> tuple[int, int]:
@@ -434,6 +419,9 @@ def _check_run(n: int, w: int, delta: float, p_fail: float, count: int, norm_bac
         raise RankSimError("count must be at least 1")
     if norm_backend not in NORM_BACKENDS:
         raise RankSimError(f"unknown norm backend {norm_backend!r}")
+    if norm_backend == "fastnorm" and n > MAX_DENSE_QUBITS:
+        raise RankSimError(f"the fastnorm backend reads dense amplitudes and runs at most "
+                           f"{MAX_DENSE_QUBITS} qubits, not {n}; use norm_backend 'exact'")
 
 
 def _norm_budget(w: int, delta: float, p_fail: float) -> tuple[float, float]:
@@ -451,10 +439,8 @@ def check_sample_cost(states, w: int, delta: float, p_fail: float, count: int,
     in part p of qubit q.  The fastnorm backend computes none of them, but
     their count still sizes the input: each part's joint terms are built,
     and the exact backend fills a Gram matrix of that size by overlaps for
-    every term set it reads.  Above the dense cap every fast_norm
-    draw sums one overlap per drawn term, so the sketch adds count x (2w+1)
-    x draws per call x k, with k at least the standard rule's
-    ceil(12 l1^2 / delta).
+    every term set it reads.  The fastnorm backend is refused above the
+    dense cap, so its sketch adds no overlaps.
     """
     states = list(states)
     n, w = len(states), int(w)
@@ -463,10 +449,6 @@ def check_sample_cost(states, w: int, delta: float, p_fail: float, count: int,
         rho if isinstance(rho, monotones.BlochState) else monotones.BlochState(*rho))[1]
         for rho in states]
     work = math.prod(sum(len(terms) ** 2 for _, _, terms in qubit) for qubit in parts)
-    if norm_backend == "fastnorm" and n > MAX_DENSE_QUBITS:
-        l1 = math.prod(max(sum(abs(c) for c, _ in terms) for _, _, terms in qubit) for qubit in parts)
-        batch, nbatches = _sketch_shape(*_norm_budget(w, delta, p_fail))
-        work += count * (2 * w + 1) * batch * nbatches * math.ceil(12.0 * l1 * l1 / delta)
     if work > MAX_SAMPLE_OVERLAPS:
         raise RankSimError(f"the run is predicted to need {work} stabilizer overlaps, "
                            f"above the ceiling of {MAX_SAMPLE_OVERLAPS}")

@@ -11,8 +11,9 @@ tracked through three n x n binary matrices G, F, M and a mod-4 vector g:
     U_C^dag Z_p U_C = Z^{G[p,:]}
     U_C^dag X_p U_C = i^{g[p]} X^{F[p,:]} Z^{M[p,:]}
 
-The tableau rows are bool arrays.  A Pauli comes as pauli's i^k X^x Z^z with
-bit-mask ints x and z, and its image is the XOR of the rows at its set bits.
+Each tableau row, and each of v and s, is a bit-mask int with bit q for
+column q, the form pauli holds a Pauli's x and z in: the image of a Pauli is
+the XOR of the rows at its set bits, and nothing here loads numpy.
 
 The scalar is exact for every Clifford operation and Pauli projection: it is
 stored as an integer power of sqrt(2), an eighth root of unity, and a residual
@@ -32,27 +33,19 @@ exponential sum over the intersection of the two sets, evaluated exactly
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .pauli import (GATE_NAMES, PauliOp, StabProjector, _conjugate_pauli_unchecked, _echelon, _I_POW,
                     _set_bits, check_gate, conjugate_pauli)
 
-# exp(i*pi/4*k) for k = 0..7; even entries are exact in floating point
-_W8 = np.array([np.exp(1j * np.pi / 4 * k) for k in range(8)])
+# exp(i*pi/4*k) for k = 0..7
+_W8 = tuple(cmath.exp(1j * math.pi / 4 * k) for k in range(8))
 
 
-def _parity(bits: np.ndarray) -> int:
-    return int(np.count_nonzero(bits)) & 1
-
-
-def _bit_rows(mat: np.ndarray) -> list[int]:
-    """Rows of a 0/1 matrix as ints, column j at bit j."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i * width : (i + 1) * width], "little") for i in range(len(packed))]
+def _parity(mask: int) -> int:
+    return mask.bit_count() & 1
 
 
 class StabState:
@@ -69,12 +62,12 @@ class StabState:
         if n < 1:
             raise ValueError("need at least one qubit")
         self.n = n
-        self.G = np.eye(n, dtype=bool)
-        self.F = np.eye(n, dtype=bool)
-        self.M = np.zeros((n, n), dtype=bool)
-        self.g = np.zeros(n, dtype=np.int64)
-        self.v = np.zeros(n, dtype=bool)
-        self.s = np.zeros(n, dtype=bool)
+        self.G = [1 << q for q in range(n)]
+        self.F = self.G[:]
+        self.M = [0] * n
+        self.g = [0] * n
+        self.v = 0
+        self.s = 0
         self.p2 = 0
         self.w8 = 0
         self.unit = 1.0 + 0j
@@ -95,7 +88,7 @@ class StabState:
     def scalar(self) -> complex:
         if self.null:
             return 0j
-        return (2.0 ** (0.5 * self.p2)) * complex(_W8[self.w8]) * self.unit
+        return (2.0 ** (0.5 * self.p2)) * _W8[self.w8] * self.unit
 
     def amplitude(self) -> float:
         if self.null:
@@ -105,19 +98,19 @@ class StabState:
     def phase(self) -> complex:
         if self.null:
             return 1.0 + 0j
-        u = complex(_W8[self.w8]) * self.unit
+        u = _W8[self.w8] * self.unit
         a = abs(u)
         return u / a if a > 0 else 1.0 + 0j
 
     def copy(self) -> "StabState":
         out = StabState.__new__(StabState)
         out.n = self.n
-        out.G = self.G.copy()
-        out.F = self.F.copy()
-        out.M = self.M.copy()
-        out.g = self.g.copy()
-        out.v = self.v.copy()
-        out.s = self.s.copy()
+        out.G = self.G[:]
+        out.F = self.F[:]
+        out.M = self.M[:]
+        out.g = self.g[:]
+        out.v = self.v
+        out.s = self.s
         out.p2 = self.p2
         out.w8 = self.w8
         out.unit = self.unit
@@ -137,16 +130,15 @@ class StabState:
     def _z_gate(self, a: int) -> None:
         self.g[a] = (self.g[a] + 2) % 4
 
+    def _x_beta(self, a: int) -> int:
+        f, m, v, s = self.F[a], self.M[a], self.v, self.s
+        return (m & ~v & s).bit_count() + (f & v & m).bit_count() + (f & v & s).bit_count()
+
     def _x_gate(self, a: int) -> None:
-        u = self.s ^ (self.F[a] & ~self.v) ^ (self.M[a] & self.v)
-        beta = (
-            _parity(self.M[a] & ~self.v & self.s)
-            + _parity(self.F[a] & self.v & self.M[a])
-            + _parity(self.F[a] & self.v & self.s)
-        )
-        self._mul_i_pow(int(self.g[a]))
-        self._mul_m1_pow(beta)
-        self.s = u
+        v = self.v
+        self._mul_i_pow(self.g[a])
+        self._mul_m1_pow(self._x_beta(a))
+        self.s ^= (self.F[a] & ~v) ^ (self.M[a] & v)
 
     def _y_gate(self, a: int) -> None:
         # Y = i X Z
@@ -170,32 +162,49 @@ class StabState:
         self._cx_gate(a, b)
 
     def _h_gate(self, a: int) -> None:
-        t = self.s ^ (self.G[a] & self.v)
-        u = self.s ^ (self.F[a] & ~self.v) ^ (self.M[a] & self.v)
-        alpha = _parity(self.G[a] & ~self.v & self.s)
-        beta = (
-            _parity(self.M[a] & ~self.v & self.s)
-            + _parity(self.F[a] & self.v & self.M[a])
-            + _parity(self.F[a] & self.v & self.s)
-        )
-        delta = int(self.g[a] + 2 * (alpha + beta)) % 4
+        v, s = self.v, self.s
+        t = s ^ (self.G[a] & v)
+        u = s ^ (self.F[a] & ~v) ^ (self.M[a] & v)
+        alpha = _parity(self.G[a] & ~v & s)
+        delta = (self.g[a] + 2 * (alpha + self._x_beta(a))) & 3
         self._update_sum(t, u, delta, alpha)
 
     # -- right multiplications (tableau-only, no state change) ---------------
 
-    def _s_right(self, q: int) -> None:
-        self.g = (self.g - self.F[:, q].astype(np.int64)) % 4
-        self.M[:, q] ^= self.F[:, q]
+    def _fold_fixed(self, qb: int, xs: int, zs: int) -> None:
+        """Right-multiply by CX(q, i) for each bit i of xs, then CZ(q, i) for
+        each bit i of zs, with qb = 1 << q and q in neither mask.  No step
+        writes a column that another reads, so one pass over the rows does
+        them all."""
+        G, F, M, g = self.G, self.F, self.M, self.g
+        for p in range(self.n):
+            f, m = F[p], M[p]
+            if _parity(G[p] & xs):
+                G[p] ^= qb
+            flip = _parity(m & xs) ^ _parity(f & zs)
+            if f & qb:
+                F[p] = f ^ xs
+                m ^= zs
+                g[p] = (g[p] + 2 * (f & zs).bit_count()) & 3
+            M[p] = m ^ qb if flip else m
 
-    def _cz_right(self, q: int, r: int) -> None:
-        self.g = (self.g + 2 * (self.F[:, q] & self.F[:, r]).astype(np.int64)) % 4
-        self.M[:, q] ^= self.F[:, r]
-        self.M[:, r] ^= self.F[:, q]
+    def _fold_free(self, qb: int, xs: int) -> None:
+        """Right-multiply by CX(i, q) for each bit i of xs, one pass as above."""
+        G, F, M = self.G, self.F, self.M
+        for p in range(self.n):
+            if G[p] & qb:
+                G[p] ^= xs
+            if _parity(F[p] & xs):
+                F[p] ^= qb
+            if M[p] & qb:
+                M[p] ^= xs
 
-    def _cx_right(self, q: int, r: int) -> None:
-        self.G[:, q] ^= self.G[:, r]
-        self.F[:, r] ^= self.F[:, q]
-        self.M[:, q] ^= self.M[:, r]
+    def _s_right(self, qb: int) -> None:
+        F, M, g = self.F, self.M, self.g
+        for p in range(self.n):
+            if F[p] & qb:
+                g[p] = (g[p] - 1) & 3
+                M[p] ^= qb
 
     # -- superposition closure ----------------------------------------------
 
@@ -221,13 +230,13 @@ class StabState:
         c = not ((delta >> 1) ^ int(y))
         return w8, 0, True, True, c
 
-    def _update_sum(self, t: np.ndarray, u: np.ndarray, delta: int, alpha: int = 0) -> None:
+    def _update_sum(self, t: int, u: int, delta: int, alpha: int = 0) -> None:
         """Fold (|t> + i^delta |u>)/sqrt(2), expressed in the U_C U_H frame,
         back into canonical form, times (-1)^alpha."""
         self._mul_m1_pow(alpha)
-        if np.array_equal(t, u):
+        if t == u:
             # single ket: scalar picks up (1 + i^delta)/sqrt(2)
-            self.s = t.copy()
+            self.s = t
             if delta % 2 == 1:
                 self._mul_w8(1 if delta == 1 else 7)
             elif delta == 0:
@@ -236,55 +245,43 @@ class StabState:
                 self.null = True
             return
         diff = t ^ u
-        set0 = np.flatnonzero(~self.v & diff)
-        set1 = np.flatnonzero(self.v & diff)
-        if set0.size:
-            q = int(set0[0])
-            for i in set0[1:]:
-                self._cx_right(q, int(i))
-            for i in set1:
-                self._cz_right(q, int(i))
+        fixed, free = diff & ~self.v, diff & self.v
+        if fixed:
+            qb = fixed & -fixed
+            if fixed ^ qb or free:
+                self._fold_fixed(qb, fixed ^ qb, free)
         else:
-            q = int(set1[0])
-            for i in set1[1:]:
-                self._cx_right(int(i), q)
-        if t[q]:
-            y = u.copy()
-            y[q] = not y[q]
-            z = u
-        else:
-            y = t
-            z = t.copy()
-            z[q] = not z[q]
-        w8, p2, a, b, c = self._h_decompose(bool(self.v[q]), bool(y[q]), bool(z[q]), delta)
-        self.s = y.copy()
-        self.s[q] = c
+            qb = free & -free
+            if free ^ qb:
+                self._fold_free(qb, free ^ qb)
+        # in the folded frame the kets differ only at q: y has t's bit there, z u's
+        y = u ^ qb if t & qb else t
+        w8, p2, a, b, c = self._h_decompose(bool(self.v & qb), bool(t & qb), bool(u & qb), delta)
+        self.s = y | qb if c else y & ~qb
         self._mul_w8(w8)
         self.p2 += p2
         if a:
-            self._s_right(q)
-        self.v[q] = b
+            self._s_right(qb)
+        self.v = self.v | qb if b else self.v & ~qb
 
     # -- amplitudes ----------------------------------------------------------
 
-    def amplitude_of(self, bits: np.ndarray) -> complex:
-        """Exact <bits|psi> including the global scalar."""
+    def amplitude_of(self, bits) -> complex:
+        """Exact <bits|psi> including the global scalar; bits[q] is qubit q."""
         if self.null:
             return 0j
-        y = np.asarray(bits, dtype=bool)
-        if y.size != self.n:
+        bits = list(bits)
+        if len(bits) != self.n:
             raise ValueError("bit-string length mismatch")
-        mu = int(self.g[y].sum())
-        u = np.zeros(self.n, dtype=bool)
-        for p in np.flatnonzero(y):
+        mu = u = 0
+        for p in (q for q, b in enumerate(bits) if b):
             u ^= self.F[p]
-            mu += 2 * _parity(self.M[p] & u)
-        if np.any(~self.v & (u ^ self.s)):
+            mu += self.g[p] + 2 * _parity(self.M[p] & u)
+        if (u ^ self.s) & ~self.v:
             return 0j
-        sign = _parity(self.v & u & self.s)
-        val = self.scalar() * (2.0 ** (-0.5 * int(np.count_nonzero(self.v))))
+        val = self.scalar() * (2.0 ** (-0.5 * self.v.bit_count()))
         val *= complex(_I_POW[mu % 4])
-        return -val if sign else val
+        return -val if _parity(self.v & u & self.s) else val
 
     def _apply_named(self, gate: tuple) -> None:
         # gate names are the keys of gate_rules._GATE_ARITY, each with its _<name>_gate method
@@ -304,15 +301,16 @@ def zero_state(n: int) -> StabState:
 
 
 def basis_state(bits) -> StabState:
-    arr = np.asarray(bits, dtype=bool)
-    st = StabState(arr.size)
-    st.s = arr.copy()
+    """|bits>, bits[q] being qubit q."""
+    bits = list(bits)
+    st = StabState(len(bits))
+    st.s = sum(1 << q for q, b in enumerate(bits) if b)
     return st
 
 
 def plus_state(n: int) -> StabState:
     st = StabState(n)
-    st.v[:] = True
+    st.v = (1 << n) - 1
     return st
 
 
@@ -371,22 +369,21 @@ def with_unit_amplitude(state: StabState) -> tuple[StabState, float]:
     return out, amp
 
 
-def _pauli_image(state: StabState, p: PauliOp) -> tuple[np.ndarray, np.ndarray, int]:
+def _pauli_image(state: StabState, p: PauliOp) -> tuple[int, int, int]:
     """(rx, rz, rk) with U_H^dag U_C^dag p U_C U_H = i^rk X^rx Z^rz."""
     # U_C^dag p U_C, composed from the tracked generator images
-    rx = np.zeros(state.n, dtype=bool)
-    rz = np.zeros(state.n, dtype=bool)
+    rx = rz = 0
     rk = p.k
     for q in _set_bits(p.x):
-        rk = (rk + 2 * _parity(rz & state.F[q]) + int(state.g[q])) % 4
+        rk += 2 * _parity(rz & state.F[q]) + state.g[q]
         rx ^= state.F[q]
         rz ^= state.M[q]
     for q in _set_bits(p.z):
         rz ^= state.G[q]
     # commute through the Hadamard layer: swap x/z on v qubits
-    rk = (rk + 2 * _parity(rx & rz & state.v)) % 4
-    swap = state.v
-    return (rx & ~swap) | (rz & swap), (rz & ~swap) | (rx & swap), rk
+    v = state.v
+    rk = (rk + 2 * _parity(rx & rz & v)) % 4
+    return (rx & ~v) | (rz & v), (rz & ~v) | (rx & v), rk
 
 
 def pauli_expectation(state: StabState, p: PauliOp) -> complex:
@@ -400,7 +397,7 @@ def pauli_expectation(state: StabState, p: PauliOp) -> complex:
     if state.null:
         return 0j
     rx, rz, rk = _pauli_image(state, p)
-    if rx.any():
+    if rx:
         return 0j
     return state.amplitude() ** 2 * complex(_I_POW[(rk + 2 * _parity(rz & state.s)) % 4])
 
@@ -421,7 +418,7 @@ def project_pauli(state: StabState, p: PauliOp, sign: int) -> tuple[StabState, f
     rx, rz, rk = _pauli_image(out, p)
     # act on |s>: i^rk X^rx Z^rz |s> = i^rk (-1)^{rz.s} |s + rx>
     dk = (rk + 2 * _parity(rz & out.s) + (0 if sign > 0 else 2)) % 4
-    if not rx.any():
+    if not rx:
         # outcome deterministic: factor (1 + i^dk)/2 with dk even
         if dk % 2 != 0:
             raise ValueError("inconsistent projector (non-Hermitian image)")
@@ -429,9 +426,7 @@ def project_pauli(state: StabState, p: PauliOp, sign: int) -> tuple[StabState, f
             return out, 1.0
         out.null = True
         return out, 0.0
-    t = out.s.copy()
-    u = out.s ^ rx
-    out._update_sum(t, u, dk)
+    out._update_sum(out.s, out.s ^ rx, dk)
     out.p2 -= 1
     if out.null:
         return out, 0.0
@@ -455,15 +450,17 @@ def project_stab(state: StabState, proj: StabProjector) -> tuple[StabState, floa
 def tensor(*states: StabState) -> StabState:
     """Tensor product of one or more states, the first one's qubits first."""
     out = StabState.__new__(StabState)
-    out.n = n = sum(st.n for st in states)
-    offsets = np.cumsum([0] + [st.n for st in states]).tolist()
-    for name in ("G", "F", "M"):
-        block = np.zeros((n, n), dtype=bool)
-        for st, lo, hi in zip(states, offsets, offsets[1:]):
-            block[lo:hi, lo:hi] = getattr(st, name)
-        setattr(out, name, block)
-    for name in ("g", "v", "s"):
-        setattr(out, name, np.concatenate([getattr(st, name) for st in states]))
+    out.G, out.F, out.M, out.g = [], [], [], []
+    out.v = out.s = lo = 0
+    for st in states:
+        out.G += [row << lo for row in st.G]
+        out.F += [row << lo for row in st.F]
+        out.M += [row << lo for row in st.M]
+        out.g += st.g
+        out.v |= st.v << lo
+        out.s |= st.s << lo
+        lo += st.n
+    out.n = lo
     out.p2 = sum(st.p2 for st in states)
     out.w8 = sum(st.w8 for st in states) & 7
     out.unit = math.prod(st.unit for st in states)
@@ -476,40 +473,37 @@ def tensor(*states: StabState) -> StabState:
 
 class AmplitudeForm(NamedTuple):
     """psi(y) = c i^(L.y + 2 y^T T y) on the support {y : R y = t}, which is
-    also the set of Y (w, 1) over all bit vectors w; L counts mod 4, T mod 2,
-    and Y, R, t are 0/1."""
+    also the set of Y (w, 1) over all r-bit vectors w.  L counts mod 4; T, Y
+    and R are rows of bit masks, row j of T holding T_jl at bit l > j and
+    row j of Y holding Y_jk at bit k, its constant column at bit r; R has a
+    row per fixed qubit, and bit i of t is the target of row i."""
 
     c: complex
-    L: np.ndarray
-    T: np.ndarray
-    Y: np.ndarray
-    R: np.ndarray
-    t: np.ndarray
+    L: list[int]
+    T: list[int]
+    Y: list[int]
+    R: list[int]
+    t: int
+    r: int
 
 
 def amplitude_form(state: StabState) -> AmplitudeForm:
     """The amplitude form of a non-null state, read off its tableau."""
-    G, F, M = state.G.view(np.uint8), state.F.view(np.uint8), state.M.view(np.uint8)
-    v, fixed, s = state.v, ~state.v, state.s.view(np.uint8)
+    n, G, F, M, v, s = state.n, state.G, state.F, state.M, state.v, state.s
+    free, fixed = _set_bits(v), _set_bits(((1 << n) - 1) & ~v)
+    r = len(free)
     # amplitude_of sums g.y + 2 sum_{q<=p} y_p y_q K[p, q] over the rows p of
     # y, and its sign is (-1)^((F^T y).(v & s))
-    K = M @ F.T
-    L = (state.g + 2 * (K.diagonal() + F @ (s & v))) & 3
-    rows = np.arange(state.n)
-    c = state.scalar() * 2.0 ** (-0.5 * np.count_nonzero(v))
+    L = [(gp + 2 * ((mp & fp).bit_count() + (fp & s & v).bit_count())) & 3
+         for gp, fp, mp in zip(state.g, F, M)]
+    T = [sum(_parity(M[l] & F[j]) << l for l in range(j + 1, n)) for j in range(n)]
+    c = state.scalar() * 2.0 ** (-0.5 * r)
     # F^T y = x with x = s off v and free on v; G F^T = I gives y = G x
-    Y = np.column_stack([G[:, v], (G @ (s & fixed)) & 1])
-    return AmplitudeForm(c, L, K.T * (rows[:, None] < rows), Y, F[:, fixed].T, s[fixed])
-
-
-def equatorial_form(A: np.ndarray) -> AmplitudeForm:
-    """Form of |phi_A> = 2^(-n/2) sum_x i^(x^T A x) |x> for symmetric integer A."""
-    A = np.asarray(A).astype(np.int64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.array_equal(A, A.T):
-        raise ValueError("A must be square and symmetric")
-    n = len(A)
-    return AmplitudeForm(2.0 ** (-0.5 * n), np.diagonal(A) & 3, np.triu(A, 1) & 1,
-                         np.eye(n, n + 1, dtype=np.uint8), np.zeros((0, n), np.uint8), np.zeros(0, np.uint8))
+    s_fixed = s & ~v
+    Y = [sum((row >> q & 1) << k for k, q in enumerate(free)) | _parity(row & s_fixed) << r for row in G]
+    R = [sum((fp >> q & 1) << p for p, fp in enumerate(F)) for q in fixed]
+    t = sum((s >> q & 1) << i for i, q in enumerate(fixed))
+    return AmplitudeForm(c, L, T, Y, R, t, r)
 
 
 def overlap(bra: AmplitudeForm, ket: AmplitudeForm) -> complex:
@@ -520,27 +514,47 @@ def overlap(bra: AmplitudeForm, ket: AmplitudeForm) -> complex:
     support as w = W (z, 1).  Substituting into i^(q_ket(y) - q_bra(y))
     leaves i^(const + a.z + 2 z^T B z), summed exactly by _exp_sum.
     """
-    base, other = (bra, ket) if bra.Y.shape[1] <= ket.Y.shape[1] else (ket, bra)
-    Y = base.Y
-    if other.t.size:
-        r = Y.shape[1] - 1
-        aug = (other.R @ Y) & 1
-        aug[:, r] ^= other.t
-        piv = dict(_echelon(_bit_rows(aug)))
+    base, other = (bra, ket) if bra.r <= ket.r else (ket, bra)
+    Y, r = base.Y, base.r
+    if other.R:
+        aug = []
+        for i, row in enumerate(other.R):
+            acc = (other.t >> i & 1) << r
+            for j in _set_bits(row):
+                acc ^= Y[j]
+            aug.append(acc)
+        piv = dict(_echelon(aug))
         if r in piv:
             return 0j
         free = [f for f in range(r) if f not in piv] + [r]
-        W = [[piv[j] >> f & 1 if j in piv else int(j == f) for f in free] for j in range(r + 1)]
-        Y = (Y @ np.array(W, np.uint8)) & 1
-    L, Q = (ket.L - bra.L) & 3, ket.T ^ bra.T
-    # y_j = XOR_k Y_jk z_k with z_r = 1, and XOR_k x_k = sum_k x_k - 2 sum_{k<l} x_k x_l mod 4
-    P = Y.T @ Q @ Y
-    a = Y.T @ L + 2 * P.diagonal()
-    B = (P + P.T + Y.T @ (Y * (L & 1)[:, None])) & 1
-    np.fill_diagonal(B, 0)
-    r = len(a) - 1
-    lin = ((a[:r] + 2 * B[:r, r]) & 3).tolist()
-    return np.conj(bra.c) * ket.c * _I_POW[a[r] & 3] * _exp_sum(lin, _bit_rows(B[:r, :r]))
+        # column m of W, over the old variables j
+        cols = [1 << f | sum(1 << j for j, row in piv.items() if row >> f & 1) for f in free]
+        Y = [sum(_parity(y & col) << m for m, col in enumerate(cols)) for y in Y]
+        r = len(free) - 1
+    L = [(lk - lb) & 3 for lk, lb in zip(ket.L, bra.L)]
+    Q = [tk ^ tb for tk, tb in zip(ket.T, bra.T)]
+    # y_j = XOR_k Y_jk z_k with z_r = 1, and XOR_k x_k = sum_k x_k - 2 sum_{k<l} x_k x_l mod 4,
+    # so a = Y^T L + 2 diag(P) and B = P + P^T + Y^T diag(L mod 2) Y with P = Y^T Q Y
+    a = [0] * (r + 1)
+    B = [0] * (r + 1)
+    diag = 0
+    for yj, qj, lj in zip(Y, Q, L):
+        if not yj:
+            continue
+        qy = 0  # row j of Q Y
+        for m in _set_bits(qj):
+            qy ^= Y[m]
+        diag ^= yj & qy
+        add = qy ^ yj if lj & 1 else qy
+        for k in _set_bits(yj):
+            B[k] ^= add
+            a[k] += lj
+        for k in _set_bits(qy):
+            B[k] ^= yj
+    lin = [(a[k] + 2 * ((diag >> k) + (B[k] >> r))) & 3 for k in range(r)]
+    adj = [B[k] & ~(1 << k) & ((1 << r) - 1) for k in range(r)]
+    const = _I_POW[(a[r] + 2 * (diag >> r)) & 3]
+    return bra.c.conjugate() * ket.c * const * _exp_sum(lin, adj)
 
 
 def inner_product(left: StabState, right: StabState) -> complex:

@@ -595,13 +595,14 @@ MALFORMED_CHANNEL_DOCS = {
 }
 
 
-# product factors that once ended in a traceback or an internal error
+# documents that once ended in a traceback or an internal error
 MALFORMED_STATE_DOCS = {
     "named-not-string": ("estimate", {"state": {"product": [{"named": [0]}]},
                                       "measurement": {"pauli": "Z"}}),
     "alpha-overflow": ("monotone", {"state": {"product": [{"named": "H", "alpha": 1e308}]}}),
     "alpha-nan": ("monotone", {"state": {"product": [{"named": "T", "alpha": math.nan}]}}),
     "bloch-overflow": ("sample", {"state": {"product": [[1e308, 0.0, 0.0]]}}),
+    "distill-target-not-string": ("distill", {"state": {"product": ["H"]}, "params": {"target": ["H"]}}),
 }
 
 
@@ -675,7 +676,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("subcommand,workers", [
         ("monotone", "0"), ("sample", "-3"), ("estimate", "0"), ("constrained", "-1"),
-        ("distill", "0"), ("selftest", "-2"),
+        ("distill", "0"), ("selftest", "-2"), ("monotone", "2"), ("sample", "4"), ("distill", "2"),
+        ("selftest", "3"),
     ])
     def test_workers_below_one_refused_before_input(self, capsys, tmp_path, monkeypatch,
                                                     subcommand, workers):
@@ -745,11 +747,14 @@ class TestMalformedInput:
         assert diag["error"]["kind"] == "validation"
         assert "Hermitian" in diag["error"]["message"]
 
-    @pytest.mark.parametrize("factor", ["H", {"named": "H", "alpha": 0.9}], ids=["pure", "noisy"])
-    def test_sample_over_cost_ceiling_refused(self, capsys, tmp_path, factor):
+    @pytest.mark.parametrize("factor, extra, phrase", [
+        ("H", {}, "use norm_backend 'exact'"),
+        ({"named": "H", "alpha": 0.9}, {"norm_backend": "exact"}, "ceiling"),
+    ], ids=["pure", "noisy"])
+    def test_sample_over_cost_ceiling_refused(self, capsys, tmp_path, factor, extra, phrase):
         # seven factors: the noisy input's Gram checks alone need 2^21 overlaps,
-        # and either input's sketch runs above the dense cap
-        doc = {"state": {"product": [factor] * 7}, "params": {"w": 2, "delta": 0.15}}
+        # and the fastnorm sketch is refused above the dense cap
+        doc = {"state": {"product": [factor] * 7}, "params": {"w": 2, "delta": 0.15, **extra}}
         t0 = time.monotonic()
         rc, out, err = run_cli(capsys, "sample", "--input", write_doc(tmp_path, doc), "--samples", "2")
         assert time.monotonic() - t0 < 1.0
@@ -757,7 +762,7 @@ class TestMalformedInput:
         diag = json.loads(err)
         assert_schema(diag, "error")
         assert diag["error"]["kind"] == "validation"
-        assert "ceiling" in diag["error"]["message"]
+        assert phrase in diag["error"]["message"]
 
     @pytest.mark.parametrize("argv, phrase", [
         (("--state", "T", "--alpha", "0.85", "--copies", "5000"), "overflow"),

@@ -523,7 +523,7 @@ def two_qubit_factor():
         [mono.BlochState.named("H"), mono.BlochState.named("T")]).terms))
     dec = ch.DyadicDecomposition.product(
         [pair, ch.dyadic_decompose_product([mono.BlochState.named(s) for s in "+H"])])
-    assert [len(f[0][1].L.s) for f in dec.factors] == [2, 1, 1]
+    assert [f[0][1].L.n for f in dec.factors] == [2, 1, 1]
     chans = [
         ch.builtin_channel("t_gadget", [2, 1], 4),
         ch.builtin_channel("clifford_mix", [0, 3], 4, {"terms": [[0.5, [["H", 1]]], [0.5, [["CX", 1, 0]]]]}),

@@ -329,23 +329,16 @@ class TestFastNorm:
     def test_equatorial_mean_identity(self):
         # the single-state estimate is unbiased: exhaustive average over A
         om = rs.sparsify(h_decomp(), 3, seed=9)
-        total = sum(2.0 * abs(om.equatorial_overlap(np.array([[a]]))) ** 2 for a in range(4))
-        assert total / 4.0 == pytest.approx(om.norm_sq(), abs=1e-12)
+        etas = rs._equatorial_etas(*rs._equatorial_grid(1), om.dense())
+        assert etas.mean() == pytest.approx(om.norm_sq(), abs=1e-12)
 
     def test_equatorial_mean_identity_2q(self):
         d = rs.mixed_input_product(
             [mono.BlochState.named("H"), mono.BlochState.named("T")]
         ).ensemble[0][1]
         om = rs.sparsify(d, 5, seed=13)
-        total = 0.0
-        count = 0
-        for a0 in range(4):
-            for a1 in range(4):
-                for off in range(2):
-                    A = np.array([[a0, off], [off, a1]])
-                    total += 4.0 * abs(om.equatorial_overlap(A)) ** 2
-                    count += 1
-        assert total / count == pytest.approx(om.norm_sq(), abs=1e-12)
+        etas = rs._equatorial_etas(*rs._equatorial_grid(2), om.dense())
+        assert etas.mean() == pytest.approx(om.norm_sq(), abs=1e-12)
 
     def test_basis_state(self):
         d = rs.SparseDecomposition([1.0], [sc.zero_state(2)])
@@ -354,12 +347,15 @@ class TestFastNorm:
         assert 0.8 <= eta <= 1.2
 
     def test_projected_plus(self):
-        # n=7 takes the wide path, one exponential sum per draw
-        for n in (1, 7):
-            d = rs.SparseDecomposition([1.0], [sc.plus_state(n)])
-            om = rs.sparsify(d, 1, seed=2).project_basis_bit(0, 0)
-            eta = rs.fast_norm(om, 0.2, 0.05, seed=6)
-            assert eta == pytest.approx(0.5, abs=0.1)
+        d = rs.SparseDecomposition([1.0], [sc.plus_state(1)])
+        om = rs.sparsify(d, 1, seed=2).project_basis_bit(0, 0)
+        eta = rs.fast_norm(om, 0.2, 0.05, seed=6)
+        assert eta == pytest.approx(0.5, abs=0.1)
+        # past the dense cap there is no sketch
+        d = rs.SparseDecomposition([1.0], [sc.plus_state(7)])
+        om = rs.sparsify(d, 1, seed=2).project_basis_bit(0, 0)
+        with pytest.raises(RankSimError):
+            rs.fast_norm(om, 0.2, 0.05, seed=6)
 
     def test_null_vector(self):
         d = rs.SparseDecomposition([1.0], [sc.zero_state(1)])
@@ -478,7 +474,7 @@ class TestSampleCost:
             raise AssertionError("input built")
 
         monkeypatch.setattr(rs, "mixed_input_product", no_build)
-        with pytest.raises(RankSimError, match="ceiling"):
+        with pytest.raises(RankSimError, match="at most 6 qubits, not 7; use norm_backend 'exact'"):
             rs.check_sample_cost([mono.BlochState.named("H")] * 7, 2, 0.15, 0.05, 2)
         with pytest.raises(RankSimError, match="ceiling"):
             rs.check_sample_cost([mono.BlochState.named("H").scaled(0.9)] * 7, 1, 0.15, 0.05, 1,

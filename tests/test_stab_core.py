@@ -216,7 +216,13 @@ def test_malformed_gate_rejected(gate):
 
 
 def equatorial_overlap(psi, A):
-    return sc.overlap(sc.equatorial_form(A), sc.amplitude_form(psi))
+    """<phi_A|psi> with |phi_A> = 2^(-n/2) sum_x i^(x^T A x) |x> built from gates:
+    H on every qubit, S^(A_jj) on qubit j and CZ on each pair with A_jl odd."""
+    n = len(A)
+    gates = [("H", j) for j in range(n)]
+    gates += [("S", j) for j in range(n) for _ in range(int(A[j, j]) % 4)]
+    gates += [("CZ", j, l) for j in range(n) for l in range(j + 1, n) if A[j, l] % 2]
+    return sc.inner_product(sc.apply_circuit(sc.zero_state(n), gates), psi)
 
 
 def test_equatorial_overlap_examples_and_oracle():
@@ -229,7 +235,7 @@ def test_equatorial_overlap_examples_and_oracle():
         A = np.triu(A, 1)
         A = A + A.T + np.diag(rng.integers(0, 4, size=n))
         psi = random_projected_state(rng, n)
-        # |phi_A> = 2^(-n/2) sum_x i^(x^T A x) |x>, built without the engine
+        # the same |phi_A>, built without the engine
         x = np.array([do.index_bits(i, n) for i in range(2**n)], dtype=np.int64)
         phi = 2.0 ** (-n / 2) * 1j ** (np.einsum("xj,jk,xk->x", x, A, x) % 4)
         want = np.vdot(phi, do.expand(psi))
