@@ -3,15 +3,17 @@
 Solves min c.x subject to A x = b, x >= 0 for at most 64 rows; a reduced
 robustness LP has about ten rows and a hundred sparse columns, each next
 to its negation, which one dot product prices together.  The dense basis
-inverse is updated by one rank-one step per pivot and refactored by
-Gauss-Jordan elimination at the start, every m pivots for m rows, and
-before an optimal basis is returned, whose optimality is rechecked on the
-fresh factor.  Pivoting uses Dantzig pricing with a largest-pivot tie
+inverse, the basic solution and the duals take one rank-one step per pivot
+and are recomputed by Gauss-Jordan elimination at the start, every m pivots
+for m rows, and before an optimal basis is returned, whose optimality is
+rechecked on the fresh factor.  Pivoting uses Dantzig pricing with a largest-pivot tie
 break; after a long degenerate stall it falls back to Bland's rule, which
 guarantees termination.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 _RTOL = 1e-10
 _PIVOT_TOL = 1e-9
@@ -50,10 +52,10 @@ def _simplex_core(cols, groups, b: list[float], c: list[float],
     for _ in range(50 * (ncols + m)):
         if updates == m:
             B_inv, updates = _invert(cols, basis), 0
-        x_B = [sum(u * v for u, v in zip(row, b)) for row in B_inv]
-        y = [sum(c[j] * v for j, v in zip(basis, col)) for col in zip(*B_inv)]
-        for entries, members in groups:
-            dot = sum(y[i] * v for i, v in entries)
+            x_B = [sum(u * v for u, v in zip(row, b)) for row in B_inv]
+            y = [sum(c[j] * v for j, v in zip(basis, col)) for col in zip(*B_inv)]
+        for rows, values, members in groups:
+            dot = sum(map(mul, map(y.__getitem__, rows), values))
             for j, s in members:
                 reduced[j] = c[j] - s * dot
         candidates = [j for j in range(ncols) if reduced[j] < -_RTOL]
@@ -81,10 +83,12 @@ def _simplex_core(cols, groups, b: list[float], c: list[float],
             leave = max(ties, key=d.__getitem__)
         stall = stall + 1 if theta <= 1e-12 else 0
         basis[leave] = j
-        # eliminate column j of B^-1 A against the pivot row
+        # eliminate column j of B^-1 A against the pivot row; x_B and y take the same step
         row = [v / d[leave] for v in B_inv[leave]]
         B_inv = [row if i == leave else r if d[i] == 0.0 else [u - d[i] * v for u, v in zip(r, row)]
                  for i, r in enumerate(B_inv)]
+        x_B = [theta if i == leave else u - theta * v for i, (u, v) in enumerate(zip(x_B, d))]
+        y = [u + reduced[j] * v for u, v in zip(y, row)]
         updates += 1
     raise LPError("iteration limit exceeded")
 
@@ -106,10 +110,10 @@ def solve_lp(A, b, c) -> tuple[list[float], list[float], float]:
                 cols[j].append((i, -float(v) if flip[i] else float(v)))
     # columns equal up to sign share one dot product with y
     shared: dict[tuple, list[tuple[int, float]]] = {}
-    for j, entries in enumerate(cols[:n]):
+    for j, entries in enumerate(cols):
         s = -1.0 if entries and entries[0][1] < 0 else 1.0
         shared.setdefault(tuple((i, s * v) for i, v in entries), []).append((j, s))
-    groups = [*shared.items(), *((((i, 1.0),), [(n + i, 1.0)]) for i in range(m))]
+    groups = [([i for i, _ in entries], [v for _, v in entries], members) for entries, members in shared.items()]
 
     # phase 1: minimize the sum of artificial variables
     basis = list(range(n, n + m))

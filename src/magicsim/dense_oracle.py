@@ -182,8 +182,8 @@ def born_probability_dense(rho: np.ndarray, proj: StabProjector) -> float:
 
 @lru_cache(maxsize=None)
 def enumerate_stabilizer_states(n: int) -> tuple[np.ndarray, ...]:
-    """All pure n-qubit stabilizer states as dense vectors, n <= 3: the
-    tests' reference for monotones._stabilizer_coords.
+    """All pure n-qubit stabilizer states as dense vectors, n <= 3: as a
+    set, the tests' reference for monotones._stabilizer_coords' direct build.
 
     Breadth-first closure of |0..0> under H, S and CX by the stacked gate
     matrices, one frontier at a time.  A candidate's phase is fixed by its

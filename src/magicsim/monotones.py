@@ -6,21 +6,20 @@ of dyadic negativity, generalized robustness and extent.  The witness
 maximum is a closed form, the best of the two endpoints and the at most two
 stationary points, where a line meets the unit circle.  Products multiply.
 The robustness of magic is computed as an l1-minimizing linear program over
-enumerated stabilizer states for up to three qubits, solved in pure Python
-over the orbits of the Clifford symmetries that fix the state.  Nothing
-here builds a stabilizer state, and only the dense views density and
-pure_vector import numpy: the expansions live in decompositions.
+the stabilizer states of up to three qubits, each built as its signed Pauli
+coordinates, solved in pure Python over the orbits of the symmetries found
+factor by factor.  No state vector is built, and only the dense views
+density and pure_vector import numpy: the expansions live in decompositions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
-
-from .gate_rules import conjugate_bits
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -29,7 +28,7 @@ Q_MIN = math.sqrt(2.0 / 3.0)
 
 _NORM_TOL = 1e-12
 _PURE_TOL = 1e-9
-_SYM_TOL = 1e-12  # entrywise match of rho's Pauli coordinates and a symmetry's image of them
+_SYM_TOL = 1e-12  # entrywise match of rho's Pauli coordinates and its factors' product, and of a factor's images
 
 _NAMED_BLOCH = {
     "0": (0.0, 0.0, 1.0),
@@ -296,79 +295,71 @@ def pauli_coords(op) -> list[float]:
     return out
 
 
-def _pauli_action(gate: tuple, n: int) -> tuple[list[int], list[int]]:
-    """(image, sign) with U^dag P_a U = sign[a] P_image[a] over the n-qubit
-    Paulis a, for the gate U, read off gate_rules."""
-    image, sign = [], []
-    for a in range(4**n):
-        x, z = (sum(_LETTER_XZ[l][i] << q for q, l in enumerate(_letters(a, n))) for i in (0, 1))
-        # each letter Y = i X Z carries one power of i, before and after
-        x, z, k = conjugate_bits(x, z, (x & z).bit_count(), [gate])
-        image.append(sum(_LETTER_XZ.index((x >> q & 1, z >> q & 1)) << 2 * (n - 1 - q) for q in range(n)))
-        sign.append(1 if (k - (x & z).bit_count()) % 4 == 0 else -1)
-    return image, sign
-
-
 @lru_cache(maxsize=None)
-def _stabilizer_coords(n: int) -> tuple[frozenset, ...]:
+def _stabilizer_coords(n: int) -> tuple[tuple[int, ...], ...]:
     """The 2^n nonzero Pauli coordinates Tr[P_a |v><v|] = +-1 of every n-qubit
-    stabilizer state v, n <= 3, as a frozenset of codes 2a + (1 if it is -1).
+    stabilizer state v, n <= 3, as a tuple of codes 2a + (1 if it is -1).
 
-    Breadth-first closure of |0..0> under H, S and CX, each gate a signed
-    permutation of the codes, deduplicated in (frontier, gate) order as the
-    dense oracle's enumerate_stabilizer_states; the counts 6 / 60 / 1080 are asserted.
+    Each Lagrangian subspace of F_2^2n, Paulis x | z << n, has one generator
+    set in reduced echelon form, built pivot by pivot with isotropy checked
+    as each generator is chosen; each of its 2^n elements carries the power
+    of i its product of generators leaves, and each of the 2^n generator
+    sign vectors gives one state.  The counts 6 / 60 / 1080 are asserted.
     """
     if n > 3:
         raise ValueError("enumeration capped at n=3")
-    gates = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
-    gates += [("CX", a, b) for a in range(n) for b in range(n) if a != b]
-    maps = []
-    for gate in gates:
-        # U v, at Pauli a, is sign[a] times v at image[a]
-        act = [0] * (2 * 4**n)
-        for a, (m, s) in enumerate(zip(*_pauli_action(gate, n))):
-            act[2 * m], act[2 * m + 1] = 2 * a + (s < 0), 2 * a + (s > 0)
-        maps.append(act.__getitem__)
-    # |0..0>: +1 on every Pauli of letters I and Z only
-    found = [frozenset(2 * a for a in range(4**n) if all(l in (0, 3) for l in _letters(a, n)))]
-    seen = set(found)
-    for codes in found:  # grows while it is walked: level after level
-        for act in maps:
-            image = frozenset(map(act, codes))
-            if image not in seen:
-                seen.add(image)
-                found.append(image)
+    low = (1 << n) - 1
+    # Pauli index of x | z << n: letter x + 2z at qubit q is I, X, Z, Y
+    pauli = [sum((0, 1, 3, 2)[(v >> q & 1) + 2 * (v >> n + q & 1)] << 2 * (n - 1 - q) for q in range(n))
+             for v in range(4**n)]
+    # flips[s][e]: 1 if the generator signs s make element e negative
+    flips = [[(s & e).bit_count() % 2 for e in range(1 << n)] for s in range(1 << n)]
+    found = []
+    for pivots in itertools.combinations(range(2 * n), n):
+        subspaces = [[]]
+        for p in pivots:
+            free = [k for k in range(p) if k not in pivots]
+            rows = [1 << p | sum(1 << k for i, k in enumerate(free) if m >> i & 1) for m in range(1 << len(free))]
+            subspaces = [g + [v] for g in subspaces for v in rows
+                         if not any(((u & v >> n) ^ (u >> n & v)).bit_count() % 2 for u in g)]
+        for gens in subspaces:
+            elems = [(0, 0)]  # (vector, power of i) of the product of the generators in bits of its index
+            for v in gens:
+                x, z = v & low, v >> n
+                elems += [(u ^ v, k + (x & z).bit_count() + 2 * (u >> n & x).bit_count()) for u, k in elems]
+            base = [2 * pauli[u] + ((k - (u & u >> n).bit_count()) % 4 == 2) for u, k in elems]
+            found += [tuple(map(operator.xor, base, flip)) for flip in flips]
     expected = 2**n * math.prod(2**k + 1 for k in range(1, n + 1))
     if len(found) != expected:
         raise RuntimeError(f"stabilizer enumeration found {len(found)}, expected {expected}")
     return tuple(found)
 
 
-def _clifford_symmetries(b: list[float], n: int) -> list[tuple[list[int], list[int]]]:
-    """The symmetries of rho among "the same single-qubit Clifford on every
-    qubit, then a qubit permutation", 24 n! candidates, as (image, sign)
-    with b[image[a]] = sign[a] b[a] on its Pauli coordinates b.  The 24 are
-    the signed permutations of the Bloch axes whose signs multiply to its parity."""
-    group = []
-    for axes, signs, perm in itertools.product(itertools.permutations((1, 2, 3)),
-                                               itertools.product((1, -1), repeat=3),
-                                               itertools.permutations(range(n))):
-        if math.prod(signs) != (1 if axes in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1):
-            continue
-        letter, sign_of = (0, *axes), (1, *signs)
-        image, sign = [], []
-        for a in range(4**n):
-            img, sgn = 0, 1
-            for q, l in enumerate(_letters(a, n)):
-                img += letter[l] << 2 * (n - 1 - perm[q])
-                sgn *= sign_of[l]
-            if abs(b[img] - sgn * b[a]) > _SYM_TOL:
-                break
-            image.append(img)
-            sign.append(sgn)
-        else:
-            group.append((image, sign))
-    return group
+# the 48 signed permutations of the Bloch axes as (letter image, letter sign,
+# determinant): +1 is a one-qubit Clifford, -1 one after complex conjugation
+_AXIS_MAPS = [((0, *axes), (1, *signs), math.prod(signs) * (1 if axes in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1))
+              for axes in itertools.permutations((1, 2, 3)) for signs in itertools.product((1, -1), repeat=3)]
+
+
+def _factor_symmetries(b: list[float], n: int) -> tuple[list[list[tuple]], list[tuple[int, ...]]]:
+    """(local, perms) for the symmetries of rho read off its Pauli coordinates b.
+
+    If b is the product of its qubits' Bloch vectors within _SYM_TOL, local[q]
+    holds the _AXIS_MAPS fixing qubit q's and perms the qubit permutations
+    exchanging equal factors; else local[q] is the identity alone and perms
+    the identity.  The group is (prod_q S+_q u prod_q S-_q) x perms, S+-_q the
+    maps of local[q] of determinant +-1: conjugation maps stabilizer states
+    to stabilizer states only when it acts on every qubit at once.
+    """
+    vecs = [(1.0, *(b[l << 2 * (n - 1 - q)] for l in (1, 2, 3))) for q in range(n)]
+    product = all(abs(b[a] - math.prod(v[l] for v, l in zip(vecs, _letters(a, n)))) <= _SYM_TOL
+                  for a in range(4**n))
+    local = [[m for m in _AXIS_MAPS if all(abs(v[m[0][l]] - m[1][l] * v[l]) <= _SYM_TOL for l in (1, 2, 3))]
+             if product else [_AXIS_MAPS[0]] for v in vecs]
+    perms = [p for p in itertools.permutations(range(n)) if all(
+        local[q] == local[p[q]] and all(abs(u - w) <= _SYM_TOL for u, w in zip(vecs[q], vecs[p[q]]))
+        for q in range(n))] if product else [tuple(range(n))]
+    return local, perms
 
 
 def robustness_lp(rho) -> tuple[float, list[float], dict]:
@@ -379,16 +370,18 @@ def robustness_lp(rho) -> tuple[float, list[float], dict]:
     certificate carries the dual witness in Pauli coordinates, its
     feasibility defect and the duality gap.
 
-    The LP is solved over the Clifford symmetries G of rho found by
-    _clifford_symmetries (Heinrich and Gross, arXiv:1807.10296), which
+    The LP is solved over the symmetries G of rho found by
+    _factor_symmetries (Heinrich and Gross, arXiv:1807.10296), which
     permute the stabilizer states, so an optimal q may be averaged over G.
-    One row is kept per Pauli orbit of G, signed relative to its smallest
-    member, and dropped if it holds both +P and -P (then 0 = 0); each state's
-    column is averaged over the orbits, and equal columns merge: 10 rows and
-    114 columns (each next to its negation) for three copies of H or T, 8
-    and 76 for F, and the full LP in order for the trivial group.  Weights
-    and dual values are spread back over the merged states and the orbits,
-    and the defect and gap are measured on that lifted certificate.
+    One row is kept per Pauli orbit of G, built from each qubit's letter
+    orbits and signed relative to its smallest member, and dropped if it
+    holds both +P and -P (then 0 = 0); each state's column is averaged over
+    the orbits, and equal columns merge: 4 rows and 28 columns (each next
+    to its negation) for three copies of H or T, 4 and 14 for F, 8 and 65
+    for the product of H, T and F, and the full LP in table order for the
+    trivial group.  Weights and dual values are spread back over the
+    merged states and the orbits, and the defect and gap are measured on
+    that lifted certificate.
     """
     from . import _simplex
 
@@ -401,26 +394,30 @@ def robustness_lp(rho) -> tuple[float, list[float], dict]:
         raise ValueError("input must be Hermitian")
     states = _stabilizer_coords(n)
     b = pauli_coords(rows)
-    group = _clifford_symmetries(b, n)
+    local, perms = _factor_symmetries(b, n)
+    # per determinant, qubit and letter: its (image, sign) pairs under S+-_q
+    acts = [[[{(m[0][l], m[1][l]) for m in ms if m[2] == det} for l in range(4)] for ms in local] for det in (1, -1)]
     orbits = []  # (representative, {member: sign relative to it})
-    row_of = [None] * (2 * 4**n)  # code -> (its orbit's row, signed entry), () if dropped
+    # code -> its signed entry in its orbit's row r, as the 5-bit digit r of an
+    # int key, 0 if dropped: a state's key, biased by 16 a digit, is its column
+    digit = [None] * (2 * 4**n)
     for a in range(4**n):
-        if row_of[2 * a] is None:
-            pairs = {(image[a], sign[a]) for image, sign in group}
-            members = dict(pairs)
-            kept = len(members) == len(pairs)
+        if digit[2 * a] is None:
+            members, kept = {}, True
+            for act in acts:
+                for images in itertools.product(*(act[q][l] for q, l in enumerate(_letters(a, n)))):
+                    s = math.prod(t[1] for t in images)
+                    for p in perms:
+                        m = sum(t[0] << 2 * (n - 1 - p[q]) for q, t in enumerate(images))
+                        kept &= members.setdefault(m, s) == s
             for m, s in members.items():
-                row_of[2 * m], row_of[2 * m + 1] = ((len(orbits), s), (len(orbits), -s)) if kept else ((), ())
+                digit[2 * m], digit[2 * m + 1] = (s << 5 * len(orbits), -s << 5 * len(orbits)) if kept else (0, 0)
             if kept:
                 orbits.append((a, members))
-    index: dict[tuple, int] = {}
-    column = []  # state -> reduced column
-    for codes in states:
-        summed = [0] * len(orbits)
-        for r, s in filter(None, map(row_of.__getitem__, codes)):
-            summed[r] += s
-        column.append(index.setdefault(tuple(summed), len(index)))
-    A = [[key[r] / len(members) for key in index] for r, (_, members) in enumerate(orbits)]
+    bias = sum(16 << 5 * r for r in range(len(orbits)))
+    index: dict[int, int] = {}  # key -> reduced column
+    column = [index.setdefault(sum(map(digit.__getitem__, codes), bias), len(index)) for codes in states]
+    A = [[((key >> 5 * r & 31) - 16) / len(members) for key in index] for r, (_, members) in enumerate(orbits)]
     M = len(index)
     x, y, obj = _simplex.solve_lp([row + [-v for v in row] for row in A],
                                   [b[a] for a, _ in orbits], [1.0] * (2 * M))

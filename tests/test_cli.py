@@ -915,9 +915,9 @@ class TestScopedImports:
         assert imported == ["cli"]
         assert not set(imported) & {"channels", "dyadic_sim", "rank_sim", "constrained_sim",
                                     "monotones", "distill", "dense_oracle", "_schema", "_simplex"}
-        assert {"monotones", "gate_rules", "_simplex"} <= set(monotone)
-        assert not set(monotone) & {"pauli", "stab_core", "decompositions", "distill", "channels",
-                                    "rank_sim", "dyadic_sim", "constrained_sim", "dense_oracle"}
+        assert {"monotones", "_simplex"} <= set(monotone)
+        assert not set(monotone) & {"pauli", "gate_rules", "stab_core", "decompositions", "distill",
+                                    "channels", "rank_sim", "dyadic_sim", "constrained_sim", "dense_oracle"}
 
     def test_distill_loads_no_numpy(self):
         _, _, ran = _loaded_by(["distill", "--state", "H", "--alpha", "0.8", "--target", "H"],

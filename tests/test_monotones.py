@@ -9,6 +9,7 @@ import pytest
 
 import magicsim.decompositions as dc
 import magicsim.dense_oracle as do
+import magicsim.gate_rules as gate_rules
 import magicsim.monotones as mono
 import magicsim.stab_core as sc
 from magicsim import _simplex
@@ -503,8 +504,8 @@ class TestRobustnessLP:
         R2, q, cert = mono.robustness_lp(rho2)
         assert 1.4571 <= R2 <= 2.0
         assert cert["duality_gap"] <= 1e-7
-        # reconstruction check in Pauli coordinates
-        cols = unreduced_columns(2)
+        # reconstruction check in Pauli coordinates, q in the engine's column order
+        cols = coords_matrix(2)
         assert cols @ q == pytest.approx(mono.pauli_coords(rho2), abs=1e-7)
         assert np.sum(np.abs(q)) == pytest.approx(R2, abs=1e-7)
 
@@ -519,32 +520,101 @@ def coords_matrix(n):
     return out
 
 
+def assert_same_columns(got, want):
+    """got and want hold the same columns, each exactly once (their orders may differ)."""
+    got_cols = sorted(c.tobytes() for c in (got + 0.0).T)  # + 0.0: no -0.0 in the keys
+    assert len(set(got_cols)) == len(got_cols) == want.shape[1]
+    assert got_cols == sorted(c.tobytes() for c in (want + 0.0).T)
+
+
 def named_copies(name, alpha, n):
     return reduce(np.kron, [BlochState.named(name).scaled(alpha).density()] * n)
 
 
+def named_product(*factors):
+    return reduce(np.kron, [BlochState.named(name).scaled(alpha).density() for name, alpha in factors])
+
+
+# three distinct generic Bloch factors, fixed by no symmetry but the identity
+GENERIC_FACTORS = ((0.31, 0.52, 0.61), (0.55, -0.2, 0.4), (-0.1, 0.7, 0.3))
+HTF = (("H", 0.9), ("T", 0.85), ("F", 0.95))
+
+
+def letter_map_action(maps, perm, n):
+    """(image, sign) over the 4^n Paulis of the signed axis permutation maps[q]
+    on each qubit q, followed by the qubit permutation q -> perm[q]."""
+    image, sign = [], []
+    for a in range(4**n):
+        letters = mono._letters(a, n)
+        image.append(sum(m[0][l] << 2 * (n - 1 - perm[q]) for q, (m, l) in enumerate(zip(maps, letters))))
+        sign.append(int(np.prod([m[1][l] for m, l in zip(maps, letters)])))
+    return image, sign
+
+
+def group_elements(b, n):
+    """Every element of the group mono._factor_symmetries describes, as one
+    (image, sign) list over all 4^n Paulis: the slow reference for the orbits
+    robustness_lp builds from each qubit's letter orbits."""
+    local, perms = mono._factor_symmetries(b, n)
+    return [letter_map_action(maps, perm, n) for det in (1, -1)
+            for maps in itertools.product(*([m for m in ms if m[2] == det] for ms in local))
+            for perm in perms]
+
+
+def reference_reduced_matrix(rho):
+    """The reduced LP matrix from the group's elements, one image list each:
+    a row per Pauli orbit kept, a column per distinct orbit-averaged state."""
+    n = int(np.log2(rho.shape[0]))
+    group = group_elements(mono.pauli_coords(rho), n)
+    orbits, row_of = [], [None] * 4**n
+    for a in range(4**n):
+        if row_of[a] is None:
+            pairs = {(image[a], sign[a]) for image, sign in group}
+            members = dict(pairs)
+            kept = len(members) == len(pairs)  # no member reached with both signs
+            for m, s in members.items():
+                row_of[m] = (len(orbits), s) if kept else ()
+            if kept:
+                orbits.append(members)
+    columns = {}
+    for col in coords_matrix(n).T:
+        summed = [0] * len(orbits)
+        for a, v in enumerate(col):
+            if v and row_of[a]:
+                summed[row_of[a][0]] += int(v) * row_of[a][1]
+        columns.setdefault(tuple(summed), None)
+    A = np.array([[key[r] / len(members) for key in columns] for r, members in enumerate(orbits)])
+    return np.hstack([A, -A])
+
+
 def symmetry_cases():
     """(rho, shape of the LP reaching the simplex): copies, a pair with a third,
-    three factors, and three copies of the benchmark's named states.
+    three factors, three copies of the benchmark's named states and products
+    of named and of generic factors.
 
-    A random state is fixed by no single-qubit Clifford but the identity, so
-    its group is the qubit permutations that fix rho: the reduced matrix
+    A random state is fixed by no signed axis permutation but the identity,
+    so its group is the qubit permutations that fix rho: the reduced matrix
     depends only on that group, and both random three-copy cases share 20
-    rows and 234 columns, each with its negation.  H and T copies are also
-    fixed by the Clifford that swaps two Bloch axes and flips the third, and
-    F copies by the two cyclic axis permutations.
+    rows and 234 columns, each with its negation.  H and T are also fixed by
+    one rotation and two reflections, and F by two cyclic axis permutations
+    and three reflections, so three copies have groups of order 96 and 324;
+    H.T.F keeps order 24 and H.H.T 32, and three generic factors the full LP.
     """
     rng = np.random.default_rng(91)
     r, s, t = (random_bloch(rng, radius=0.9).density() for _ in range(3))
     return [
-        pytest.param(named_copies("H", 0.9, 3), (10, 228), id="H^3"),
-        pytest.param(named_copies("T", 0.85, 3), (10, 228), id="T^3"),
-        pytest.param(named_copies("F", 0.95, 3), (8, 152), id="F^3"),
+        pytest.param(named_copies("H", 0.9, 3), (4, 56), id="H^3"),
+        pytest.param(named_copies("T", 0.85, 3), (4, 56), id="T^3"),
+        pytest.param(named_copies("F", 0.95, 3), (4, 28), id="F^3"),
         pytest.param(np.kron(r, r), (10, 70), id="rho^2"),
         pytest.param(np.kron(np.kron(r, r), r), (20, 468), id="rho^3"),
         pytest.param(np.kron(np.kron(s, s), s), (20, 468), id="sigma^3"),
         pytest.param(np.kron(np.kron(r, r), s), (40, 1176), id="rho.rho.sigma"),
         pytest.param(np.kron(np.kron(r, s), t), (64, 2160), id="rho.sigma.tau"),
+        pytest.param(named_product(*HTF), (8, 130), id="H.T.F"),
+        pytest.param(named_product(("H", 0.9), ("H", 0.9), ("T", 0.85)), (6, 110), id="H.H.T"),
+        pytest.param(reduce(np.kron, [BlochState(*v).density() for v in GENERIC_FACTORS]), (64, 2160),
+                     id="generic-factors"),
     ]
 
 
@@ -564,7 +634,9 @@ class TestRobustnessReduction:
         R, q, cert = mono.robustness_lp(rho)
         q, witness = np.asarray(q), np.asarray(cert["witness_coords"])
         assert R == pytest.approx(want, rel=1e-9, abs=1e-9)
-        # the lifted weights reproduce rho on every coordinate from all the states
+        # the lifted weights, in the engine's column order, reproduce rho on
+        # every coordinate from all the states
+        cols = coords_matrix(n)
         assert q.shape == (cols.shape[1],)
         assert cols @ q == pytest.approx(b, abs=1e-7)
         assert np.sum(np.abs(q)) == pytest.approx(R, abs=1e-7)
@@ -581,49 +653,87 @@ class TestRobustnessReduction:
         (A,) = seen
         A = np.asarray(A)
         assert A.shape == shape
+        # the orbits from letter orbits are the orbits of the group's elements
+        assert np.array_equal(A, reference_reduced_matrix(rho))
         n = int(np.log2(rho.shape[0]))
         if shape[0] == 4**n:
-            # the trivial group solves the unreduced LP, columns in enumeration order
-            cols = np.rint(unreduced_columns(n))
+            # the trivial group solves the unreduced LP, columns in table order
+            cols = coords_matrix(n)
             assert np.array_equal(A, np.hstack([cols, -cols]))
 
-    @pytest.mark.parametrize("name,alpha,orders", [("H", 0.9, (2, 4, 12)), ("T", 0.85, (2, 4, 12)),
-                                                   ("F", 0.95, (3, 6, 18))])
+    @pytest.mark.parametrize("name,alpha,orders", [("H", 0.9, (4, 16, 96)), ("T", 0.85, (4, 16, 96)),
+                                                   ("F", 0.95, (6, 36, 324))])
     def test_symmetry_group_orders(self, name, alpha, orders):
-        # the Bloch-axis symmetries of the state times the qubit permutations
+        # (prod S+ u prod S-) x the qubit permutations: 2 + 2 local maps of H
+        # and T, 3 + 3 of F, and all n! permutations of the copies
         for n, order in zip((1, 2, 3), orders):
-            b = mono.pauli_coords(named_copies(name, alpha, n))
-            assert len(mono._clifford_symmetries(b, n)) == order
+            group = group_elements(mono.pauli_coords(named_copies(name, alpha, n)), n)
+            assert len(group) == order
+            assert len({(tuple(image), tuple(sign)) for image, sign in group}) == order
 
-    @pytest.mark.parametrize("name,alpha", [("H", 0.9), ("F", 0.95)])
-    def test_symmetries_fix_rho_and_permute_the_stabilizer_states(self, name, alpha):
+    @pytest.mark.parametrize("rho", [named_copies("H", 0.9, 3), named_copies("F", 0.95, 3),
+                                     named_product(*HTF), named_product(("H", 0.9), ("H", 0.9), ("T", 0.85))],
+                             ids=["H-0.9", "F-0.95", "H.T.F", "H.H.T"])
+    def test_symmetries_fix_rho_and_permute_the_stabilizer_states(self, rho):
         n = 3
-        b = np.asarray(mono.pauli_coords(named_copies(name, alpha, n)))
+        b = np.asarray(mono.pauli_coords(rho))
         cols = coords_matrix(n)
         states = {c.tobytes() for c in cols.T}
-        for image, sign in mono._clifford_symmetries(list(b), n):
+        for image, sign in group_elements(list(b), n):
             image, sign = list(image), np.asarray(sign)
             assert np.abs(b[image] - sign * b).max() <= 1e-12
             moved = np.zeros_like(cols)
             moved[image] = sign[:, None] * cols + 0.0  # no -0.0 in the keys
             assert {c.tobytes() for c in moved.T} == states
 
+    def test_mixed_determinants_do_not_permute_the_stabilizer_states(self):
+        # a determinant +1 map on one qubit and -1 on another, conjugation on
+        # part of the qubits, fixes H^3 but leaves the stabilizer states: the
+        # group takes S+ on every qubit or S- on every qubit, never a mix
+        n = 3
+        b = np.asarray(mono.pauli_coords(named_copies("H", 0.9, n)))
+        local, _ = mono._factor_symmetries(list(b), n)
+        cols = coords_matrix(n)
+        states = {c.tobytes() for c in cols.T}
+        mixed = 0
+        for dets in itertools.product((1, -1), repeat=n):
+            if len(set(dets)) == 1:
+                continue
+            for maps in itertools.product(*([m for m in ms if m[2] == d] for ms, d in zip(local, dets))):
+                image, sign = letter_map_action(maps, range(n), n)
+                sign = np.asarray(sign)
+                assert np.abs(b[image] - sign * b).max() <= 1e-12
+                moved = np.zeros_like(cols)
+                moved[image] = sign[:, None] * cols + 0.0
+                assert {c.tobytes() for c in moved.T} != states
+                mixed += 1
+        assert mixed == 6 * 2**n
+
+    def test_non_product_gets_the_trivial_group(self):
+        # a Bell state has zero marginals, so it is no product of them
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / SQRT2
+        local, perms = mono._factor_symmetries(mono.pauli_coords(np.outer(bell, bell)), 2)
+        assert local == [[mono._AXIS_MAPS[0]]] * 2
+        assert perms == [(0, 1)]
+
     def test_batched_columns_match_one_state_at_a_time(self):
-        for n in (1, 2, 3):
+        for n, count in zip((1, 2, 3), (6, 60, 1080)):
             for codes in mono._stabilizer_coords(n):
                 # 2^n integer codes on 2^n distinct Paulis: none overwrites another below
                 assert all(isinstance(c, int) for c in codes)
                 assert len({c >> 1 for c in codes}) == len(codes) == 2**n
             got = coords_matrix(n)
-            assert np.array_equal(got, np.rint(unreduced_columns(n)))
+            assert got.shape[1] == count
+            assert_same_columns(got, np.rint(unreduced_columns(n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symbolic_columns_are_the_oracle_traces_in_order(self, n):
+        # "in order" of the Paulis; the states come as the same set, each once
         want = np.stack([pauli_traces(np.outer(v, v.conj()))
                          for v in do.enumerate_stabilizer_states(n)], axis=1)
         assert np.abs(want.imag).max() <= 1e-12
         assert np.abs(want.real - np.rint(want.real)).max() <= 1e-12
-        assert np.array_equal(coords_matrix(n), np.rint(want.real))
+        assert_same_columns(coords_matrix(n), np.rint(want.real))
 
     # (image, sign) per letter word, as read off stab_core's conjugation rules
     # before the Pauli algebra had a module of its own
@@ -634,9 +744,23 @@ class TestRobustnessReduction:
                     [1, 1, 1, 1, 1, 1, 1, -1, 1, 1, -1, 1, 1, 1, 1, 1]),
     }
 
+    @staticmethod
+    def pauli_action(gate, n):
+        """(image, sign) with U^dag P_a U = sign[a] P_image[a] over the n-qubit
+        Paulis a, for the gate U, read off gate_rules.conjugate_bits."""
+        xz = mono._LETTER_XZ
+        image, sign = [], []
+        for a in range(4**n):
+            x, z = (sum(xz[l][i] << q for q, l in enumerate(mono._letters(a, n))) for i in (0, 1))
+            # each letter Y = i X Z carries one power of i, before and after
+            x, z, k = gate_rules.conjugate_bits(x, z, (x & z).bit_count(), [gate])
+            image.append(sum(xz.index((x >> q & 1, z >> q & 1)) << 2 * (n - 1 - q) for q in range(n)))
+            sign.append(1 if (k - (x & z).bit_count()) % 4 == 0 else -1)
+        return image, sign
+
     @pytest.mark.parametrize("name,width", sorted(LETTER_ACTIONS))
     def test_letter_action_tables(self, name, width):
-        image, sign = (np.asarray(x) for x in mono._pauli_action((name, *range(width)), width))
+        image, sign = (np.asarray(x) for x in self.pauli_action((name, *range(width)), width))
         assert (image.tolist(), sign.tolist()) == self.LETTER_ACTIONS[name, width]
         words = ["".join(w) for w in itertools.product("IXYZ", repeat=width)]
         U = do.GATE_MATRICES[name]

@@ -37,9 +37,9 @@ def unreduced_robustness_lp(blochs):
 def robustness_lp_3q():
     """The unreduced robustness LP for three T(0.85) copies.
 
-    monotones.robustness_lp solves this LP over the Clifford symmetries that
-    fix rho, with 10 rows; the full 64 x 2160 form stays here as a problem
-    large enough to cross the simplex's refactorizations.
+    monotones.robustness_lp solves this LP over the symmetries that fix rho,
+    with 4 rows; the full 64 x 2160 form stays here as a problem large
+    enough to cross the simplex's refactorizations.
     """
     t = mt.BlochState.named("T")
     return unreduced_robustness_lp([mt.BlochState(0.85 * t.bx, 0.85 * t.by, 0.85 * t.bz)] * 3)
